@@ -96,14 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family-x", required=True, help="e.g. exp:rate=1 or weibull:shape=2,scale=1")
         p.add_argument("--family-y", required=needs_y, help="second family spec")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, default=20260810)
 
     p = sub.add_parser("measure", help="evaluate one measure between named families")
     p.add_argument("name", choices=sorted(set(_STATIC_MEASURES) | set(_DYNAMIC_MEASURES)))
     add_common(p)
     p.add_argument("--t", type=float, default=None, help="time point for dynamic measures")
     p.add_argument("--atom-convention", choices=("paper", "ac"), default="ac")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("estimate", help="estimate relative extropy from two samples")
@@ -112,14 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-col", default=None)
     p.add_argument("--boundary-reflect", choices=("on", "off"), default="off")
     p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=20260810)
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="Monte-Carlo bias/MSE study for the estimator")
     add_common(p, needs_y=True)
     p.add_argument("--n", default="50,75,100", help="sample sizes, comma separated")
     p.add_argument("--reps", type=int, default=500)
+    p.add_argument("--seed", type=int, default=20260810)
     p.add_argument("--boundary-reflect", choices=("on", "off"), default="off")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_simulate)
@@ -131,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantiles", default=None, help="e.g. 0.2,0.4,0.6,0.8 to band a numeric column")
     p.add_argument("--boundary-reflect", choices=("on", "off"), default="off")
     p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=20260810)
     p.add_argument("--format", choices=("json", "csv", "svg", "all"), default="all")
     p.set_defaults(func=cmd_groups)
 
@@ -139,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, needs_y=True)
     p.add_argument("--t", default=None, help="grid times, comma separated (default: auto)")
     p.add_argument("--atom-convention", choices=("paper", "ac"), default="ac")
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -239,7 +234,6 @@ def cmd_estimate(args) -> int:
             "value_col": args.value_col,
             "group_col": args.group_col,
             "boundary_reflect": args.boundary_reflect,
-            "seed": args.seed,
         },
         {
             "groups": [label_x, label_y],
@@ -270,7 +264,7 @@ def cmd_simulate(args) -> int:
         )
         rows.append(mc_bias_mse(cfg))
     out = _outdir(args)
-    if args.format in ("csv", "all"):
+    if args.format == "csv":
         write_study_csv(out / "study.csv", rows)
     write_report(
         out / "report.json",
@@ -326,7 +320,6 @@ def cmd_groups(args) -> int:
             "group_col": args.group_col,
             "quantiles": args.quantiles,
             "boundary_reflect": args.boundary_reflect,
-            "seed": args.seed,
         },
         {
             "labels": list(matrix.labels),
@@ -456,7 +449,6 @@ def cmd_verify(args) -> int:
             "family_y": args.family_y,
             "grid": list(grid.points),
             "atom_convention": args.atom_convention,
-            "seed": args.seed,
         },
         {
             "checks": checks,

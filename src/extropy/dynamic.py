@@ -32,9 +32,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DenominatorUnderflow, InsufficientGrid, InvalidParameter
+from . import measures
+from .errors import InsufficientGrid, InvalidParameter
+from .measures import _windowed
 from .models import DistributionModel, MeasureReport
-from .quadrature import IntegralResult, QuadratureSpec, integrate, truncation_point
+from .quadrature import QuadratureSpec, integrate, truncation_point
 
 __all__ = [
     "TimeGrid",
@@ -96,41 +98,6 @@ def _q(q: QuadratureSpec | None) -> QuadratureSpec:
     return q or QuadratureSpec()
 
 
-def _survival_at(d: DistributionModel, t: float, q: QuadratureSpec) -> float:
-    sf = float(d.survival(t))
-    if sf <= q.denominator_floor:
-        raise DenominatorUnderflow(f"{d.label}: survival({t:g}) = {sf:.3e} below floor")
-    return sf
-
-
-def _cdf_at(d: DistributionModel, t: float, q: QuadratureSpec) -> float:
-    cd = float(d.cdf(t))
-    if cd <= q.denominator_floor:
-        raise DenominatorUnderflow(f"{d.label}: cdf({t:g}) = {cd:.3e} below floor")
-    return cd
-
-
-def _residual_upper(models: Sequence[DistributionModel], t: float, q: QuadratureSpec):
-    finite = [m.support[1] for m in models if not m.unbounded]
-    unbounded = [m for m in models if m.unbounded]
-    if not unbounded:
-        return max(finite), None
-    upper = truncation_point(
-        [m.survival for m in unbounded], [m.pdf for m in unbounded], t, q
-    )
-    upper = max([upper] + finite)
-    return upper, upper
-
-
-def _edges(models: Sequence[DistributionModel], lo: float, hi: float) -> list[float]:
-    pts = []
-    for m in models:
-        for p in m.support:
-            if math.isfinite(p) and lo < p < hi:
-                pts.append(p)
-    return pts
-
-
 # ---------------------------------------------------------------------------
 # Residual measures
 # ---------------------------------------------------------------------------
@@ -138,83 +105,28 @@ def _edges(models: Sequence[DistributionModel], lo: float, hi: float) -> list[fl
 
 def residual_extropy(d: DistributionModel, t: float, q: QuadratureSpec | None = None) -> MeasureReport:
     """Extropy of the residual life at t: -(1/2) int_t (f / S(t))^2."""
-    q = _q(q)
-    sf = _survival_at(d, t, q)
-    hi, trunc = _residual_upper([d], t, q)
-    lo = max(t, d.support[0])
-    res = integrate(lambda x: float(d.pdf(x)) ** 2, lo, hi, q, points=_edges([d], lo, hi))
-    return MeasureReport.from_integral(
-        "residual_extropy", -0.5 * res.value / sf**2,
-        IntegralResult(res.value, res.abs_error, res.subdivisions, trunc),
-        t=t, inputs=(d.label,), abs_tol=q.abs_tol,
-    )
+    return _windowed("extropy", "residual", (d,), t, q)
 
 
 def residual_inaccuracy(
     dX: DistributionModel, dY: DistributionModel, t: float, q: QuadratureSpec | None = None
 ) -> MeasureReport:
     """-(1/2) int_t f g / (S_F(t) S_G(t)); equals residual extropy at f = g."""
-    q = _q(q)
-    sfx = _survival_at(dX, t, q)
-    sfy = _survival_at(dY, t, q)
-    hi, trunc = _residual_upper([dX, dY], t, q)
-    lo = max(t, min(dX.support[0], dY.support[0]))
-    res = integrate(
-        lambda x: float(dX.pdf(x)) * float(dY.pdf(x)), lo, hi, q, points=_edges([dX, dY], lo, hi)
-    )
-    return MeasureReport.from_integral(
-        "residual_inaccuracy", -0.5 * res.value / (sfx * sfy),
-        IntegralResult(res.value, res.abs_error, res.subdivisions, trunc),
-        t=t, inputs=(dX.label, dY.label), abs_tol=q.abs_tol,
-    )
-
-
-def _residual_quadratic(
-    dX: DistributionModel,
-    dY: DistributionModel,
-    t: float,
-    q: QuadratureSpec,
-    weight: str,
-) -> tuple[float, IntegralResult]:
-    """Integrate (f/SF - g/SG)^2 or (f/SF - g/SG) f/SF over (t, inf)."""
-    sfx = _survival_at(dX, t, q)
-    sfy = _survival_at(dY, t, q)
-    hi, trunc = _residual_upper([dX, dY], t, q)
-    lo = max(t, min(dX.support[0], dY.support[0]))
-
-    if weight == "square":
-        def integrand(x):
-            diff = float(dX.pdf(x)) / sfx - float(dY.pdf(x)) / sfy
-            return diff * diff
-    else:
-        def integrand(x):
-            fx = float(dX.pdf(x)) / sfx
-            return (fx - float(dY.pdf(x)) / sfy) * fx
-
-    res = integrate(integrand, lo, hi, q, points=_edges([dX, dY], lo, hi))
-    return 0.5 * res.value, IntegralResult(res.value, res.abs_error, res.subdivisions, trunc)
+    return _windowed("inaccuracy", "residual", (dX, dY), t, q)
 
 
 def residual_relative(
     dX: DistributionModel, dY: DistributionModel, t: float, q: QuadratureSpec | None = None
 ) -> MeasureReport:
     """d_r(f,g,t) >= 0; constant in t for two exponentials."""
-    q = _q(q)
-    value, res = _residual_quadratic(dX, dY, t, q, "square")
-    return MeasureReport.from_integral(
-        "residual_relative", value, res, t=t, inputs=(dX.label, dY.label), abs_tol=q.abs_tol
-    )
+    return _windowed("relative", "residual", (dX, dY), t, q)
 
 
 def residual_divergence(
     dX: DistributionModel, dY: DistributionModel, t: float, q: QuadratureSpec | None = None
 ) -> MeasureReport:
     """J_r(f|g,t) = xiJ_r(X,Y,t) - J_t(X); sign unrestricted."""
-    q = _q(q)
-    value, res = _residual_quadratic(dX, dY, t, q, "first")
-    return MeasureReport.from_integral(
-        "residual_divergence_fg", value, res, t=t, inputs=(dX.label, dY.label), abs_tol=q.abs_tol
-    )
+    return _windowed("divergence_fg", "residual", (dX, dY), t, q)
 
 
 # ---------------------------------------------------------------------------
@@ -222,32 +134,11 @@ def residual_divergence(
 # ---------------------------------------------------------------------------
 
 
-def _atom_fraction(d: DistributionModel, cdf_t: float, convention: str) -> float:
-    if convention == "paper" and d.atom_at_lo > 0.0:
-        return d.atom_at_lo / cdf_t
-    return 0.0
-
-
-def _check_convention(convention: str) -> None:
-    if convention not in ("ac", "paper"):
-        raise InvalidParameter(f"atom_convention must be 'ac' or 'paper', got {convention!r}")
-
-
 def past_extropy(
     d: DistributionModel, t: float, q: QuadratureSpec | None = None, atom_convention: str = "ac"
 ) -> MeasureReport:
     """Extropy of the past life at t: -(1/2) int_0^t (f / F(t))^2."""
-    q = _q(q)
-    _check_convention(atom_convention)
-    cd = _cdf_at(d, t, q)
-    lo = d.support[0]
-    hi = min(t, d.support[1])
-    res = integrate(lambda x: float(d.pdf(x)) ** 2, lo, hi, q, points=_edges([d], lo, hi))
-    value = -0.5 * res.value / cd**2
-    value -= 0.5 * _atom_fraction(d, cd, atom_convention) ** 2
-    return MeasureReport.from_integral(
-        "past_extropy", value, res, t=t, inputs=(d.label,), abs_tol=q.abs_tol
-    )
+    return _windowed("extropy", "past", (d,), t, q, atom_convention)
 
 
 def past_inaccuracy(
@@ -258,20 +149,7 @@ def past_inaccuracy(
     atom_convention: str = "ac",
 ) -> MeasureReport:
     """-(1/2) int_0^t f g / (F(t) G(t))."""
-    q = _q(q)
-    _check_convention(atom_convention)
-    cdx = _cdf_at(dX, t, q)
-    cdy = _cdf_at(dY, t, q)
-    lo = min(dX.support[0], dY.support[0])
-    hi = min(t, max(dX.support[1], dY.support[1]))
-    res = integrate(
-        lambda x: float(dX.pdf(x)) * float(dY.pdf(x)), lo, hi, q, points=_edges([dX, dY], lo, hi)
-    )
-    value = -0.5 * res.value / (cdx * cdy)
-    value -= 0.5 * _atom_fraction(dX, cdx, atom_convention) * _atom_fraction(dY, cdy, atom_convention)
-    return MeasureReport.from_integral(
-        "past_inaccuracy", value, res, t=t, inputs=(dX.label, dY.label), abs_tol=q.abs_tol
-    )
+    return _windowed("inaccuracy", "past", (dX, dY), t, q, atom_convention)
 
 
 def past_relative(
@@ -282,24 +160,7 @@ def past_relative(
     atom_convention: str = "ac",
 ) -> MeasureReport:
     """d_p(f,g,t) = (1/2) int_0^t (f/F(t) - g/G(t))^2 >= 0."""
-    q = _q(q)
-    _check_convention(atom_convention)
-    cdx = _cdf_at(dX, t, q)
-    cdy = _cdf_at(dY, t, q)
-    lo = min(dX.support[0], dY.support[0])
-    hi = min(t, max(dX.support[1], dY.support[1]))
-
-    def integrand(x):
-        diff = float(dX.pdf(x)) / cdx - float(dY.pdf(x)) / cdy
-        return diff * diff
-
-    res = integrate(integrand, lo, hi, q, points=_edges([dX, dY], lo, hi))
-    value = 0.5 * res.value
-    atom_gap = _atom_fraction(dX, cdx, atom_convention) - _atom_fraction(dY, cdy, atom_convention)
-    value += 0.5 * atom_gap**2
-    return MeasureReport.from_integral(
-        "past_relative", value, res, t=t, inputs=(dX.label, dY.label), abs_tol=q.abs_tol
-    )
+    return _windowed("relative", "past", (dX, dY), t, q, atom_convention)
 
 
 def past_divergence(
@@ -310,25 +171,7 @@ def past_divergence(
     atom_convention: str = "ac",
 ) -> MeasureReport:
     """J_p(f|g,t) = xiJ_p(X,Y,t) - past extropy of X; sign unrestricted."""
-    q = _q(q)
-    _check_convention(atom_convention)
-    cdx = _cdf_at(dX, t, q)
-    cdy = _cdf_at(dY, t, q)
-    lo = min(dX.support[0], dY.support[0])
-    hi = min(t, max(dX.support[1], dY.support[1]))
-
-    def integrand(x):
-        fx = float(dX.pdf(x)) / cdx
-        return (fx - float(dY.pdf(x)) / cdy) * fx
-
-    res = integrate(integrand, lo, hi, q, points=_edges([dX, dY], lo, hi))
-    value = 0.5 * res.value
-    ax = _atom_fraction(dX, cdx, atom_convention)
-    ay = _atom_fraction(dY, cdy, atom_convention)
-    value += 0.5 * ax * (ax - ay)
-    return MeasureReport.from_integral(
-        "past_divergence_fg", value, res, t=t, inputs=(dX.label, dY.label), abs_tol=q.abs_tol
-    )
+    return _windowed("divergence_fg", "past", (dX, dY), t, q, atom_convention)
 
 
 # ---------------------------------------------------------------------------
@@ -722,22 +565,21 @@ def global_decompositions(
     unweighted variant (J_t(X) - J(_tX)) is also evaluated and its residual
     recorded in ``note`` for comparison.
     """
-    from .measures import extropy_divergence, extropy_inaccuracy, relative_extropy
-
     q = _q(q)
     tol = 10.0 * q.abs_tol if tol is None else tol
-    f_t = _cdf_at(dX, t, q)
-    g_t = _cdf_at(dY, t, q)
-    sf_t = _survival_at(dX, t, q)
-    sg_t = _survival_at(dY, t, q)
+    # the conditional measures below raise when a denominator is under the floor
+    f_t = float(dX.cdf(t))
+    g_t = float(dY.cdf(t))
+    sf_t = float(dX.survival(t))
+    sg_t = float(dY.survival(t))
 
-    xi = extropy_inaccuracy(dX, dY, q).value
+    xi = measures.extropy_inaccuracy(dX, dY, q).value
     xi_r = residual_inaccuracy(dX, dY, t, q).value
     xi_p = past_inaccuracy(dX, dY, t, q, atom_convention).value
-    j_fg = extropy_divergence(dX, dY, q).value
+    j_fg = measures.extropy_divergence(dX, dY, q).value
     jr_fg = residual_divergence(dX, dY, t, q).value
     jp_fg = past_divergence(dX, dY, t, q, atom_convention).value
-    d = relative_extropy(dX, dY, q).value
+    d = measures.relative_extropy(dX, dY, q).value
     d_r = residual_relative(dX, dY, t, q).value
     d_p = past_relative(dX, dY, t, q, atom_convention).value
     jtx = residual_extropy(dX, t, q).value

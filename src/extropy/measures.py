@@ -10,17 +10,21 @@ Conventions (all integrals over the support hull, tails truncated by policy):
 These satisfy d = J(f|g) + J(g|f) and d = 2 xiJ - J(X) - J(Y) exactly; the
 operations recompute each side independently so tests can assert the
 identities numerically.
+
+The residual and past measures of :mod:`extropy.dynamic` are the same four
+forms over another window, so all twelve run through :func:`_windowed`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .distributions import ExponentialParams, WeibullParams
-from .errors import InvalidModel, InvalidParameter
-from .models import DistributionModel, MeasureReport
-from .quadrature import IntegralResult, QuadratureSpec, integrate, truncation_point
+from .errors import DenominatorUnderflow, InvalidModel, InvalidParameter
+from .models import DistributionModel, MeasureReport, upper_limit
+from .quadrature import QuadratureSpec, integrate
 
 __all__ = [
     "extropy",
@@ -34,26 +38,87 @@ __all__ = [
     "compare_static_ordering",
 ]
 
-
-def _upper_limit(models: list[DistributionModel], lo: float, q: QuadratureSpec) -> tuple[float, float | None]:
-    """Finite integration limit for the given models, with truncation marker."""
-    finite_hi = max(m.support[1] for m in models)
-    if math.isfinite(finite_hi):
-        return finite_hi, None
-    unbounded = [m for m in models if m.unbounded]
-    t = truncation_point([m.survival for m in unbounded], [m.pdf for m in unbounded], lo, q)
-    bounded_hi = [m.support[1] for m in models if not m.unbounded]
-    t = max([t] + bounded_hi)
-    return t, t
+# The quadratic forms of the two (conditional) densities u = f/a, v = g/b, and
+# the coefficient that turns the integral of a form into the measure.
+_FORMS = {
+    "extropy": (-0.5, lambda u, v: u * u),
+    "inaccuracy": (-0.5, lambda u, v: u * v),
+    "relative": (0.5, lambda u, v: (u - v) ** 2),
+    "divergence_fg": (0.5, lambda u, v: (u - v) * u),
+}
 
 
-def _edges(models: list[DistributionModel]) -> list[float]:
-    pts = []
-    for m in models:
-        pts.append(m.support[0])
-        if math.isfinite(m.support[1]):
-            pts.append(m.support[1])
-    return pts
+def _window_mass(d: DistributionModel, window: str, t: float | None, q: QuadratureSpec) -> float:
+    if window == "support":
+        return 1.0
+    name = "survival" if window == "residual" else "cdf"
+    mass = float(getattr(d, name)(t))
+    if mass <= q.denominator_floor:
+        raise DenominatorUnderflow(f"{d.label}: {name}({t:g}) = {mass:.3e} below floor")
+    return mass
+
+
+def _windowed(
+    form: str,
+    window: str,
+    models: Sequence[DistributionModel],
+    t: float | None = None,
+    q: QuadratureSpec | None = None,
+    atom_convention: str = "ac",
+) -> MeasureReport:
+    """Integrate one quadratic form of (f, g) over one window.
+
+    ``form`` is a key of ``_FORMS``; ``models`` is (X,) for "extropy" and
+    (X, Y) otherwise.  ``window`` is "support" (the hull of the supports),
+    "residual" ((t, inf), each density divided by its survival at t) or
+    "past" ((lo, t], each density divided by its cdf at t).  Every integrand
+    is a conditional density, so the error estimate and the tail truncation
+    are in the units of the value.  The product form vanishes off the overlap
+    of the supports and is integrated over it alone.  Under
+    ``atom_convention="paper"`` the past window adds the form of the atoms'
+    conditional masses to the integral.
+    """
+    q = q or QuadratureSpec()
+    if atom_convention not in ("ac", "paper"):
+        raise InvalidParameter(f"atom_convention must be 'ac' or 'paper', got {atom_convention!r}")
+    coef, pointwise = _FORMS[form]
+    masses = [_window_mass(m, window, t, q) for m in models]
+
+    lo = min(m.support[0] for m in models)
+    if window == "past":
+        hi, trunc = min(t, max(m.support[1] for m in models)), None
+    else:
+        if window == "residual":
+            lo = max(t, lo)
+        hi, trunc = upper_limit(models, lo, q, min(masses))
+    if form == "inaccuracy":
+        lo = max([lo] + [m.support[0] for m in models])
+        hi = min([hi] + [m.support[1] for m in models])
+    edges = [p for m in models for p in m.support if math.isfinite(p)]
+
+    pf, pg = models[0].pdf, models[-1].pdf
+    a, b = masses[0], masses[-1]
+    if form == "extropy":
+        label = models[0].label
+
+        def integrand(x: float) -> float:
+            u = float(pf(x)) / a
+            if u < 0.0:
+                raise InvalidModel(f"{label}: pdf({x:g}) = {u:g} is negative")
+            return u * u
+    else:
+
+        def integrand(x: float) -> float:
+            return pointwise(float(pf(x)) / a, float(pg(x)) / b)
+
+    res = integrate(integrand, lo, hi, q, points=edges, truncated_at=trunc)
+    paper = window == "past" and atom_convention == "paper"
+    atoms = [m.atom_at_lo / s if paper else 0.0 for m, s in zip(models, masses)]
+    value = coef * (res.value + pointwise(atoms[0], atoms[-1]))
+    return MeasureReport.from_integral(
+        form if window == "support" else f"{window}_{form}", value, res,
+        t=t, inputs=tuple(m.label for m in models), abs_tol=q.abs_tol,
+    )
 
 
 def extropy(d: DistributionModel, q: QuadratureSpec | None = None) -> MeasureReport:
@@ -62,27 +127,7 @@ def extropy(d: DistributionModel, q: QuadratureSpec | None = None) -> MeasureRep
     Raises :class:`InvalidModel` when the density evaluates negative (the
     squared integrand would silently hide the defect otherwise).
     """
-    q = q or QuadratureSpec()
-    lo = d.support[0]
-    hi, trunc = _upper_limit([d], lo, q)
-
-    def integrand(x: float) -> float:
-        fx = float(d.pdf(x))
-        if fx < 0.0:
-            raise InvalidModel(f"{d.label}: pdf({x:g}) = {fx:g} is negative")
-        return fx * fx
-
-    res = integrate(integrand, lo, hi, q)
-    return MeasureReport.from_integral(
-        "extropy", -0.5 * res.value, IntegralResult(res.value, res.abs_error, res.subdivisions, trunc),
-        inputs=(d.label,), abs_tol=q.abs_tol,
-    )
-
-
-def _pair_setup(dX: DistributionModel, dY: DistributionModel, q: QuadratureSpec):
-    lo = min(dX.support[0], dY.support[0])
-    hi, trunc = _upper_limit([dX, dY], lo, q)
-    return lo, hi, trunc, _edges([dX, dY])
+    return _windowed("extropy", "support", (d,), q=q)
 
 
 def extropy_inaccuracy(
@@ -93,50 +138,25 @@ def extropy_inaccuracy(
     Disjoint supports make the integral exactly zero; that is reported with a
     warning flag rather than an error because it usually signals user error.
     """
-    q = q or QuadratureSpec()
-    overlap_lo = max(dX.support[0], dY.support[0])
-    overlap_hi = min(dX.support[1], dY.support[1])
-    if overlap_hi <= overlap_lo:
+    if min(dX.support[1], dY.support[1]) <= max(dX.support[0], dY.support[0]):
         return MeasureReport(
             "inaccuracy", 0.0, warnings=("disjoint_supports",), inputs=(dX.label, dY.label)
         )
-    lo, hi, trunc, edges = _pair_setup(dX, dY, q)
-    res = integrate(lambda x: float(dX.pdf(x)) * float(dY.pdf(x)), overlap_lo, min(hi, overlap_hi), q, points=edges)
-    return MeasureReport.from_integral(
-        "inaccuracy", -0.5 * res.value, IntegralResult(res.value, res.abs_error, res.subdivisions, trunc),
-        inputs=(dX.label, dY.label), abs_tol=q.abs_tol,
-    )
+    return _windowed("inaccuracy", "support", (dX, dY), q=q)
 
 
 def relative_extropy(
     dX: DistributionModel, dY: DistributionModel, q: QuadratureSpec | None = None
 ) -> MeasureReport:
     """d(f,g) = (1/2) int (f-g)^2 >= 0; zero iff the densities agree a.e."""
-    q = q or QuadratureSpec()
-    lo, hi, trunc, edges = _pair_setup(dX, dY, q)
-    res = integrate(lambda x: (float(dX.pdf(x)) - float(dY.pdf(x))) ** 2, lo, hi, q, points=edges)
-    return MeasureReport.from_integral(
-        "relative", 0.5 * res.value, IntegralResult(res.value, res.abs_error, res.subdivisions, trunc),
-        inputs=(dX.label, dY.label), abs_tol=q.abs_tol,
-    )
+    return _windowed("relative", "support", (dX, dY), q=q)
 
 
 def extropy_divergence(
     dX: DistributionModel, dY: DistributionModel, q: QuadratureSpec | None = None
 ) -> MeasureReport:
     """J(f|g) = (1/2) int (f-g) f = xiJ(X,Y) - J(X); sign unrestricted."""
-    q = q or QuadratureSpec()
-    lo, hi, trunc, edges = _pair_setup(dX, dY, q)
-
-    def integrand(x):
-        fx = float(dX.pdf(x))
-        return (fx - float(dY.pdf(x))) * fx
-
-    res = integrate(integrand, lo, hi, q, points=edges)
-    return MeasureReport.from_integral(
-        "divergence_fg", 0.5 * res.value, IntegralResult(res.value, res.abs_error, res.subdivisions, trunc),
-        inputs=(dX.label, dY.label), abs_tol=q.abs_tol,
-    )
+    return _windowed("divergence_fg", "support", (dX, dY), q=q)
 
 
 def decompose_relative(
@@ -220,7 +240,7 @@ def perturbation_approx(
         ref = [model]
 
     lo = min(m.support[0] for m in ref)
-    hi, _ = _upper_limit(ref, lo, q)
+    hi, _ = upper_limit(ref, lo, q)
     res = integrate(dsq, lo, hi, q)
     approx = 0.5 * pq.delta_theta**2 * res.value
     return approx, exact

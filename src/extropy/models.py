@@ -8,8 +8,8 @@ whose diagnostics come straight from the quadrature layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,6 +97,28 @@ class MeasureReport:
         )
 
 
+def upper_limit(
+    models: Sequence[DistributionModel], lo: float, q: QuadratureSpec, mass: float = 1.0
+) -> tuple[float, float | None]:
+    """Finite upper limit for an integral from ``lo`` of a quadratic form of the densities.
+
+    Returns ``(hi, truncated_at)``.  When every support is bounded, ``hi`` is
+    the largest right endpoint and ``truncated_at`` is None.  Otherwise both
+    are the :func:`truncation_point` of the unbounded models, raised to any
+    bounded endpoint above it.  The search runs at ``abs_tol * mass**2``, so
+    the tail stays below ``abs_tol`` when each density is divided by a window
+    mass of at least ``mass``.
+    """
+    bounded = [m.support[1] for m in models if not m.unbounded]
+    unbounded = [m for m in models if m.unbounded]
+    if not unbounded:
+        return max(bounded), None
+    spec = replace(q, abs_tol=q.abs_tol * mass * mass)
+    hi = truncation_point([m.survival for m in unbounded], [m.pdf for m in unbounded], lo, spec)
+    hi = max([hi] + bounded)
+    return hi, hi
+
+
 def validate_model(d: DistributionModel, q: QuadratureSpec | None = None) -> None:
     """Check the model invariants; raise :class:`InvalidModel` on violation.
 
@@ -105,11 +127,8 @@ def validate_model(d: DistributionModel, q: QuadratureSpec | None = None) -> Non
     checked only where the relevant denominator exceeds the floor.
     """
     q = q or QuadratureSpec()
-    lo, hi = d.support
-    if d.unbounded:
-        upper = truncation_point([d.survival], [d.pdf], lo, q)
-    else:
-        upper = hi
+    lo = d.support[0]
+    upper, _ = upper_limit([d], lo, q)
     res = integrate(lambda x: float(d.pdf(x)), lo, upper, q)
     total = res.value + d.atom_at_lo
     if abs(total - 1.0) > 100 * max(q.abs_tol, res.abs_error) + 1e-9:

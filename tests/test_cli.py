@@ -110,7 +110,7 @@ def test_simulate_deterministic(tmp_path):
 def test_groups_outputs_and_determinism(two_group_csv, tmp_path):
     args = lambda sub: [
         "groups", two_group_csv, "--value-col", "value", "--group-col", "arm",
-        "--seed", "3", "--out", str(tmp_path / sub),
+        "--out", str(tmp_path / sub),
     ]
     assert run(args("one")) == 0
     assert run(args("two")) == 0

@@ -28,7 +28,7 @@ from extropy.distributions import (
     parse_family,
     weibull_extropy,
 )
-from extropy.dynamic import past_extropy, past_inaccuracy, past_relative
+from extropy.dynamic import past_divergence, past_extropy, past_inaccuracy, past_relative
 from extropy.errors import InvalidParameter
 from extropy.quadrature import integrate
 
@@ -167,6 +167,18 @@ def test_crh_atom_convention_reproduces_printed_bracket():
     # atom convention agrees with the quadrature path fed the atom-bearing model
     mx = make_model(px)
     assert past_extropy(mx, t, atom_convention="paper").value == pytest.approx(jx, abs=1e-8)
+
+
+@pytest.mark.parametrize("t", [0.25, 1.0, 2.0])
+def test_crh_atom_convention_all_past_measures(t):
+    px = ConstantReversedHazardParams(1.0, 2.0, include_atom=True)
+    py = ConstantReversedHazardParams(0.5, 2.0, include_atom=True)
+    mx, my = make_model(px), make_model(py)
+    jx, xi, div, rel = crh_past_measures(px, py, t, include_atom=True)
+    assert past_extropy(mx, t, atom_convention="paper").value == pytest.approx(jx, abs=1e-8)
+    assert past_inaccuracy(mx, my, t, atom_convention="paper").value == pytest.approx(xi, abs=1e-8)
+    assert past_divergence(mx, my, t, atom_convention="paper").value == pytest.approx(div, abs=1e-8)
+    assert past_relative(mx, my, t, atom_convention="paper").value == pytest.approx(rel, abs=1e-8)
 
 
 def test_crh_time_domain_guard():

@@ -116,6 +116,38 @@ def test_residual_denominator_underflow(exp2):
         residual_extropy(exp2, 60.0)
 
 
+_EXP_1 = make_model(ExponentialParams(1.0))
+_EXP_HALF = make_model(ExponentialParams(0.5))
+_UNIF_01 = make_model(UniformParams(0.0, 1.0))
+_CONDITIONAL = {
+    "residual_extropy": lambda t: residual_extropy(_EXP_1, t),
+    "residual_inaccuracy": lambda t: residual_inaccuracy(_EXP_1, _EXP_HALF, t),
+    "residual_relative": lambda t: residual_relative(_EXP_1, _EXP_HALF, t),
+    "residual_divergence": lambda t: residual_divergence(_EXP_1, _EXP_HALF, t),
+    "past_extropy": lambda t: past_extropy(_UNIF_01, t),
+}
+_RESIDUAL_EXACT = {
+    "residual_extropy": -1 / 4,
+    "residual_inaccuracy": -1 / 6,
+    "residual_relative": 1 / 24,
+    "residual_divergence": 1 / 12,
+}
+
+
+@pytest.mark.parametrize(
+    "name, t, exact",
+    [(name, t, exact) for name, exact in _RESIDUAL_EXACT.items()
+     for t in (0.0, 1.0, 5.0, 10.0, 15.0, 20.0, 22.0, 25.0, 27.0)]
+    + [("past_extropy", t, -1 / (2 * t)) for t in (1.0, 0.5, 1e-3, 1e-6, 1e-9)],
+)
+def test_conditional_closed_forms_up_to_the_floor(name, t, exact):
+    """Exp(1)/Exp(0.5) residual measures are constant in t up to S(27) = 1.9e-12,
+    just above the denominator floor, and the past extropy of U(0, 1) is
+    -1/(2t) down to t = 1e-9: the tail cut is taken in conditional units."""
+    value = _CONDITIONAL[name](t).value
+    assert abs(value - exact) <= TOL10 * max(1.0, abs(exact))
+
+
 # --- past measures ------------------------------------------------------------
 
 
