@@ -24,7 +24,7 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=500)
     ap.add_argument("--seed", type=int, default=20260810)
     ap.add_argument("--full-interval", action="store_true",
-                    help="integrate over the full padded line instead of [0, inf)")
+                    help="integrate over the whole line instead of [0, inf)")
     ap.add_argument("--out", default=None, help="directory for study.csv (optional)")
     args = ap.parse_args()
 

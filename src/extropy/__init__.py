@@ -37,9 +37,9 @@ from .estimation import (
     McStudyConfig,
     McStudyRow,
     SampleBatch,
+    estimate_pairwise_relative_extropy,
     estimate_relative_extropy,
     gaussian_kernel,
-    kde_pdf,
     mc_bias_mse,
     sample_batch,
     sheather_jones_bandwidth,

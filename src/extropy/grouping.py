@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CsvParseError, InvalidParameter, MissingColumn, TooFewObservations
-from .estimation import SampleBatch, estimate_relative_extropy, sheather_jones_bandwidth
-from .quadrature import QuadratureSpec
+from .estimation import SampleBatch, estimate_pairwise_relative_extropy, sheather_jones_bandwidth
 
 __all__ = [
     "QuantileGroupSpec",
@@ -199,37 +198,23 @@ def pairwise_matrix(
     *,
     support_lower: float | None = None,
     boundary_reflect: bool = False,
-    q: QuadratureSpec | None = None,
 ) -> DivergenceMatrix:
     """Relative-extropy estimate for every unordered pair of groups.
 
-    Each group's bandwidth is selected once and reused across its pairs; the
-    matrix is built mirrored with an exactly zero diagonal.
+    Each group's bandwidth is selected once, and its int fhat^2 computed
+    once, then both are reused across its pairs; the matrix is mirrored with
+    an exactly zero diagonal.
     """
-    q = q or QuadratureSpec()
-    k = len(ds.groups)
     bandwidths = []
     for label, batch in ds.groups:
         try:
             bandwidths.append(sheather_jones_bandwidth(batch))
         except Exception as exc:
             raise type(exc)(f"group {label!r}: {exc}") from exc
-    values = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            try:
-                est = estimate_relative_extropy(
-                    ds.groups[i][1],
-                    ds.groups[j][1],
-                    bandwidth_x=bandwidths[i],
-                    bandwidth_y=bandwidths[j],
-                    support_lower=support_lower,
-                    boundary_reflect=boundary_reflect,
-                    q=q,
-                )
-            except Exception as exc:
-                raise type(exc)(
-                    f"pair ({ds.labels[i]!r}, {ds.labels[j]!r}): {exc}"
-                ) from exc
-            values[i, j] = values[j, i] = est
+    values = estimate_pairwise_relative_extropy(
+        [batch for _, batch in ds.groups],
+        bandwidths,
+        support_lower=support_lower,
+        boundary_reflect=boundary_reflect,
+    )
     return DivergenceMatrix(labels=ds.labels, values=values, bandwidths=tuple(bandwidths))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,12 +15,13 @@ from extropy import (
     WeibullParams,
     estimate_relative_extropy,
     gaussian_kernel,
-    kde_pdf,
     mc_bias_mse,
+    pairwise_matrix,
     sample_batch,
     sheather_jones_bandwidth,
 )
 from extropy.errors import DegenerateSample, InvalidParameter
+from extropy.grouping import GroupedDataset
 from extropy.quadrature import QuadratureSpec, integrate
 from oracles import (
     efficient_sd_relative_exponential,
@@ -101,11 +103,6 @@ def test_kde_reflection_preserves_mass_and_clips():
     q = QuadratureSpec()
     mass = integrate(lambda x: float(m.pdf(x)), 0.0, float(batch.values[-1]) + 8 * b, q).value
     assert mass == pytest.approx(1.0, abs=1e-6)
-
-
-def test_kde_pdf_function_form():
-    m = KdeModel(SampleBatch(np.array([0.0, 1.0])), 0.5)
-    assert kde_pdf(m, 0.5) == pytest.approx(float(m.pdf(0.5)))
 
 
 # --- Sheather-Jones bandwidth -------------------------------------------------
@@ -201,6 +198,86 @@ def test_estimate_support_lower_changes_value():
     assert reflected >= 0.0
 
 
+def _phi(z):
+    """Standard normal cdf, written out independently of the package."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def test_estimate_two_point_closed_form():
+    # fhat = phi_bx(. - 0), ghat = phi_by(. - delta): int fhat^2 = 1/(2 sqrt(pi) bx),
+    # int ghat^2 = 1/(2 sqrt(pi) by), int fhat ghat = phi_tau(delta), tau^2 = bx^2 + by^2
+    delta, bx, by, c = 0.7, 0.3, 0.5, 0.2
+    sx = SampleBatch(np.array([0.0, 0.0]))
+    sy = SampleBatch(np.array([delta, delta]))
+    tau = math.hypot(bx, by)
+    cross = math.exp(-0.5 * (delta / tau) ** 2) / (math.sqrt(2.0 * math.pi) * tau)
+    xx = 1.0 / (2.0 * math.sqrt(math.pi) * bx)
+    yy = 1.0 / (2.0 * math.sqrt(math.pi) * by)
+    exact = 0.5 * (xx + yy - 2.0 * cross)
+    value = estimate_relative_extropy(sx, sy, bandwidth_x=bx, bandwidth_y=by)
+    assert abs(value - exact) <= 1e-14
+
+    # on [c, inf): each product of two kernels is a Gaussian of mean mu and sd s,
+    # so it keeps the share Phi((mu - c) / s) of its integral
+    mu, s = delta * bx**2 / tau**2, bx * by / tau
+    exact_c = 0.5 * (
+        xx * _phi((0.0 - c) / (bx / math.sqrt(2.0)))
+        + yy * _phi((delta - c) / (by / math.sqrt(2.0)))
+        - 2.0 * cross * _phi((mu - c) / s)
+    )
+    value_c = estimate_relative_extropy(sx, sy, bandwidth_x=bx, bandwidth_y=by, support_lower=c)
+    assert abs(value_c - exact_c) <= 1e-14
+
+
+def _quadrature_estimate(sx, sy, bx, by, support_lower, boundary_reflect):
+    """(1/2) int (fhat - ghat)^2 by adaptive quadrature over the KDE densities."""
+    reflect_at = support_lower if boundary_reflect else None
+    fx, fy = KdeModel(sx, bx, reflect_at), KdeModel(sy, by, reflect_at)
+    pad = 5.0 * max(bx, by)
+    lo = min(float(sx.values[0]), float(sy.values[0])) - pad
+    hi = max(float(sx.values[-1]), float(sy.values[-1])) + pad
+    if support_lower is not None:
+        lo = max(lo, support_lower)
+    integrand = lambda x: (float(fx.pdf(x)) - float(fy.pdf(x))) ** 2
+    return 0.5 * integrate(integrand, lo, hi, QuadratureSpec()).value
+
+
+@pytest.mark.parametrize("n", [50, 200, 2500])
+@pytest.mark.parametrize(
+    "support_lower, boundary_reflect", [(None, False), (0.0, False), (0.0, True)]
+)
+def test_estimate_matches_quadrature(n, support_lower, boundary_reflect):
+    # n = 2500 spans several row blocks of the windowed sums; Silverman's
+    # rule of thumb stands in for the slower Sheather-Jones bandwidths
+    sx = exp_batch(1.0, n, 1000 + n)
+    sy = exp_batch(2.0, n, 2000 + n)
+    bx, by = (0.9 * float(s.values.std(ddof=1)) * n ** (-0.2) for s in (sx, sy))
+    value = estimate_relative_extropy(
+        sx, sy, bandwidth_x=bx, bandwidth_y=by,
+        support_lower=support_lower, boundary_reflect=boundary_reflect,
+    )
+    reference = _quadrature_estimate(sx, sy, bx, by, support_lower, boundary_reflect)
+    assert abs(value - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("boundary_reflect", [False, True])
+def test_pairwise_matrix_reuses_self_terms_exactly(boundary_reflect):
+    # each group's int fhat^2 is computed once for all its pairs; every cell must
+    # still equal the two-sample estimate at the same bandwidths
+    groups = [("a", exp_batch(1.0, 120, 31)), ("b", exp_batch(2.0, 90, 32)),
+              ("c", exp_batch(0.5, 150, 33)), ("d", exp_batch(1.0, 60, 34))]
+    ds = GroupedDataset(groups=tuple(groups), source="<memory>", value_column="v",
+                        group_by="g", dropped_rows=0)
+    matrix = pairwise_matrix(ds, boundary_reflect=boundary_reflect)
+    for i, j in itertools.combinations(range(len(groups)), 2):
+        pair = estimate_relative_extropy(
+            groups[i][1], groups[j][1],
+            bandwidth_x=matrix.bandwidths[i], bandwidth_y=matrix.bandwidths[j],
+            boundary_reflect=boundary_reflect,
+        )
+        assert abs(matrix.values[i, j] - pair) <= 1e-15
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_estimate_nonnegative_random_seeds(seed):
@@ -289,6 +366,37 @@ def test_mc_study_failure_policy(monkeypatch):
     monkeypatch.setattr(est, "estimate_relative_extropy", boom)
     with pytest.raises(DegenerateSample):
         mc_bias_mse(_cfg(reps=5))
+
+
+def test_mc_study_records_failed_replications(monkeypatch):
+    import extropy.estimation as est
+
+    def fail_on(reps):
+        counter = itertools.count()
+
+        def estimate(*a, **k):
+            rep = next(counter)
+            if rep in reps:
+                raise DegenerateSample(f"forced {rep}")
+            return 0.1
+
+        return estimate
+
+    # one failure in 100 replications is tolerated and recorded with its index
+    monkeypatch.setattr(est, "estimate_relative_extropy", fail_on({42}))
+    row = mc_bias_mse(_cfg(n=10, reps=100))
+    assert row.failed == ((42, "DegenerateSample('forced 42')"),)
+    assert row.failures == 1
+    assert row.mean_estimate == pytest.approx(0.1)
+
+    # above 1% the error lists every failed replication, not just the first
+    monkeypatch.setattr(est, "estimate_relative_extropy", fail_on({1, 3}))
+    with pytest.raises(DegenerateSample) as info:
+        mc_bias_mse(_cfg(n=10, reps=5))
+    message = str(info.value)
+    assert "2 of 5 replications failed" in message
+    assert "#1: DegenerateSample('forced 1')" in message
+    assert "#3: DegenerateSample('forced 3')" in message
 
 
 def test_mc_consistency_trend():
