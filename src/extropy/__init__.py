@@ -13,11 +13,13 @@ from .distributions import (
     sample,
 )
 from .dynamic import (
+    DynamicProfile,
     DynamicVerdict,
     TimeGrid,
     bound_checks,
     constancy_detector,
     dynamic_orderings,
+    dynamic_profile,
     global_decompositions,
     hazard_repr_inaccuracy,
     hazard_repr_relative,
@@ -31,6 +33,7 @@ from .dynamic import (
     residual_extropy,
     residual_inaccuracy,
     residual_relative,
+    sum_rules,
 )
 from .estimation import (
     KdeModel,

@@ -336,21 +336,27 @@ def cmd_groups(args) -> int:
 
 
 def _auto_grid(dx, dy, q: QuadratureSpec, count: int = 10) -> dynamic.TimeGrid:
-    """Evenly spaced times where all four conditioning denominators are safe."""
+    """Evenly spaced times where all four conditioning denominators are safe.
+
+    On a finite right end the grid also stops where a survival falls to 0.05:
+    nearer the end d_r changes faster than the fixed central difference of
+    the ODE checks resolves.
+    """
     lo = max(dx.support[0], dy.support[0])
     hi = min(dx.support[1], dy.support[1])
     if hi <= lo:
         raise InsufficientGrid("the supports do not overlap; no valid grid times")
+    floor = 1e-6
+    min_survival = 0.05 if np.isfinite(hi) else floor
     if not np.isfinite(hi):
         hi = lo + 1.0
         while min(float(dx.survival(hi)), float(dy.survival(hi))) > 0.05:
             hi *= 2.0
     candidates = np.linspace(lo, hi, 512)[1:-1]
-    floor = 1e-6
     valid = [
         float(t)
         for t in candidates
-        if min(float(dx.survival(t)), float(dy.survival(t))) > floor
+        if min(float(dx.survival(t)), float(dy.survival(t))) > min_survival
         and min(float(dx.cdf(t)), float(dy.cdf(t))) > floor
     ]
     if len(valid) < count:
@@ -368,61 +374,33 @@ def cmd_verify(args) -> int:
     else:
         grid = _auto_grid(dx, dy, q)
 
+    p = dynamic.dynamic_profile(dx, dy, grid, q, args.atom_convention)
     checks: list[dict] = []
 
     def record(name, residual, tol, holds=None):
         ok = residual <= tol if holds is None else holds
         checks.append({"name": name, "max_abs_residual": residual, "tolerance": tol, "holds": bool(ok)})
-        return ok
 
     tol10 = 10.0 * q.abs_tol
-    fg, gf, d = measures.decompose_relative(dx, dy, q)
-    record("split_identity", abs(fg + gf - d), tol10)
-    xi = measures.extropy_inaccuracy(dx, dy, q).value
-    jx = measures.extropy(dx, q).value
-    jy = measures.extropy(dy, q).value
-    record("triple_identity", abs(d - (2 * xi - jx - jy)), tol10)
-    record("symmetry", abs(measures.relative_extropy(dy, dx, q).value - d), tol10)
+    record("split_identity", abs(p.j_fg + p.j_gf - p.d), tol10)
+    record("triple_identity", abs(p.d - (2 * p.xi - p.jx - p.jy)), tol10)
+    record("symmetry", abs(p.d_yx - p.d), tol10)
+    for name, v in (
+        ("sum_rules", dynamic.sum_rules(p)),
+        ("ode_relative", dynamic.ode_check_relative(p)),
+        ("ode_divergence", dynamic.ode_check_divergence(p)),
+    ):
+        record(name, v.max_abs_residual, v.tolerance, v.holds)
+    deco = [dynamic.global_decompositions(p, t, tol=1e-6) for t in p.decomposition_points]
+    record("decompositions", max(v.max_abs_residual for v in deco), 1e-6)
+    orderings = dynamic.dynamic_orderings(p)
+    equivalent = orderings.rex_red_equivalent and orderings.pex_ped_equivalent
+    record("ordering_equivalences", 0.0, 0.0, equivalent)
 
-    sum_resid = 0.0
-    for t in grid.points:
-        s = (
-            dynamic.residual_divergence(dx, dy, t, q).value
-            + dynamic.residual_divergence(dy, dx, t, q).value
-            - dynamic.residual_relative(dx, dy, t, q).value
-        )
-        p = (
-            dynamic.past_divergence(dx, dy, t, q, args.atom_convention).value
-            + dynamic.past_divergence(dy, dx, t, q, args.atom_convention).value
-            - dynamic.past_relative(dx, dy, t, q, args.atom_convention).value
-        )
-        sum_resid = max(sum_resid, abs(s), abs(p))
-    record("sum_rules", sum_resid, tol10)
-
-    ode_rel = dynamic.ode_check_relative(dx, dy, grid, q)
-    record("ode_relative", ode_rel.max_abs_residual, ode_rel.tolerance, ode_rel.holds)
-    ode_div = dynamic.ode_check_divergence(dx, dy, grid, q)
-    record("ode_divergence", ode_div.max_abs_residual, ode_div.tolerance, ode_div.holds)
-
-    deco_resid = 0.0
-    for t in grid.points[:: max(1, len(grid.points) // 5)]:
-        verdict = dynamic.global_decompositions(dx, dy, t, q, tol=1e-6, atom_convention=args.atom_convention)
-        deco_resid = max(deco_resid, verdict.max_abs_residual)
-    record("decompositions", deco_resid, 1e-6)
-
-    orderings = dynamic.dynamic_orderings(dx, dy, grid, q)
-    record(
-        "ordering_equivalences",
-        0.0,
-        0.0,
-        orderings.rex_red_equivalent and orderings.pex_ped_equivalent,
-    )
-
-    bounds = dynamic.bound_checks(dx, dy, grid, q)
     bound_rows = []
     hypothesis_failed = False
     bound_violated = False
-    for v in bounds:
+    for v in dynamic.bound_checks(p):
         bound_rows.append(
             {
                 "kind": v.kind,

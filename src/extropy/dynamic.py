@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import measures
 from .errors import InsufficientGrid, InvalidParameter
 from .measures import _windowed
@@ -42,6 +44,7 @@ __all__ = [
     "TimeGrid",
     "DynamicVerdict",
     "DynamicOrderings",
+    "DynamicProfile",
     "residual_extropy",
     "past_extropy",
     "residual_inaccuracy",
@@ -52,6 +55,8 @@ __all__ = [
     "past_divergence",
     "hazard_repr_inaccuracy",
     "hazard_repr_relative",
+    "dynamic_profile",
+    "sum_rules",
     "ode_check_relative",
     "ode_check_divergence",
     "bound_checks",
@@ -92,10 +97,6 @@ class DynamicVerdict:
     per_point: tuple[tuple[float, float, float], ...]
     hypothesis_met: bool | None = None
     note: str = ""
-
-
-def _q(q: QuadratureSpec | None) -> QuadratureSpec:
-    return q or QuadratureSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +211,14 @@ def hazard_repr_inaccuracy(
     """
     if rate_x <= 0:
         raise InvalidParameter("rate_x must be positive")
-    q = _q(q)
+    q = q or QuadratureSpec()
     cum = _cumulative_hazard(hazard_y, cumulative_hazard_y, q)
     survival_x = lambda x: math.exp(-rate_x * x)
     survival_y = lambda x: math.exp(-cum(x))
-    pdf_y = lambda x: float(hazard_y(x)) * survival_y(x)
-    upper = truncation_point(
-        [survival_x, survival_y], [lambda x: rate_x * survival_x(x), pdf_y], t, q
-    )
+    pdf_x = lambda x: rate_x * np.exp(-rate_x * x)
+    # the tail search probes whole arrays; hazard_y and cum take scalars
+    pdf_y = np.vectorize(lambda x: float(hazard_y(x)) * survival_y(x), otypes=[float])
+    upper = truncation_point([survival_x, survival_y], [pdf_x, pdf_y], t, q)
 
     def integrand(x):
         return 0.5 * rate_x * float(hazard_y(x)) * math.exp(-rate_x * x - cum(x))
@@ -240,12 +241,12 @@ def hazard_repr_relative(
     """
     if rate_x <= 0:
         raise InvalidParameter("rate_x must be positive")
-    q = _q(q)
+    q = q or QuadratureSpec()
     cum = _cumulative_hazard(hazard_y, cumulative_hazard_y, q)
     inaccuracy = hazard_repr_inaccuracy(rate_x, hazard_y, t, q, cumulative_hazard_y=cum)
 
     survival_y = lambda x: math.exp(-cum(x))
-    pdf_y = lambda x: float(hazard_y(x)) * survival_y(x)
+    pdf_y = np.vectorize(lambda x: float(hazard_y(x)) * survival_y(x), otypes=[float])
     upper = truncation_point([survival_y], [pdf_y], t, q)
 
     def integrand(x):
@@ -257,25 +258,162 @@ def hazard_repr_relative(
 
 
 # ---------------------------------------------------------------------------
-# Differential-equation and bound checks
+# One pair's grid profile, and the identity, bound and ordering checks on it
 # ---------------------------------------------------------------------------
 
-
-def _dr_derivative(dX, dY, t, q, step) -> float:
-    lo = max(t - step, 0.0)
-    hi = t + step
-    a = residual_relative(dX, dY, lo, q).value
-    b = residual_relative(dX, dY, hi, q).value
-    return (b - a) / (hi - lo)
+Series = tuple[float, ...]
 
 
-def ode_check_relative(
+@dataclass(frozen=True)
+class DynamicProfile:
+    """Every series the grid checks read for one model pair, each computed once.
+
+    Series are indexed like ``points``.  ``d_r_prime`` and ``jr_fg_prime``
+    are central differences of d_r and J_r(f|g) over [max(t - h, 0), t + h]
+    for the grid's step h, each end its own integral.  Past series follow
+    the ``atom_convention`` the profile was built with, except ``past_ac``:
+    (J(_tX), J(_tY), J_p(f|g), J_p(g|f)) from the densities alone, which the
+    orderings read under either convention.  ``xi_r`` and ``xi_p`` are indexed like
+    ``decomposition_points``, every ``len // 5``-th grid point.  The last
+    seven fields are the static measures (``d_yx`` is d(g, f)).
+    """
+
+    points: Series
+    q: QuadratureSpec
+    hx: Series
+    hy: Series
+    lx: Series
+    ly: Series
+    sfx: Series
+    sfy: Series
+    cfx: Series
+    cfy: Series
+    d_r: Series
+    d_r_prime: Series
+    jr_fg: Series
+    jr_fg_prime: Series
+    jr_gf: Series
+    jtx: Series
+    jty: Series
+    d_p: Series
+    jp_fg: Series
+    jp_gf: Series
+    jpx: Series
+    jpy: Series
+    past_ac: tuple[Series, Series, Series, Series]
+    decomposition_points: Series
+    xi_r: Series
+    xi_p: Series
+    xi: float
+    jx: float
+    jy: float
+    j_fg: float
+    j_gf: float
+    d: float
+    d_yx: float
+
+
+def dynamic_profile(
     dX: DistributionModel,
     dY: DistributionModel,
     grid: TimeGrid,
     q: QuadratureSpec | None = None,
-    form: str = "corrected",
-    tol: float = 1e-3,
+    atom_convention: str = "ac",
+) -> DynamicProfile:
+    """Evaluate the series of :class:`DynamicProfile` for (dX, dY) on the grid.
+
+    Each side of each identity stays its own integral: d_r is never formed
+    from the divergences, nor a static measure from its parts, so the checks
+    compare independent computations.  Every grid point needs both survivals
+    and both cdfs above ``q.denominator_floor``, else :class:`InsufficientGrid`.
+    """
+    q = q or QuadratureSpec()
+    ts = grid.points
+    for t in ts:
+        low = min(float(m(t)) for m in (dX.survival, dY.survival, dX.cdf, dY.cdf))
+        if low <= q.denominator_floor:
+            raise InsufficientGrid(
+                f"t = {t:g}: a survival or cdf is {low:.3e}, at or below the denominator floor"
+            )
+    step = grid.step()
+    lo = tuple(max(t - step, 0.0) for t in ts)
+    hi = tuple(t + step for t in ts)
+    deco = ts[:: max(1, len(ts) // 5)]
+    conv = {"atom_convention": atom_convention}
+
+    def at(fn):
+        return tuple(float(fn(t)) for t in ts)
+
+    def series(measure, *models, times=ts, **convention):
+        return tuple(measure(*models, t, q, **convention).value for t in times)
+
+    def slope(measure, *models):
+        at_lo, at_hi = series(measure, *models, times=lo), series(measure, *models, times=hi)
+        return tuple((b - a) / (t1 - t0) for a, b, t0, t1 in zip(at_lo, at_hi, lo, hi))
+
+    def past(**convention):
+        return (
+            series(past_extropy, dX, **convention),
+            series(past_extropy, dY, **convention),
+            series(past_divergence, dX, dY, **convention),
+            series(past_divergence, dY, dX, **convention),
+        )
+
+    jpx, jpy, jp_fg, jp_gf = past_series = past(**conv)
+    j_fg, j_gf, d = measures.decompose_relative(dX, dY, q)
+    return DynamicProfile(
+        points=ts, q=q,
+        hx=at(dX.hazard), hy=at(dY.hazard),
+        lx=at(dX.reversed_hazard), ly=at(dY.reversed_hazard),
+        sfx=at(dX.survival), sfy=at(dY.survival), cfx=at(dX.cdf), cfy=at(dY.cdf),
+        d_r=series(residual_relative, dX, dY),
+        d_r_prime=slope(residual_relative, dX, dY),
+        jr_fg=series(residual_divergence, dX, dY),
+        jr_fg_prime=slope(residual_divergence, dX, dY),
+        jr_gf=series(residual_divergence, dY, dX),
+        jtx=series(residual_extropy, dX), jty=series(residual_extropy, dY),
+        d_p=series(past_relative, dX, dY, **conv),
+        jp_fg=jp_fg, jp_gf=jp_gf, jpx=jpx, jpy=jpy,
+        past_ac=past_series if atom_convention == "ac" else past(),
+        decomposition_points=deco,
+        xi_r=series(residual_inaccuracy, dX, dY, times=deco),
+        xi_p=series(past_inaccuracy, dX, dY, times=deco, **conv),
+        xi=measures.extropy_inaccuracy(dX, dY, q).value,
+        jx=measures.extropy(dX, q).value, jy=measures.extropy(dY, q).value,
+        j_fg=j_fg, j_gf=j_gf, d=d,
+        d_yx=measures.relative_extropy(dY, dX, q).value,
+    )
+
+
+def _identity(kind: str, rows, tol: float, note: str = "") -> DynamicVerdict:
+    """Verdict on rows (t, lhs, rhs) whose sides should agree to within tol."""
+    rows = tuple(rows)
+    max_resid = max(abs(lhs - rhs) for _, lhs, rhs in rows)
+    return DynamicVerdict(
+        kind=kind,
+        holds=max_resid <= tol,
+        max_abs_residual=max_resid,
+        tolerance=tol,
+        per_point=rows,
+        note=note,
+    )
+
+
+def sum_rules(p: DynamicProfile) -> DynamicVerdict:
+    """Check J(f|g,t) + J(g|f,t) = d(f,g,t) on the grid, residual rows then past.
+
+    Rows are (t, J(f|g,t) + J(g|f,t), d(f,g,t)); the past rows follow the
+    profile's atom convention.  The tolerance is 10 abs_tol, as for the
+    static identities.
+    """
+    tol = 10.0 * p.q.abs_tol
+    rows = [(t, fg + gf, d) for t, fg, gf, d in zip(p.points, p.jr_fg, p.jr_gf, p.d_r)]
+    rows += [(t, fg + gf, d) for t, fg, gf, d in zip(p.points, p.jp_fg, p.jp_gf, p.d_p)]
+    return _identity("sum_rules", rows, tol)
+
+
+def ode_check_relative(
+    p: DynamicProfile, form: str = "corrected", tol: float = 1e-3
 ) -> DynamicVerdict:
     """Check the differential identity satisfied by d_r on the grid.
 
@@ -285,65 +423,22 @@ def ode_check_relative(
     """
     if form not in ("corrected", "printed"):
         raise InvalidParameter(f"form must be 'corrected' or 'printed', got {form!r}")
-    q = _q(q)
-    step = grid.step()
     rows = []
-    for t in grid.points:
-        d_r = residual_relative(dX, dY, t, q).value
-        d_prime = _dr_derivative(dX, dY, t, q, step)
-        hx = float(dX.hazard(t))
-        hy = float(dY.hazard(t))
-        jtx = residual_extropy(dX, t, q).value
-        jty = residual_extropy(dY, t, q).value
-        lhs = d_prime - d_r * (hx + hy)
-        gap = (hy - hx) * (jtx - jty)
-        if form == "corrected":
-            rhs = gap - 0.5 * (hx - hy) ** 2
-        else:
-            rhs = gap - 0.5 * (hx + hy) ** 2
-        rows.append((t, lhs, rhs))
-    max_resid = max(abs(lhs - rhs) for _, lhs, rhs in rows)
-    return DynamicVerdict(
-        kind="ode_residual",
-        holds=max_resid <= tol,
-        max_abs_residual=max_resid,
-        tolerance=tol,
-        per_point=tuple(rows),
-        note=f"form={form}",
-    )
+    for t, d_r, d_prime, hx, hy, jtx, jty in zip(
+        p.points, p.d_r, p.d_r_prime, p.hx, p.hy, p.jtx, p.jty
+    ):
+        last = hx - hy if form == "corrected" else hx + hy
+        rows.append((t, d_prime - d_r * (hx + hy), (hy - hx) * (jtx - jty) - 0.5 * last**2))
+    return _identity("ode_residual", rows, tol, note=f"form={form}")
 
 
-def ode_check_divergence(
-    dX: DistributionModel,
-    dY: DistributionModel,
-    grid: TimeGrid,
-    q: QuadratureSpec | None = None,
-    tol: float = 1e-3,
-) -> DynamicVerdict:
+def ode_check_divergence(p: DynamicProfile, tol: float = 1e-3) -> DynamicVerdict:
     """Check d/dt J_r(f|g,t) = (h_X+h_Y) J_r + (h_Y-h_X)(h_X/2 + J_t(X))."""
-    q = _q(q)
-    step = grid.step()
-    rows = []
-    for t in grid.points:
-        lo = max(t - step, 0.0)
-        hi = t + step
-        j_lo = residual_divergence(dX, dY, lo, q).value
-        j_hi = residual_divergence(dX, dY, hi, q).value
-        lhs = (j_hi - j_lo) / (hi - lo)
-        j_r = residual_divergence(dX, dY, t, q).value
-        hx = float(dX.hazard(t))
-        hy = float(dY.hazard(t))
-        jtx = residual_extropy(dX, t, q).value
-        rhs = (hx + hy) * j_r + (hy - hx) * (hx / 2.0 + jtx)
-        rows.append((t, lhs, rhs))
-    max_resid = max(abs(lhs - rhs) for _, lhs, rhs in rows)
-    return DynamicVerdict(
-        kind="ode_divergence",
-        holds=max_resid <= tol,
-        max_abs_residual=max_resid,
-        tolerance=tol,
-        per_point=tuple(rows),
-    )
+    rows = [
+        (t, lhs, (hx + hy) * j_r + (hy - hx) * (hx / 2.0 + jtx))
+        for t, lhs, j_r, hx, hy, jtx in zip(p.points, p.jr_fg_prime, p.jr_fg, p.hx, p.hy, p.jtx)
+    ]
+    return _identity("ode_divergence", rows, tol)
 
 
 def _nonincreasing(values: Sequence[float], slack: float = 1e-9) -> bool:
@@ -354,13 +449,7 @@ def _nondecreasing(values: Sequence[float], slack: float = 1e-9) -> bool:
     return all(b >= a - slack for a, b in zip(values, values[1:]))
 
 
-def bound_checks(
-    dX: DistributionModel,
-    dY: DistributionModel,
-    grid: TimeGrid,
-    q: QuadratureSpec | None = None,
-    tol: float = 1e-6,
-) -> list[DynamicVerdict]:
+def bound_checks(p: DynamicProfile, tol: float = 1e-6) -> list[DynamicVerdict]:
     """Evaluate the three hazard-rate bounds for d_r on the grid.
 
     (i) lower bound via dynamic extropies, hypothesis: d_r nondecreasing;
@@ -369,26 +458,15 @@ def bound_checks(
     d_r = 1 / (S_F S_G).  Hypotheses are tested empirically on the grid and a
     failed premise is reported in ``hypothesis_met``, never raised.
     """
-    q = _q(q)
-    step = grid.step()
-    ts = list(grid.points)
-    d_r = [residual_relative(dX, dY, t, q).value for t in ts]
-    d_prime = [_dr_derivative(dX, dY, t, q, step) for t in ts]
-    hx = [float(dX.hazard(t)) for t in ts]
-    hy = [float(dY.hazard(t)) for t in ts]
-    jtx = [residual_extropy(dX, t, q).value for t in ts]
-    jty = [residual_extropy(dY, t, q).value for t in ts]
-    sfx = [float(dX.survival(t)) for t in ts]
-    sfy = [float(dY.survival(t)) for t in ts]
-
+    ts, d_r, d_prime, hx, hy = p.points, p.d_r, p.d_r_prime, p.hx, p.hy
     verdicts = []
 
     # (i) d_r >= ((h_X - h_Y)/(h_X + h_Y)) (J_t(X) - J_t(Y)) when d_r is nondecreasing
     nondecreasing = _nondecreasing(d_r) and all(dp >= -tol for dp in d_prime)
-    rows = []
-    for i, t in enumerate(ts):
-        rhs = ((hx[i] - hy[i]) / (hx[i] + hy[i])) * (jtx[i] - jty[i])
-        rows.append((t, d_r[i], rhs))
+    rows = [
+        (t, d_r[i], ((hx[i] - hy[i]) / (hx[i] + hy[i])) * (p.jtx[i] - p.jty[i]))
+        for i, t in enumerate(ts)
+    ]
     ok = all(lhs >= rhs - tol for _, lhs, rhs in rows)
     worst = max(max(rhs - lhs, 0.0) for _, lhs, rhs in rows)
     verdicts.append(
@@ -407,11 +485,11 @@ def bound_checks(
     ordered = all(a >= b for a, b in zip(hx, hy)) or all(b >= a for a, b in zip(hx, hy))
     dfr = _nonincreasing(hx) or _nonincreasing(hy)
     hypothesis = ordered and dfr
-    rows = []
-    for i, t in enumerate(ts):
-        if d_r[i] <= q.denominator_floor:
-            continue
-        rows.append((t, d_prime[i] / d_r[i], hx[i] + hy[i]))
+    rows = [
+        (t, d_prime[i] / d_r[i], hx[i] + hy[i])
+        for i, t in enumerate(ts)
+        if d_r[i] > p.q.denominator_floor
+    ]
     ok = all(lhs <= rhs + tol for _, lhs, rhs in rows) if rows else True
     worst = max((max(lhs - rhs, 0.0) for _, lhs, rhs in rows), default=0.0)
     verdicts.append(
@@ -427,18 +505,8 @@ def bound_checks(
     )
 
     # (iii) equality case: d/dt log d_r = h_X + h_Y iff d_r = 1/(S_F S_G)
-    rows = [(t, d_r[i] * sfx[i] * sfy[i], 1.0) for i, t in enumerate(ts)]
-    max_resid = max(abs(lhs - rhs) for _, lhs, rhs in rows)
-    verdicts.append(
-        DynamicVerdict(
-            kind="bound_equality",
-            holds=max_resid <= tol,
-            max_abs_residual=max_resid,
-            tolerance=tol,
-            per_point=tuple(rows),
-            note="equality case d_r = 1/(S_F S_G)",
-        )
-    )
+    rows = [(t, d_r[i] * p.sfx[i] * p.sfy[i], 1.0) for i, t in enumerate(ts)]
+    verdicts.append(_identity("bound_equality", rows, tol, note="equality case d_r = 1/(S_F S_G)"))
     return verdicts
 
 
@@ -486,41 +554,16 @@ def _pointwise_relation(a: Sequence[float], b: Sequence[float], resolution: floa
     return "crossing"
 
 
-def dynamic_orderings(
-    dX: DistributionModel,
-    dY: DistributionModel,
-    grid: TimeGrid,
-    q: QuadratureSpec | None = None,
-) -> DynamicOrderings:
-    """Evaluate hr/rh/rex/red/pex/ped orderings pointwise on the grid."""
-    q = _q(q)
-    ts = list(grid.points)
-    resolution = 100.0 * q.abs_tol
+def dynamic_orderings(p: DynamicProfile) -> DynamicOrderings:
+    """Evaluate hr/rh/rex/red/pex/ped orderings pointwise on the grid.
 
-    hx = [float(dX.hazard(t)) for t in ts]
-    hy = [float(dY.hazard(t)) for t in ts]
-    lx = [float(dX.reversed_hazard(t)) for t in ts]
-    ly = [float(dY.reversed_hazard(t)) for t in ts]
-    jtx = [residual_extropy(dX, t, q).value for t in ts]
-    jty = [residual_extropy(dY, t, q).value for t in ts]
-    jr_fg = [residual_divergence(dX, dY, t, q).value for t in ts]
-    jr_gf = [residual_divergence(dY, dX, t, q).value for t in ts]
-    jpx = [past_extropy(dX, t, q).value for t in ts]
-    jpy = [past_extropy(dY, t, q).value for t in ts]
-    jp_fg = [past_divergence(dX, dY, t, q).value for t in ts]
-    jp_gf = [past_divergence(dY, dX, t, q).value for t in ts]
+    The past orderings read the density-only past series (``past_ac``).
+    """
+    resolution = 100.0 * p.q.abs_tol
+    jpx, jpy, jp_fg, jp_gf = p.past_ac
 
     # X <=_hr Y iff h_X >= h_Y pointwise; relation string compares X to Y
-    hr_rel = {"<": ">", ">": "<", "=": "=", "crossing": "crossing"}[
-        _pointwise_relation(hx, hy, resolution)
-    ]
-    rh_rel = {"<": ">", ">": "<", "=": "=", "crossing": "crossing"}[
-        _pointwise_relation(lx, ly, resolution)
-    ]
-    rex_rel = _pointwise_relation(jtx, jty, resolution)
-    red_rel = _pointwise_relation(jr_fg, jr_gf, resolution)
-    pex_rel = _pointwise_relation(jpx, jpy, resolution)
-    ped_rel = _pointwise_relation(jp_fg, jp_gf, resolution)
+    flip = {"<": ">", ">": "<", "=": "=", "crossing": "crossing"}
 
     def equivalent(ext_x, ext_y, div_fg, div_gf):
         # J_t(X) <= J_t(Y)  <=>  J(f|g,t) >= J(g|f,t), pointwise where resolvable
@@ -534,25 +577,20 @@ def dynamic_orderings(
         return True
 
     return DynamicOrderings(
-        points=tuple(ts),
-        hr=hr_rel,
-        rh=rh_rel,
-        rex=rex_rel,
-        red=red_rel,
-        pex=pex_rel,
-        ped=ped_rel,
-        rex_red_equivalent=equivalent(jtx, jty, jr_fg, jr_gf),
+        points=p.points,
+        hr=flip[_pointwise_relation(p.hx, p.hy, resolution)],
+        rh=flip[_pointwise_relation(p.lx, p.ly, resolution)],
+        rex=_pointwise_relation(p.jtx, p.jty, resolution),
+        red=_pointwise_relation(p.jr_fg, p.jr_gf, resolution),
+        pex=_pointwise_relation(jpx, jpy, resolution),
+        ped=_pointwise_relation(jp_fg, jp_gf, resolution),
+        rex_red_equivalent=equivalent(p.jtx, p.jty, p.jr_fg, p.jr_gf),
         pex_ped_equivalent=equivalent(jpx, jpy, jp_fg, jp_gf),
     )
 
 
 def global_decompositions(
-    dX: DistributionModel,
-    dY: DistributionModel,
-    t: float,
-    q: QuadratureSpec | None = None,
-    tol: float | None = None,
-    atom_convention: str = "ac",
+    p: DynamicProfile, t: float, tol: float | None = None
 ) -> DynamicVerdict:
     """Check the three decompositions of static measures into past/residual parts.
 
@@ -561,46 +599,28 @@ def global_decompositions(
     (c) d = d_p F G + d_r S_F S_G
             + (S_F - S_G)(S_G J_t(Y) + F J(_tX) - S_F J_t(X) - G J(_tY))
 
-    The weighted third term of (b) is what the proof's expansion yields; the
+    ``t`` must be one of the profile's ``decomposition_points``.  The
+    weighted third term of (b) is what the proof's expansion yields; the
     unweighted variant (J_t(X) - J(_tX)) is also evaluated and its residual
     recorded in ``note`` for comparison.
     """
-    q = _q(q)
-    tol = 10.0 * q.abs_tol if tol is None else tol
-    # the conditional measures below raise when a denominator is under the floor
-    f_t = float(dX.cdf(t))
-    g_t = float(dY.cdf(t))
-    sf_t = float(dX.survival(t))
-    sg_t = float(dY.survival(t))
+    tol = 10.0 * p.q.abs_tol if tol is None else tol
+    if t not in p.decomposition_points:
+        raise InvalidParameter(f"t = {t:g} is not a decomposition point of the profile")
+    i, k = p.points.index(t), p.decomposition_points.index(t)
+    f_t, g_t, sf_t, sg_t = p.cfx[i], p.cfy[i], p.sfx[i], p.sfy[i]
+    jr_fg, jtx, jty = p.jr_fg[i], p.jtx[i], p.jty[i]
+    jp_fg, jpx, jpy = p.jp_fg[i], p.jpx[i], p.jpy[i]
 
-    xi = measures.extropy_inaccuracy(dX, dY, q).value
-    xi_r = residual_inaccuracy(dX, dY, t, q).value
-    xi_p = past_inaccuracy(dX, dY, t, q, atom_convention).value
-    j_fg = measures.extropy_divergence(dX, dY, q).value
-    jr_fg = residual_divergence(dX, dY, t, q).value
-    jp_fg = past_divergence(dX, dY, t, q, atom_convention).value
-    d = measures.relative_extropy(dX, dY, q).value
-    d_r = residual_relative(dX, dY, t, q).value
-    d_p = past_relative(dX, dY, t, q, atom_convention).value
-    jtx = residual_extropy(dX, t, q).value
-    jty = residual_extropy(dY, t, q).value
-    jpx = past_extropy(dX, t, q, atom_convention).value
-    jpy = past_extropy(dY, t, q, atom_convention).value
-
-    rhs_a = f_t * g_t * xi_p + sf_t * sg_t * xi_r
+    rhs_a = f_t * g_t * p.xi_p[k] + sf_t * sg_t * p.xi_r[k]
     rhs_b = sf_t * sg_t * jr_fg + f_t * g_t * jp_fg + (sg_t - sf_t) * (sf_t * jtx - f_t * jpx)
-    rhs_c = d_p * f_t * g_t + d_r * sf_t * sg_t + (sf_t - sg_t) * (
+    rhs_c = p.d_p[i] * f_t * g_t + p.d_r[i] * sf_t * sg_t + (sf_t - sg_t) * (
         sg_t * jty + f_t * jpx - sf_t * jtx - g_t * jpy
     )
-    rows = ((t, xi, rhs_a), (t, j_fg, rhs_b), (t, d, rhs_c))
-    max_resid = max(abs(lhs - rhs) for _, lhs, rhs in rows)
-
     rhs_b_unweighted = sf_t * sg_t * jr_fg + f_t * g_t * jp_fg + (sg_t - sf_t) * (jtx - jpx)
-    return DynamicVerdict(
-        kind="decomposition",
-        holds=max_resid <= tol,
-        max_abs_residual=max_resid,
-        tolerance=tol,
-        per_point=rows,
-        note=f"unweighted-(b)-residual={abs(j_fg - rhs_b_unweighted):.3e}",
+    return _identity(
+        "decomposition",
+        ((t, p.xi, rhs_a), (t, p.j_fg, rhs_b), (t, p.d, rhs_c)),
+        tol,
+        note=f"unweighted-(b)-residual={abs(p.j_fg - rhs_b_unweighted):.3e}",
     )

@@ -186,22 +186,24 @@ class KdeModel:
     def inner(self, other: "KdeModel", lower: float | None = None) -> float:
         """int fhat ghat over [lower, inf) in closed form (the line for ``None``).
 
-        A reflected density vanishes below its boundary, so that boundary
-        bounds the integral too.  Reflection at c is the plain kernel sum
-        over the sample and its image 2c - x, counted twice.
+        Two densities reflected at the same c vanish below it, and their
+        product over [c, inf) unfolds onto the whole line:
+        int_c^inf f_r g_r = int f g + int f(t) g(2c - t) dt, the plain kernel
+        sums over (x, y) and over (x, 2c - y) with no Phi factor.  Other
+        combinations (different reflection points, a bound above c) have no
+        caller and are refused.
         """
-        bounds = [c for c in (lower, self.reflect_at, other.reflect_at) if c is not None]
-        (x, wx), (y, wy) = self._centres(), other._centres()
-        return wx * wy * _gram_sum(
-            x, y, self.bandwidth, other.bandwidth, max(bounds) if bounds else None
-        )
-
-    def _centres(self) -> tuple[np.ndarray, float]:
-        """Sorted kernel centres and the weight of their mean kernel."""
-        vals = self.sample.values
-        if self.reflect_at is None:
-            return vals, 1.0
-        return np.sort(np.concatenate([vals, 2.0 * self.reflect_at - vals])), 2.0
+        x, y = self.sample.values, other.sample.values
+        bx, by = self.bandwidth, other.bandwidth
+        c = self.reflect_at
+        if c is None and other.reflect_at is None:
+            return _gram_sum(x, y, bx, by, lower)
+        if c != other.reflect_at or (lower is not None and lower > c):
+            raise InvalidParameter(
+                f"inner product needs one reflection point at or above the bound; "
+                f"got reflect_at {c} and {other.reflect_at}, lower {lower}"
+            )
+        return _gram_sum(x, y, bx, by, None) + _gram_sum(x, (2.0 * c - y)[::-1], bx, by, None)
 
 
 def sample_batch(

@@ -55,7 +55,7 @@ class IntegralResult:
 
 def truncation_point(
     survivals: Iterable[Callable[[float], float]],
-    pdfs: Iterable[Callable[[float], float]],
+    pdfs: Iterable[Callable[[np.ndarray], np.ndarray]],
     lo: float,
     spec: QuadratureSpec,
 ) -> float:
@@ -65,7 +65,9 @@ def truncation_point(
     ``abs_tol / (4 * max(1, M))`` where M is the largest density value seen on
     a probe grid.  Integrands built from products of the given densities then
     have tail mass below ``abs_tol`` (|fg|, f^2 and (f-g)^2 are all bounded by
-    2 M times the larger survival).
+    2 M times the larger survival).  Each ``pdf`` is probed on a whole array
+    of points at once, so it must accept numpy arrays, as the evaluators of a
+    ``DistributionModel`` do; survivals are called on scalars.
     """
     survivals = list(survivals)
     pdfs = list(pdfs)
@@ -74,7 +76,7 @@ def truncation_point(
     while True:
         grid = np.linspace(lo, t, 65)
         for pdf in pdfs:
-            vals = np.array([float(pdf(float(x))) for x in grid])
+            vals = np.asarray(pdf(grid), dtype=float)
             finite = vals[np.isfinite(vals)]
             if finite.size:
                 m = max(m, float(finite.max()))

@@ -18,6 +18,7 @@ from extropy import (
     TimeGrid,
     constancy_detector,
     decompose_relative,
+    dynamic_profile,
     extropy,
     extropy_inaccuracy,
     global_decompositions,
@@ -135,14 +136,16 @@ def test_criterion_3_identity_suite():
 
 def test_criterion_4_ode_suite(exp1, exp2, weib21, weib_15_2, weib_2_3):
     grid = TimeGrid(points=tuple(np.linspace(0.1, 1.0, 10)))
-    exp_rel = ode_check_relative(exp1, exp2, grid, Q)
-    exp_div = ode_check_divergence(exp1, exp2, grid, Q)
+    exp_profile = dynamic_profile(exp1, exp2, grid, Q)
+    exp_rel = ode_check_relative(exp_profile)
+    exp_div = ode_check_divergence(exp_profile)
     worst_mixed = 0.0
     for pair in ((exp1, weib21), (weib_15_2, weib_2_3)):
+        profile = dynamic_profile(*pair, grid, Q)
         worst_mixed = max(
             worst_mixed,
-            ode_check_relative(*pair, grid, Q).max_abs_residual,
-            ode_check_divergence(*pair, grid, Q).max_abs_residual,
+            ode_check_relative(profile).max_abs_residual,
+            ode_check_divergence(profile).max_abs_residual,
         )
     ok = (
         exp_rel.max_abs_residual <= 1e-6
@@ -162,8 +165,9 @@ def test_criterion_5_decomposition_suite(exp1, exp2, weib21, weib_15_2):
     ts = (0.2, 0.5, 0.8, 1.2, 1.6)
     worst = 0.0
     for mx, my in pairs:
+        profile = dynamic_profile(mx, my, TimeGrid(ts), Q)
         for t in ts:
-            worst = max(worst, global_decompositions(mx, my, t, Q, tol=1e-6).max_abs_residual)
+            worst = max(worst, global_decompositions(profile, t, tol=1e-6).max_abs_residual)
     ok = worst <= 1e-6
     record(5, ok, f"3 pairs x 5 times, worst residual {worst:.2e}")
 

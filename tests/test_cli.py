@@ -192,3 +192,39 @@ def test_groups_format_selects_outputs(two_group_csv, tmp_path):
     assert (out / "matrix.csv").exists()
     assert not (out / "heatmap.svg").exists()
     assert (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("fx, fy, last", [
+    ("uniform:0,1", "crh:1,2", 0.95),  # different right ends
+    ("uniform:0,1", "crh:a=3,b=1", 0.95),  # a density rising to the shared end
+    ("crh:a=8,b=1", "crh:a=10,b=1", 0.95 ** (1 / 8)),  # both rising steeply
+])
+def test_verify_bounded_supports_stop_short_of_the_right_end(tmp_path, fx, fy, last):
+    # near the end of a bounded support the fixed central difference cannot
+    # resolve d_r, so the auto grid keeps clear of the last 5% of mass
+    out = tmp_path / "b"
+    code = run(["verify", "--family-x", fx, "--family-y", fy, "--out", str(out)])
+    assert code == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["all_identities_hold"]
+    assert report["inputs"]["grid"][-1] <= last
+
+
+def test_verify_computes_each_integral_once(tmp_path, monkeypatch):
+    from extropy import dynamic, measures
+
+    windowed = measures._windowed
+    keys = []
+
+    def counting(form, window, models, t=None, q=None, atom_convention="ac"):
+        keys.append((form, window, tuple(m.label for m in models), t, atom_convention))
+        return windowed(form, window, models, t, q, atom_convention)
+
+    monkeypatch.setattr(measures, "_windowed", counting)
+    monkeypatch.setattr(dynamic, "_windowed", counting)
+    code = run(["verify", "--family-x", "exp:rate=1", "--family-y", "weibull:shape=2,scale=1",
+                "--out", str(tmp_path)])
+    assert code == 4
+    repeated = sorted({k for k in keys if keys.count(k) > 1}, key=repr)
+    assert not repeated, repeated[:5]
+    assert len(keys) <= 167, len(keys)

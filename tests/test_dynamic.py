@@ -16,6 +16,7 @@ from extropy import (
     constancy_detector,
     crh_past_measures,
     dynamic_orderings,
+    dynamic_profile,
     extropy,
     extropy_inaccuracy,
     global_decompositions,
@@ -32,6 +33,7 @@ from extropy import (
     residual_extropy,
     residual_inaccuracy,
     residual_relative,
+    sum_rules,
 )
 from extropy.distributions import closed_form_relative_exponential, exponential_inaccuracy
 from extropy.errors import DenominatorUnderflow, InsufficientGrid, InvalidParameter
@@ -256,31 +258,32 @@ def test_hazard_repr_relative_weibull_crosscheck(exp1, weib21):
 
 
 def test_ode_relative_exponential_analytic(exp1, exp2):
-    verdict = ode_check_relative(exp1, exp2, GRID)
+    verdict = ode_check_relative(dynamic_profile(exp1, exp2, GRID))
     assert verdict.holds
     assert verdict.max_abs_residual <= 1e-6
 
 
 def test_ode_relative_mixed_pairs(exp1, weib21, weib_15_2, weib_2_3):
     for pair in ((exp1, weib21), (weib_15_2, weib_2_3)):
-        verdict = ode_check_relative(*pair, GRID)
+        verdict = ode_check_relative(dynamic_profile(*pair, GRID))
         assert verdict.holds, verdict
         assert verdict.max_abs_residual <= 1e-3
 
 
 def test_ode_relative_printed_form_documents_gap(exp1, exp2):
     # the (h_X + h_Y)^2 variant misses by exactly 2 h_X h_Y on exponentials
-    verdict = ode_check_relative(exp1, exp2, GRID, form="printed")
+    verdict = ode_check_relative(dynamic_profile(exp1, exp2, GRID), form="printed")
     assert not verdict.holds
     assert verdict.max_abs_residual == pytest.approx(2.0 * 1.0 * 2.0, abs=1e-6)
 
 
 def test_ode_relative_degenerate_pair(exp1):
     # f = g: corrected form has both sides zero; printed form reports 2 h^2
-    corrected = ode_check_relative(exp1, exp1, GRID)
+    profile = dynamic_profile(exp1, exp1, GRID)
+    corrected = ode_check_relative(profile)
     assert corrected.holds
     assert corrected.max_abs_residual <= 1e-9
-    printed = ode_check_relative(exp1, exp1, GRID, form="printed")
+    printed = ode_check_relative(profile, form="printed")
     assert printed.max_abs_residual == pytest.approx(2.0, abs=1e-9)
     for _, lhs, rhs in printed.per_point:
         assert lhs == pytest.approx(0.0, abs=1e-9)
@@ -288,14 +291,14 @@ def test_ode_relative_degenerate_pair(exp1):
 
 
 def test_ode_divergence_exponential_analytic(exp1, exp2):
-    verdict = ode_check_divergence(exp1, exp2, GRID)
+    verdict = ode_check_divergence(dynamic_profile(exp1, exp2, GRID))
     assert verdict.holds
     assert verdict.max_abs_residual <= 1e-6
 
 
 def test_ode_divergence_pairs(exp1, weib_15_2, weib_2_3):
-    assert ode_check_divergence(exp1, exp1, GRID).max_abs_residual <= 1e-9
-    verdict = ode_check_divergence(weib_15_2, weib_2_3, GRID)
+    assert ode_check_divergence(dynamic_profile(exp1, exp1, GRID)).max_abs_residual <= 1e-9
+    verdict = ode_check_divergence(dynamic_profile(weib_15_2, weib_2_3, GRID))
     assert verdict.holds
     assert verdict.max_abs_residual <= 1e-3
 
@@ -319,7 +322,7 @@ def test_past_inaccuracy_ode():
 
 
 def test_bounds_exponential_pair(exp1, exp2):
-    lower, logd, equality = bound_checks(exp1, exp2, GRID)
+    lower, logd, equality = bound_checks(dynamic_profile(exp1, exp2, GRID))
     assert lower.kind == "bound_lower" and lower.hypothesis_met and lower.holds
     # d_r = 1/12 >= -1/12, the bound's right side for this pair
     assert lower.per_point[0][1] == pytest.approx(1.0 / 12.0, abs=1e-8)
@@ -329,7 +332,7 @@ def test_bounds_exponential_pair(exp1, exp2):
 
 
 def test_bounds_identical_pair(exp1):
-    lower, logd, _ = bound_checks(exp1, exp1, GRID)
+    lower, logd, _ = bound_checks(dynamic_profile(exp1, exp1, GRID))
     assert lower.holds  # d_r = 0 >= 0
     assert logd.hypothesis_met
 
@@ -375,7 +378,7 @@ def test_exponential_residual_divergence_constant(exp1, exp2):
 
 
 def test_dynamic_orderings_exponential(exp1, exp2):
-    o = dynamic_orderings(exp1, exp2, GRID)
+    o = dynamic_orderings(dynamic_profile(exp1, exp2, GRID))
     # h_X = 1 < h_Y = 2, so X exceeds Y in the hazard-rate order
     assert o.hr == ">"
     assert o.rh == "<"
@@ -385,15 +388,27 @@ def test_dynamic_orderings_exponential(exp1, exp2):
 
 
 def test_dynamic_orderings_ties(weib21):
-    o = dynamic_orderings(weib21, weib21, GRID)
+    o = dynamic_orderings(dynamic_profile(weib21, weib21, GRID))
     assert o.rex == "=" and o.red == "="
     assert o.rex_red_equivalent and o.pex_ped_equivalent
 
 
 def test_dynamic_orderings_weibull_pair(weib_15_2, weib_2_3):
-    o = dynamic_orderings(weib_15_2, weib_2_3, GRID)
+    o = dynamic_orderings(dynamic_profile(weib_15_2, weib_2_3, GRID))
     assert o.rex_red_equivalent
     assert o.pex_ped_equivalent
+
+
+def test_profile_orderings_read_density_only_past_values():
+    # under "paper" the past series fold in the atoms; the orderings compare
+    # the density-only ones, so both conventions give the same orderings
+    mx = make_model(ConstantReversedHazardParams(1.0, 2.0, include_atom=True))
+    my = make_model(ConstantReversedHazardParams(0.5, 2.0, include_atom=True))
+    grid = TimeGrid(points=(0.5, 1.0, 1.5))
+    ac, paper = (dynamic_profile(mx, my, grid, atom_convention=c) for c in ("ac", "paper"))
+    assert paper.past_ac == ac.past_ac == (ac.jpx, ac.jpy, ac.jp_fg, ac.jp_gf)
+    assert paper.jpx != ac.jpx
+    assert dynamic_orderings(paper) == dynamic_orderings(ac)
 
 
 # --- global decompositions ------------------------------------------------------------
@@ -407,28 +422,52 @@ def test_decomposition_degenerate_extropy_split(exp1):
     lhs = extropy(exp1).value
     rhs = sf**2 * residual_extropy(exp1, t).value + cd**2 * past_extropy(exp1, t).value
     assert lhs == pytest.approx(rhs, abs=1e-9)
-    verdict = global_decompositions(exp1, exp1, t)
+    verdict = global_decompositions(dynamic_profile(exp1, exp1, TimeGrid((t,))), t)
     assert verdict.holds
 
 
 def test_decompositions_exponential_tight(exp1, exp2):
-    verdict = global_decompositions(exp1, exp2, 0.5)
+    verdict = global_decompositions(dynamic_profile(exp1, exp2, TimeGrid((0.5,))), 0.5)
     assert verdict.holds
     assert verdict.max_abs_residual <= 1e-8
 
 
 def test_decompositions_mixed_pairs(exp1, weib_15_2):
+    profile = dynamic_profile(weib_15_2, exp1, TimeGrid((0.4, 1.0, 1.6)))
     for t in (0.4, 1.0, 1.6):
-        verdict = global_decompositions(weib_15_2, exp1, t, tol=1e-6)
+        verdict = global_decompositions(profile, t, tol=1e-6)
         assert verdict.holds
         assert verdict.max_abs_residual <= 1e-6
 
 
 def test_decomposition_unweighted_variant_fails(exp1, exp2):
     # the unweighted third term misses badly; its residual is reported in note
-    verdict = global_decompositions(exp1, exp2, 0.7)
+    verdict = global_decompositions(dynamic_profile(exp1, exp2, TimeGrid((0.7,))), 0.7)
     resid = float(verdict.note.split("=")[1])
     assert resid > 1e-2
+
+
+def test_decompositions_only_at_profile_decomposition_points(exp1, exp2):
+    profile = dynamic_profile(exp1, exp2, GRID)
+    assert profile.decomposition_points == GRID.points[::2]
+    with pytest.raises(InvalidParameter):
+        global_decompositions(profile, GRID.points[1])
+
+
+def test_sum_rules_residual_rows_then_past(exp1, weib21):
+    profile = dynamic_profile(exp1, weib21, GRID)
+    v = sum_rules(profile)
+    assert v.holds and v.tolerance == TOL10
+    assert [t for t, _, _ in v.per_point] == list(GRID.points) * 2
+    assert [d for _, _, d in v.per_point] == list(profile.d_r + profile.d_p)
+
+
+@pytest.mark.parametrize("points", [(0.0, 0.5), (0.5, 60.0)])
+def test_profile_needs_every_survival_and_cdf_above_the_floor(exp1, exp2, points):
+    # the profile holds past series, which condition on F(t), G(t), and
+    # residual ones, which condition on S_F(t), S_G(t)
+    with pytest.raises(InsufficientGrid, match="denominator floor"):
+        dynamic_profile(exp1, exp2, TimeGrid(points=points))
 
 
 # --- spec invariants -------------------------------------------------------------------

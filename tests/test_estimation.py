@@ -105,6 +105,16 @@ def test_kde_reflection_preserves_mass_and_clips():
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
+def test_kde_inner_needs_one_reflection_point_at_or_above_the_bound():
+    batch = exp_batch(2.0, 60, 4)
+    plain, at0, at1 = (KdeModel(batch, 0.3, c) for c in (None, 0.0, 1.0))
+    for a, b, lower in ((at0, at1, None), (at0, plain, None), (plain, at0, 0.0), (at0, at0, 0.5)):
+        with pytest.raises(InvalidParameter):
+            a.inner(b, lower)
+    # a reflected density vanishes below its boundary, so a lower bound adds nothing
+    assert at0.inner(at0, -1.0) == at0.inner(at0, 0.0) == at0.inner(at0)
+
+
 # --- Sheather-Jones bandwidth -------------------------------------------------
 
 

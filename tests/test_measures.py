@@ -237,6 +237,6 @@ def test_extropy_rejects_negative_density(exp1):
 
     from extropy.errors import InvalidModel
 
-    broken = dataclasses.replace(exp1, pdf=lambda x: -float(np.asarray(exp1.pdf(x))))
+    broken = dataclasses.replace(exp1, pdf=lambda x: -np.asarray(exp1.pdf(x), dtype=float))
     with pytest.raises(InvalidModel):
         extropy(broken)

@@ -40,8 +40,8 @@ def test_spec_validation():
 
 def test_truncation_tail_below_tolerance():
     q = QuadratureSpec()
-    sf = lambda x: math.exp(-2.0 * x)
-    pdf = lambda x: 2.0 * math.exp(-2.0 * x)
+    sf = lambda x: np.exp(-2.0 * x)
+    pdf = lambda x: 2.0 * np.exp(-2.0 * x)
     t = truncation_point([sf], [pdf], 0.0, q)
     # discarded tail of the squared density is below abs_tol
     tail = integrate(lambda x: pdf(x) ** 2, t, t + 50.0, q).value
