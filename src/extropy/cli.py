@@ -40,7 +40,7 @@ from .estimation import (
     mc_bias_mse,
     sheather_jones_bandwidth,
 )
-from .grouping import QuantileGroupSpec, load_csv, pairwise_matrix
+from .grouping import QuantileGroupSpec, load_csv, load_sample, pairwise_matrix
 from .quadrature import QuadratureSpec
 from .reports import write_heatmap, write_matrix_csv, write_report, write_study_csv
 
@@ -188,25 +188,8 @@ def cmd_measure(args) -> int:
 
 def _batches_from_args(args) -> tuple[tuple[str, SampleBatch], tuple[str, SampleBatch]]:
     if len(args.csv) == 2:
-        import csv as _csv
-
-        pair = []
-        for path in args.csv:
-            with open(path, newline="", encoding="utf-8") as fh:
-                reader = _csv.DictReader(fh)
-                if args.value_col not in (reader.fieldnames or []):
-                    raise MissingColumn(f"column {args.value_col!r} not in {path}")
-                vals = []
-                for idx, row in enumerate(reader, start=2):
-                    raw = (row.get(args.value_col) or "").strip()
-                    if not raw:
-                        continue
-                    try:
-                        vals.append(float(raw))
-                    except ValueError:
-                        raise CsvParseError(idx, args.value_col, raw) from None
-            pair.append((path, SampleBatch(np.asarray(vals))))
-        return pair[0], pair[1]
+        x, y = args.csv
+        return (x, load_sample(x, args.value_col)), (y, load_sample(y, args.value_col))
     if len(args.csv) == 1:
         if not args.group_col:
             raise InvalidParameter("one CSV needs --group-col with exactly two groups")

@@ -51,6 +51,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _KERNEL_WINDOW = 8.0
 # kernel terms evaluated at once, which bounds the working memory at every n
 _BLOCK_TERMS = 1 << 16
+# pair terms the Sheather-Jones sums keep across one solve: 2^21 doubles, 16 MB
+_SJ_KEEP_TERMS = 1 << 21
+# u^6 exp(-u^2 / 2) is below 1e-18 of its peak for |u| > 10.5; the
+# Sheather-Jones sums drop pairs farther apart than that many pilot widths
+_SJ_WINDOW = 10.5
 # ndtr(z) rounds to exactly 1.0 in double precision for every z >= 8.3
 _PHI_ONE = 8.3
 
@@ -73,6 +78,16 @@ def _blocks(rows: np.ndarray, cols: np.ndarray, reach: float):
         lo = int(np.searchsorted(cols, rows[start] - reach, side="left"))
         hi = int(np.searchsorted(cols, rows[stop - 1] + reach, side="right"))
         yield start, stop, lo, hi
+
+
+def _upper_squares(z: np.ndarray, reach: float):
+    """Squared differences z_j - z_i, j > i, of sorted ``z`` by row block, within ``reach``.
+
+    Each row runs from column i + 1, so one block is the upper half in row-major order.
+    """
+    for start, stop, _, hi in _blocks(z, z, reach):
+        diffs = np.concatenate([z[i + 1 : hi] - z[i] for i in range(start, stop)])
+        yield diffs * diffs
 
 
 def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float | None) -> float:
@@ -109,7 +124,8 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
             phi = np.add.outer(u[start:stop], v[lo:one])
             terms[:, : one - lo] *= ndtr(phi, out=phi)
         if symmetric:
-            terms = np.triu(terms, 1)
+            # zero the lower half in place: a fresh block-sized copy costs page faults
+            terms[np.tri(*terms.shape, dtype=bool)] = 0.0
         total += float(terms.sum())
     if symmetric:
         diagonal = float(ndtr(u + v).sum()) if lower is not None else float(x.size)
@@ -135,9 +151,6 @@ class SampleBatch:
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-    def shifted(self, c: float) -> "SampleBatch":
-        return SampleBatch(self.values + c)
 
 
 @dataclass(frozen=True)
@@ -220,7 +233,9 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     min(sd, IQR/1.349); the fixed point is bracketed inside
     [1e-3, 1e3] * sd * n^(-1/5) and solved by Brent's method.  The sample is
     standardized by its sd first, which makes the result exactly
-    scale-equivariant.
+    scale-equivariant.  The pilot functionals are exact pair sums over the
+    sorted blocks of ``_upper_squares``, less pairs beyond ``_SJ_WINDOW``
+    pilot widths when the blocks are rebuilt at each evaluation.
     """
     if s.n < 5:
         raise DegenerateSample(f"bandwidth selection needs n >= 5, got {s.n}")
@@ -234,28 +249,19 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     scale_z = min(1.0, iqr / (1.349 * sd)) if iqr > 0 else 1.0
 
     z = vals / sd
-    if n <= 2000:  # cache the o(n^2) off-diagonal squared differences
-        iu = np.triu_indices(n, k=1)
-        dsq_cache = ((z[:, None] - z[None, :]) ** 2)[iu]
+    # one solve evaluates the sums some 20 times: below the cap the blocks are
+    # kept for all of them, above it each evaluation rebuilds them in its window
+    kept = list(_upper_squares(z, math.inf)) if n * (n - 1) // 2 <= _SJ_KEEP_TERMS else None
 
-        def _offdiag_sum(h: float, poly) -> float:
-            u2 = dsq_cache / (h * h)
-            return float((poly(u2) * np.exp(-0.5 * u2)).sum())
-
-    else:  # same exact sums, evaluated in row chunks to bound memory
-        chunk = max(1, 2_000_000 // n)
-
-        def _offdiag_sum(h: float, poly) -> float:
-            total = 0.0
-            for start in range(0, n, chunk):
-                rows = z[start : start + chunk]
-                u2 = (rows[:, None] - z[None, start:]) ** 2 / (h * h)
-                # strict upper triangle of the global matrix: local col > local row
-                mask = np.greater.outer(
-                    np.arange(u2.shape[1]), np.arange(rows.size)
-                ).T
-                total += float((poly(u2) * np.exp(-0.5 * u2) * mask).sum())
-            return total
+    def _offdiag_sum(h: float, poly) -> float:
+        total = 0.0
+        for dsq in kept if kept is not None else _upper_squares(z, _SJ_WINDOW * h):
+            u2 = dsq / (h * h)
+            terms = poly(u2)
+            u2 *= -0.5  # the exponent in place: each new block-sized array costs page faults
+            terms *= np.exp(u2, out=u2)
+            total += float(terms.sum())
+        return total
 
     def sd_functional(h: float) -> float:
         total = 2.0 * _offdiag_sum(h, lambda u2: u2 * u2 - 6.0 * u2 + 3.0) + 3.0 * n

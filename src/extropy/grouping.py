@@ -23,6 +23,7 @@ __all__ = [
     "GroupedDataset",
     "DivergenceMatrix",
     "load_csv",
+    "load_sample",
     "pairwise_matrix",
 ]
 
@@ -100,6 +101,43 @@ def _quantile_labels(edges: list[float]) -> list[str]:
     return labels
 
 
+def _read_rows(path: str, columns: list[str]) -> list[dict[str, str]]:
+    """The rows of a header CSV that has every one of ``columns``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in columns:
+            if col not in header:
+                raise MissingColumn(f"column {col!r} not in header {header} of {path}")
+        return list(reader)
+
+
+def _finite(line: int, column: str, cell: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise CsvParseError(line, column, cell) from None
+    if not math.isfinite(value):
+        raise CsvParseError(line, column, cell)
+    return value
+
+
+def _group(label: str, members: list[float]) -> SampleBatch:
+    if len(members) < MIN_GROUP_SIZE:
+        raise TooFewObservations(label, len(members), MIN_GROUP_SIZE)
+    return SampleBatch(np.asarray(members))
+
+
+def load_sample(path: str, value_column: str) -> SampleBatch:
+    """A column of a header CSV as one group labeled by its path, under ``load_csv``'s rules."""
+    values = []
+    for line, row in enumerate(_read_rows(path, [value_column]), start=2):  # header is line 1
+        cell = (row.get(value_column) or "").strip()
+        if cell:
+            values.append(_finite(line, value_column, cell))
+    return _group(path, values)
+
+
 def load_csv(
     path: str,
     value_column: str,
@@ -117,16 +155,8 @@ def load_csv(
         raise InvalidParameter("exactly one of group_column or quantile_spec is required")
     filters = filters or {}
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = [value_column] + list(filters)
-        group_by = group_column if group_column is not None else quantile_spec.group_column
-        needed.append(group_by)
-        for col in needed:
-            if col not in header:
-                raise MissingColumn(f"column {col!r} not in header {header}")
-        rows = list(reader)
+    group_by = group_column if group_column is not None else quantile_spec.group_column
+    rows = _read_rows(path, [value_column, *filters, group_by])
 
     dropped = 0
     values: list[float] = []
@@ -140,13 +170,7 @@ def load_csv(
         if not raw_value or not raw_key:
             dropped += 1
             continue
-        try:
-            value = float(raw_value)
-        except ValueError:
-            raise CsvParseError(idx, value_column, raw_value) from None
-        if not math.isfinite(value):
-            raise CsvParseError(idx, value_column, raw_value)
-        values.append(value)
+        values.append(_finite(idx, value_column, raw_value))
         keys.append(raw_key)
         key_lines.append(idx)
 
@@ -156,16 +180,7 @@ def load_csv(
             buckets.setdefault(key, []).append(value)
         ordered = sorted(buckets)
     else:
-        numeric_keys = []
-        for line, key in zip(key_lines, keys):
-            try:
-                numeric = float(key)
-            except ValueError:
-                raise CsvParseError(line, group_by, key) from None
-            if not math.isfinite(numeric):
-                raise CsvParseError(line, group_by, key)
-            numeric_keys.append(numeric)
-        arr = np.asarray(numeric_keys)
+        arr = np.asarray([_finite(line, group_by, key) for line, key in zip(key_lines, keys)])
         cuts = np.quantile(arr, quantile_spec.cut_probabilities)
         edges = [float(arr.min()), *map(float, cuts), float(arr.max())]
         labels = _quantile_labels(edges)
@@ -177,15 +192,8 @@ def load_csv(
             buckets[labels[int(b)]].append(value)
         ordered = labels
 
-    groups = []
-    for label in ordered:
-        members = buckets[label]
-        if len(members) < MIN_GROUP_SIZE:
-            raise TooFewObservations(label, len(members), MIN_GROUP_SIZE)
-        groups.append((label, SampleBatch(np.asarray(members))))
-
     return GroupedDataset(
-        groups=tuple(groups),
+        groups=tuple((label, _group(label, buckets[label])) for label in ordered),
         source=path,
         value_column=value_column,
         group_by=group_by,

@@ -175,6 +175,20 @@ def test_estimate_two_files(tmp_path):
     assert report["results"]["n"] == [50, 50]
 
 
+@pytest.mark.parametrize("x_cells, message", [
+    (["0.1", "0.2", "nan", "0.4", "0.5", "0.6"], "row 4, column 'value'"),
+    (["0.1", "0.2", "0.3", "0.4"], "has 4 observations, minimum is 5"),
+], ids=["non-finite-cell", "four-values"])
+def test_estimate_two_files_rejects_input_as_one_csv_does(tmp_path, capsys, x_cells, message):
+    y_cells = [f"{0.1 * k + 0.05:.2f}" for k in range(20)]
+    for name, cells in (("x.csv", x_cells), ("y.csv", y_cells)):
+        (tmp_path / name).write_text("\n".join(["value", *cells]) + "\n", encoding="utf-8")
+    code = run(["estimate", str(tmp_path / "x.csv"), str(tmp_path / "y.csv"),
+                "--value-col", "value", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_measure_gf_direction_labeled(tmp_path):
     code = run(["measure", "divergence-gf", "--family-x", "exp:rate=1",
                 "--family-y", "exp:rate=2", "--out", str(tmp_path)])

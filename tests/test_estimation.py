@@ -20,6 +20,7 @@ from extropy import (
     sample_batch,
     sheather_jones_bandwidth,
 )
+from extropy import estimation
 from extropy.errors import DegenerateSample, InvalidParameter
 from extropy.grouping import GroupedDataset
 from extropy.quadrature import QuadratureSpec, integrate
@@ -58,7 +59,7 @@ def test_kde_kernel_at_its_center():
 def test_kde_shift_equivariance():
     batch = exp_batch(1.0, 60, 11)
     m = KdeModel(batch, 0.3)
-    shifted = KdeModel(batch.shifted(2.5), 0.3)
+    shifted = KdeModel(SampleBatch(batch.values + 2.5), 0.3)
     for x in (0.2, 0.9, 1.7):
         assert float(shifted.pdf(x + 2.5)) == pytest.approx(float(m.pdf(x)), abs=1e-12)
 
@@ -118,7 +119,14 @@ def test_kde_inner_needs_one_reflection_point_at_or_above_the_bound():
 # --- Sheather-Jones bandwidth -------------------------------------------------
 
 
-def test_sj_scale_equivariance():
+@pytest.fixture(params=["kept", "rebuilt"])
+def sj_blocks(request, monkeypatch):
+    """SJ with its pair blocks kept for the whole solve, or rebuilt per evaluation."""
+    if request.param == "rebuilt":
+        monkeypatch.setattr(estimation, "_SJ_KEEP_TERMS", 0)
+
+
+def test_sj_scale_equivariance(sj_blocks):
     batch = exp_batch(1.0, 90, 17)
     h = sheather_jones_bandwidth(batch)
     for c in (0.01, 3.7, 250.0):
@@ -126,7 +134,7 @@ def test_sj_scale_equivariance():
         assert hc == pytest.approx(c * h, rel=1e-9)
 
 
-def test_sj_against_independent_oracle():
+def test_sj_against_independent_oracle(sj_blocks):
     # dual implementation: same plug-in equations coded separately (raw data,
     # meshgrid sums, bisection in log h)
     for seed in (12345, 777):
@@ -135,6 +143,19 @@ def test_sj_against_independent_oracle():
         mine = sheather_jones_bandwidth(SampleBatch(x))
         oracle = sheather_jones_oracle(x)
         assert mine == pytest.approx(oracle, abs=1e-6)
+
+
+def test_sj_rebuilt_blocks_match_kept(monkeypatch):
+    rng = np.random.default_rng(31)
+    samples = [
+        rng.normal(size=300),
+        rng.standard_cauchy(size=300),  # the window drops the far tail pairs
+        np.concatenate([rng.normal(size=150), rng.normal(40.0, 1.0, size=150)]),
+    ]
+    kept = [sheather_jones_bandwidth(SampleBatch(x)) for x in samples]
+    monkeypatch.setattr(estimation, "_SJ_KEEP_TERMS", 0)
+    for x, h in zip(samples, kept):
+        assert sheather_jones_bandwidth(SampleBatch(x)) == pytest.approx(h, rel=4e-15, abs=0.0)
 
 
 def test_sj_rate_with_sample_size():
@@ -178,7 +199,9 @@ def test_estimate_translation_invariance():
     sy = exp_batch(2.0, 70, 7)
     base = estimate_relative_extropy(sx, sy)
     for c in (-3.0, 4.5):
-        shifted = estimate_relative_extropy(sx.shifted(c), sy.shifted(c))
+        shifted = estimate_relative_extropy(
+            SampleBatch(sx.values + c), SampleBatch(sy.values + c)
+        )
         assert shifted == pytest.approx(base, abs=1e-9)
 
 
