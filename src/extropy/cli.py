@@ -177,7 +177,6 @@ def cmd_measure(args) -> int:
             "measure_id": report.measure_id,
             "value": report.value,
             "abs_error": report.abs_error,
-            "truncated_at": report.truncated_at,
             "subdivisions": report.subdivisions,
             "warnings": list(report.warnings),
         },

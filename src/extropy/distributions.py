@@ -31,7 +31,6 @@ __all__ = [
     "FamilyParams",
     "SeededSampler",
     "make_model",
-    "quantile",
     "sample",
     "parse_family",
     "exponential_extropy",
@@ -90,6 +89,7 @@ class ExponentialParams:
             survival=survival,
             hazard=hazard,
             reversed_hazard=reversed_hazard,
+            quantile=self.quantile,
             support=(0.0, math.inf),
         )
 
@@ -155,6 +155,7 @@ class WeibullParams:
             survival=survival,
             hazard=hazard,
             reversed_hazard=reversed_hazard,
+            quantile=self.quantile,
             support=(0.0, math.inf),
         )
 
@@ -207,6 +208,7 @@ class UniformParams:
             survival=survival,
             hazard=hazard,
             reversed_hazard=reversed_hazard,
+            quantile=self.quantile,
             support=(lo, hi),
         )
 
@@ -272,6 +274,7 @@ class ConstantReversedHazardParams:
             survival=survival,
             hazard=hazard,
             reversed_hazard=reversed_hazard,
+            quantile=self.quantile,
             support=(0.0, b),
             atom_at_lo=self.atom_mass if self.include_atom else 0.0,
         )
@@ -291,10 +294,6 @@ def make_model(params: FamilyParams) -> DistributionModel:
     return params.model()
 
 
-def quantile(params: FamilyParams, u):
-    return params.quantile(u)
-
-
 @dataclass(frozen=True)
 class SeededSampler:
     """Reproducible uniform stream: PCG64 seeded via SeedSequence.
@@ -305,11 +304,6 @@ class SeededSampler:
     """
 
     seed: int
-    algorithm: str = "pcg64"
-
-    def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise InvalidParameter(f"unknown generator algorithm {self.algorithm!r}")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))

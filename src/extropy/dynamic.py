@@ -20,6 +20,9 @@ exponentials satisfy exactly.  A variant with (h_X + h_Y)^2 in the last term
 circulates; it fails on exponentials and is inconsistent at f = g, but can be
 evaluated via ``form="printed"`` for comparison.
 
+Each of the eight measures takes a time t or an array of times; an array
+gives an array of values from one batched integral.
+
 Past measures accept ``atom_convention``: "ac" integrates densities only;
 "paper" also folds a point mass at the left endpoint into the quadratic forms
 as its squared conditional mass, reproducing the constant-reversed-hazard
@@ -68,10 +71,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing evaluation times plus a finite-difference step."""
+    """Strictly increasing evaluation times; ``step`` is their finite-difference step."""
 
     points: tuple[float, ...]
-    fd_step: float | None = None
 
     def __post_init__(self):
         if len(self.points) < 1:
@@ -80,8 +82,6 @@ class TimeGrid:
             raise InvalidParameter("grid points must be strictly increasing")
 
     def step(self) -> float:
-        if self.fd_step is not None:
-            return self.fd_step
         span = self.points[-1] - self.points[0]
         return max(1e-4 * span, 1e-6)
 
@@ -180,80 +180,66 @@ def past_divergence(
 # ---------------------------------------------------------------------------
 
 
-def _cumulative_hazard(
-    hazard_y: Callable[[float], float],
-    cumulative_hazard_y: Callable[[float], float] | None,
-    q: QuadratureSpec,
-) -> Callable[[float], float]:
-    if cumulative_hazard_y is not None:
-        return lambda x: float(cumulative_hazard_y(x))
+def _hazard_forms(rate_x, hazard_y, t, q, cumulative_hazard_y):
+    """H_Y as an array callable, and the finite upper limit of the hazard-form integrals.
 
-    def cumulative(x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return integrate(lambda u: float(hazard_y(u)), 0.0, x, q).value
-
-    return cumulative
+    H_Y is ``cumulative_hazard_y`` when given, else the quadrature of h_Y.
+    h_Y has no quantile to split at, and tanh-sinh misjudges its error on a
+    bare [t, inf), so the integrals stop at the truncation point of X and Y.
+    """
+    if rate_x <= 0:
+        raise InvalidParameter("rate_x must be positive")
+    cum = cumulative_hazard_y
+    if cum is None:
+        # a constant h_Y may return a scalar; the quadrature needs one value per point
+        hazard = lambda u: np.full(np.shape(u), hazard_y(u), dtype=float)
+        cum = lambda x: integrate(hazard, 0.0, x, q).value
+    survival_y = lambda x: np.exp(-cum(x))
+    pdf_y = lambda x: hazard_y(x) * survival_y(x)
+    survival_x = lambda x: np.exp(-rate_x * x)
+    pdf_x = lambda x: rate_x * np.exp(-rate_x * x)
+    return cum, truncation_point([survival_x, survival_y], [pdf_x, pdf_y], t, q)
 
 
 def hazard_repr_inaccuracy(
     rate_x: float,
-    hazard_y: Callable[[float], float],
+    hazard_y: Callable[[np.ndarray], np.ndarray],
     t: float,
     q: QuadratureSpec | None = None,
-    cumulative_hazard_y: Callable[[float], float] | None = None,
+    cumulative_hazard_y: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Residual inaccuracy rebuilt from the exponential rate and h_Y alone.
 
     -exp(rate t + H(t)) * int_t^inf (rate h_Y(x) / 2) exp(-rate x - H(x)) dx
-    with H the cumulative hazard of Y.  Matches
+    with H the cumulative hazard of Y, by quadrature of h_Y unless given.
+    Both callables are evaluated on numpy arrays.  Matches
     :func:`residual_inaccuracy` on the corresponding models.
     """
-    if rate_x <= 0:
-        raise InvalidParameter("rate_x must be positive")
     q = q or QuadratureSpec()
-    cum = _cumulative_hazard(hazard_y, cumulative_hazard_y, q)
-    survival_x = lambda x: math.exp(-rate_x * x)
-    survival_y = lambda x: math.exp(-cum(x))
-    pdf_x = lambda x: rate_x * np.exp(-rate_x * x)
-    # the tail search probes whole arrays; hazard_y and cum take scalars
-    pdf_y = np.vectorize(lambda x: float(hazard_y(x)) * survival_y(x), otypes=[float])
-    upper = truncation_point([survival_x, survival_y], [pdf_x, pdf_y], t, q)
-
-    def integrand(x):
-        return 0.5 * rate_x * float(hazard_y(x)) * math.exp(-rate_x * x - cum(x))
-
+    cum, upper = _hazard_forms(rate_x, hazard_y, t, q, cumulative_hazard_y)
+    integrand = lambda x: 0.5 * rate_x * hazard_y(x) * np.exp(-rate_x * x - cum(x))
     res = integrate(integrand, t, upper, q)
-    return -math.exp(rate_x * t + cum(t)) * res.value
+    return -math.exp(rate_x * t + float(cum(t))) * res.value
 
 
 def hazard_repr_relative(
     rate_x: float,
-    hazard_y: Callable[[float], float],
+    hazard_y: Callable[[np.ndarray], np.ndarray],
     t: float,
     q: QuadratureSpec | None = None,
-    cumulative_hazard_y: Callable[[float], float] | None = None,
+    cumulative_hazard_y: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Residual relative extropy from the exponential rate and h_Y alone.
 
     Twice the hazard-form inaccuracy, plus the hazard-form negative residual
     extropy of Y, plus rate/4 (the negative residual extropy of X).
     """
-    if rate_x <= 0:
-        raise InvalidParameter("rate_x must be positive")
     q = q or QuadratureSpec()
-    cum = _cumulative_hazard(hazard_y, cumulative_hazard_y, q)
+    cum, upper = _hazard_forms(rate_x, hazard_y, t, q, cumulative_hazard_y)
     inaccuracy = hazard_repr_inaccuracy(rate_x, hazard_y, t, q, cumulative_hazard_y=cum)
-
-    survival_y = lambda x: math.exp(-cum(x))
-    pdf_y = np.vectorize(lambda x: float(hazard_y(x)) * survival_y(x), otypes=[float])
-    upper = truncation_point([survival_y], [pdf_y], t, q)
-
-    def integrand(x):
-        return 0.5 * float(hazard_y(x)) ** 2 * math.exp(-2.0 * cum(x))
-
+    integrand = lambda x: 0.5 * hazard_y(x) ** 2 * np.exp(-2.0 * cum(x))
     res = integrate(integrand, t, upper, q)
-    neg_extropy_y = math.exp(2.0 * cum(t)) * res.value
+    neg_extropy_y = math.exp(2.0 * float(cum(t))) * res.value
     return 2.0 * inaccuracy + neg_extropy_y + rate_x / 4.0
 
 
@@ -322,19 +308,21 @@ def dynamic_profile(
 ) -> DynamicProfile:
     """Evaluate the series of :class:`DynamicProfile` for (dX, dY) on the grid.
 
-    Each side of each identity stays its own integral: d_r is never formed
-    from the divergences, nor a static measure from its parts, so the checks
-    compare independent computations.  Every grid point needs both survivals
+    Each series is one batched integral over the grid times.  Each side of
+    each identity stays its own integral: d_r is never formed from the
+    divergences, nor a static measure from its parts, so the checks compare
+    independent computations.  Every grid point needs both survivals
     and both cdfs above ``q.denominator_floor``, else :class:`InsufficientGrid`.
     """
     q = q or QuadratureSpec()
     ts = grid.points
-    for t in ts:
-        low = min(float(m(t)) for m in (dX.survival, dY.survival, dX.cdf, dY.cdf))
-        if low <= q.denominator_floor:
-            raise InsufficientGrid(
-                f"t = {t:g}: a survival or cdf is {low:.3e}, at or below the denominator floor"
-            )
+    at_ts = np.array(ts)
+    low = np.min([m(at_ts) for m in (dX.survival, dY.survival, dX.cdf, dY.cdf)], axis=0)
+    if low.min() <= q.denominator_floor:
+        i = int(np.argmin(low))
+        raise InsufficientGrid(
+            f"t = {ts[i]:g}: a survival or cdf is {low[i]:.3e}, at or below the denominator floor"
+        )
     step = grid.step()
     lo = tuple(max(t - step, 0.0) for t in ts)
     hi = tuple(t + step for t in ts)
@@ -342,10 +330,10 @@ def dynamic_profile(
     conv = {"atom_convention": atom_convention}
 
     def at(fn):
-        return tuple(float(fn(t)) for t in ts)
+        return tuple(np.asarray(fn(at_ts), dtype=float).tolist())
 
     def series(measure, *models, times=ts, **convention):
-        return tuple(measure(*models, t, q, **convention).value for t in times)
+        return tuple(measure(*models, np.array(times), q, **convention).value.tolist())
 
     def slope(measure, *models):
         at_lo, at_hi = series(measure, *models, times=lo), series(measure, *models, times=hi)

@@ -1,6 +1,6 @@
 """Static extropy measures: extropy, inaccuracy, relative extropy, divergences.
 
-Conventions (all integrals over the support hull, tails truncated by policy):
+Conventions (all integrals over the support hull):
 
 * extropy            J(X)      = -(1/2) int f^2
 * inaccuracy         xiJ(X,Y)  = -(1/2) int f g
@@ -17,13 +17,14 @@ forms over another window, so all twelve run through :func:`_windowed`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .distributions import ExponentialParams, WeibullParams
 from .errors import DenominatorUnderflow, InvalidModel, InvalidParameter
-from .models import DistributionModel, MeasureReport, upper_limit
+from .models import DistributionModel, MeasureReport, break_points
 from .quadrature import QuadratureSpec, integrate
 
 __all__ = [
@@ -48,13 +49,16 @@ _FORMS = {
 }
 
 
-def _window_mass(d: DistributionModel, window: str, t: float | None, q: QuadratureSpec) -> float:
+def _window_mass(d: DistributionModel, window: str, t, q: QuadratureSpec):
     if window == "support":
         return 1.0
     name = "survival" if window == "residual" else "cdf"
-    mass = float(getattr(d, name)(t))
-    if mass <= q.denominator_floor:
-        raise DenominatorUnderflow(f"{d.label}: {name}({t:g}) = {mass:.3e} below floor")
+    mass = np.asarray(getattr(d, name)(t), dtype=float)
+    if np.min(mass) <= q.denominator_floor:
+        i = np.argmin(mass)
+        raise DenominatorUnderflow(
+            f"{d.label}: {name}({np.ravel(t)[i]:g}) = {mass.flat[i]:.3e} below floor"
+        )
     return mass
 
 
@@ -62,62 +66,67 @@ def _windowed(
     form: str,
     window: str,
     models: Sequence[DistributionModel],
-    t: float | None = None,
+    t=None,
     q: QuadratureSpec | None = None,
     atom_convention: str = "ac",
 ) -> MeasureReport:
-    """Integrate one quadratic form of (f, g) over one window.
+    """Integrate one quadratic form of (f, g) over one window, at one or many times.
 
     ``form`` is a key of ``_FORMS``; ``models`` is (X,) for "extropy" and
     (X, Y) otherwise.  ``window`` is "support" (the hull of the supports),
     "residual" ((t, inf), each density divided by its survival at t) or
     "past" ((lo, t], each density divided by its cdf at t).  Every integrand
-    is a conditional density, so the error estimate and the tail truncation
-    are in the units of the value.  The product form vanishes off the overlap
-    of the supports and is integrated over it alone.  Under
-    ``atom_convention="paper"`` the past window adds the form of the atoms'
-    conditional masses to the integral.
+    is a conditional density, so the error estimate is in the units of the
+    value.  The product form vanishes off the overlap of the supports and is
+    integrated over it alone.  Under ``atom_convention="paper"`` the past
+    window adds the form of the atoms' conditional masses to the integral.
+    An array ``t`` gives arrays of values in one batched integral; a scalar
+    ``t`` (or none) gives a float.
     """
     q = q or QuadratureSpec()
     if atom_convention not in ("ac", "paper"):
         raise InvalidParameter(f"atom_convention must be 'ac' or 'paper', got {atom_convention!r}")
+    if t is not None and np.isnan(t).any():
+        raise InvalidParameter("t is NaN")  # its window would be empty and integrate to 0
     coef, pointwise = _FORMS[form]
     masses = [_window_mass(m, window, t, q) for m in models]
 
     lo = min(m.support[0] for m in models)
+    hi = max(m.support[1] for m in models)
     if window == "past":
-        hi, trunc = min(t, max(m.support[1] for m in models)), None
-    else:
-        if window == "residual":
-            lo = max(t, lo)
-        hi, trunc = upper_limit(models, lo, q, min(masses))
+        hi = np.minimum(t, hi)
+    elif window == "residual":
+        lo = np.maximum(t, lo)
     if form == "inaccuracy":
-        lo = max([lo] + [m.support[0] for m in models])
-        hi = min([hi] + [m.support[1] for m in models])
-    edges = [p for m in models for p in m.support if math.isfinite(p)]
+        lo = np.maximum(lo, max(m.support[0] for m in models))
+        hi = np.minimum(hi, min(m.support[1] for m in models))
 
     pf, pg = models[0].pdf, models[-1].pdf
-    a, b = masses[0], masses[-1]
     if form == "extropy":
         label = models[0].label
 
-        def integrand(x: float) -> float:
-            u = float(pf(x)) / a
-            if u < 0.0:
-                raise InvalidModel(f"{label}: pdf({x:g}) = {u:g} is negative")
+        def integrand(x, a, b):
+            u = pf(x) / a
+            i = np.argmin(u)
+            if u.flat[i] < 0.0:
+                raise InvalidModel(f"{label}: pdf({x.flat[i]:g}) = {u.flat[i]:g} is negative")
             return u * u
     else:
 
-        def integrand(x: float) -> float:
-            return pointwise(float(pf(x)) / a, float(pg(x)) / b)
+        def integrand(x, a, b):
+            return pointwise(pf(x) / a, pg(x) / b)
 
-    res = integrate(integrand, lo, hi, q, points=edges, truncated_at=trunc)
+    res = integrate(integrand, lo, hi, q, points=break_points(models), args=(masses[0], masses[-1]))
     paper = window == "past" and atom_convention == "paper"
     atoms = [m.atom_at_lo / s if paper else 0.0 for m, s in zip(models, masses)]
     value = coef * (res.value + pointwise(atoms[0], atoms[-1]))
-    return MeasureReport.from_integral(
-        form if window == "support" else f"{window}_{form}", value, res,
-        t=t, inputs=tuple(m.label for m in models), abs_tol=q.abs_tol,
+    measure_id = form if window == "support" else f"{window}_{form}"
+    if form == "relative" and np.min(value) < -q.abs_tol:
+        low = np.min(value)
+        raise InvalidModel(f"{measure_id} came out {low:.3e}, below the nonnegativity floor")
+    return MeasureReport(
+        measure_id, float(value) if np.ndim(value) == 0 else value, t=t, abs_error=res.abs_error,
+        subdivisions=res.subdivisions, inputs=tuple(m.label for m in models),
     )
 
 
@@ -227,21 +236,24 @@ def perturbation_approx(
         hi_model = pq.params_at(pq.theta + h).model()
 
         def dsq(x):
-            return ((float(hi_model.pdf(x)) - float(lo_model.pdf(x))) / (2.0 * h)) ** 2
+            return ((hi_model.pdf(x) - lo_model.pdf(x)) / (2.0 * h)) ** 2
 
         ref = [lo_model, hi_model]
+        points = break_points(ref)
     else:
         model = base.model()
 
         def dsq(x):
-            hx = max(1e-6, 1e-6 * abs(x))
-            return ((float(model.pdf(x + hx)) - float(model.pdf(x - hx))) / (2.0 * hx)) ** 2
+            hx = np.maximum(1e-6, 1e-6 * np.abs(x))
+            return ((model.pdf(x + hx) - model.pdf(x - hx)) / (2.0 * hx)) ** 2
 
         ref = [model]
+        # below lo + 1e-6 the backward point x - hx leaves the support
+        points = break_points(ref) + [model.support[0] + 1e-6]
 
     lo = min(m.support[0] for m in ref)
-    hi, _ = upper_limit(ref, lo, q)
-    res = integrate(dsq, lo, hi, q)
+    hi = max(m.support[1] for m in ref)
+    res = integrate(dsq, lo, hi, q, points=points)
     approx = 0.5 * pq.delta_theta**2 * res.value
     return approx, exact
 

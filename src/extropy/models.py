@@ -8,20 +8,25 @@ whose diagnostics come straight from the quadrature layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidModel
-from .quadrature import IntegralResult, QuadratureSpec, integrate, truncation_point
+from .quadrature import QuadratureSpec, integrate
 
-__all__ = ["DistributionModel", "MeasureReport", "validate_model", "RELATIVE_MEASURE_IDS"]
+__all__ = ["DistributionModel", "MeasureReport", "validate_model", "break_points"]
 
 Evaluator = Callable[[float], float]
 
-#: measure ids whose values are nonnegative up to quadrature error
-RELATIVE_MEASURE_IDS = frozenset({"relative", "residual_relative", "past_relative"})
+#: cdf levels whose quantiles split every integral over a model's support; the
+#: upper ones run down to a survival of 1e-16, so a residual window at any t
+#: the denominator floor admits still has pieces on the model's scale beyond t
+QUANTILE_LEVELS = (
+    tuple(10.0**-k for k in range(15, 0, -1)) + (0.5,) + tuple(1.0 - 10.0**-k for k in range(1, 17))
+)
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,7 @@ class DistributionModel:
 
     Evaluators accept scalars or numpy arrays, return 0 density outside the
     support, and must be pure (they are shared across concurrent callers).
+    ``quantile`` inverts the cdf on (0, 1); integrals split at its values.
     ``atom_at_lo`` is an optional point mass at ``support[0]``; density-based
     integrals never see it, but past-lifetime measures may fold it in under
     the mass-squared convention.
@@ -41,6 +47,7 @@ class DistributionModel:
     survival: Evaluator
     hazard: Evaluator
     reversed_hazard: Evaluator
+    quantile: Evaluator
     support: tuple[float, float]
     atom_at_lo: float = 0.0
 
@@ -51,72 +58,29 @@ class DistributionModel:
         if not (0.0 <= self.atom_at_lo < 1.0):
             raise InvalidModel(f"atom_at_lo {self.atom_at_lo} outside [0, 1)")
 
-    @property
-    def unbounded(self) -> bool:
-        return not np.isfinite(self.support[1])
-
 
 @dataclass(frozen=True)
 class MeasureReport:
     """A computed measure value plus quadrature diagnostics."""
 
     measure_id: str
-    value: float
-    t: float | None = None
-    abs_error: float = 0.0
-    truncated_at: float | None = None
+    value: float | np.ndarray
+    t: float | np.ndarray | None = None
+    abs_error: float | np.ndarray = 0.0
     subdivisions: int = 0
     warnings: tuple[str, ...] = ()
     inputs: tuple[str, ...] = field(default=())
 
-    @classmethod
-    def from_integral(
-        cls,
-        measure_id: str,
-        value: float,
-        result: IntegralResult,
-        *,
-        t: float | None = None,
-        warnings: tuple[str, ...] = (),
-        inputs: tuple[str, ...] = (),
-        abs_tol: float = 1e-9,
-    ) -> "MeasureReport":
-        if measure_id in RELATIVE_MEASURE_IDS and value < -abs_tol:
-            raise InvalidModel(
-                f"{measure_id} came out {value:.3e}, below the nonnegativity floor"
-            )
-        return cls(
-            measure_id=measure_id,
-            value=value,
-            t=t,
-            abs_error=result.abs_error,
-            truncated_at=result.truncated_at,
-            subdivisions=result.subdivisions,
-            warnings=warnings,
-            inputs=inputs,
-        )
 
+def break_points(models: Sequence[DistributionModel]) -> list[float]:
+    """Sorted finite support edges of ``models`` and their quantiles at ``QUANTILE_LEVELS``.
 
-def upper_limit(
-    models: Sequence[DistributionModel], lo: float, q: QuadratureSpec, mass: float = 1.0
-) -> tuple[float, float | None]:
-    """Finite upper limit for an integral from ``lo`` of a quadratic form of the densities.
-
-    Returns ``(hi, truncated_at)``.  When every support is bounded, ``hi`` is
-    the largest right endpoint and ``truncated_at`` is None.  Otherwise both
-    are the :func:`truncation_point` of the unbounded models, raised to any
-    bounded endpoint above it.  The search runs at ``abs_tol * mass**2``, so
-    the tail stays below ``abs_tol`` when each density is divided by a window
-    mass of at least ``mass``.
+    Cut at these points, an integral of a form of the densities runs on each
+    model's own scale: its last piece holds a tail mass of at most 1e-6.
     """
-    bounded = [m.support[1] for m in models if not m.unbounded]
-    unbounded = [m for m in models if m.unbounded]
-    if not unbounded:
-        return max(bounded), None
-    spec = replace(q, abs_tol=q.abs_tol * mass * mass)
-    hi = truncation_point([m.survival for m in unbounded], [m.pdf for m in unbounded], lo, spec)
-    hi = max([hi] + bounded)
-    return hi, hi
+    edges = {p for m in models for p in m.support if math.isfinite(p)}
+    edges.update(float(x) for m in models for x in m.quantile(np.array(QUANTILE_LEVELS)))
+    return sorted(edges)
 
 
 def validate_model(d: DistributionModel, q: QuadratureSpec | None = None) -> None:
@@ -127,18 +91,18 @@ def validate_model(d: DistributionModel, q: QuadratureSpec | None = None) -> Non
     checked only where the relevant denominator exceeds the floor.
     """
     q = q or QuadratureSpec()
-    lo = d.support[0]
-    upper, _ = upper_limit([d], lo, q)
-    res = integrate(lambda x: float(d.pdf(x)), lo, upper, q)
+    lo, hi = d.support
+    points = break_points([d])
+    res = integrate(d.pdf, lo, hi, q, points=points)
     total = res.value + d.atom_at_lo
     if abs(total - 1.0) > 100 * max(q.abs_tol, res.abs_error) + 1e-9:
         raise InvalidModel(f"{d.label}: pdf + atom integrates to {total!r}, not 1")
     if abs(float(d.cdf(lo)) - d.atom_at_lo) > 1e-9:
         raise InvalidModel(f"{d.label}: cdf at the left endpoint is not the atom mass")
-    if float(d.cdf(upper)) < 1.0 - 1e-6:
+    if float(d.cdf(hi)) < 1.0 - 1e-6:
         raise InvalidModel(f"{d.label}: cdf does not reach 1 at the right endpoint")
 
-    probe = np.linspace(lo, upper, 257)[1:-1]
+    probe = np.linspace(lo, points[-1], 257)[1:-1]
     pdf = np.asarray(d.pdf(probe), dtype=float)
     if np.any(pdf < 0):
         raise InvalidModel(f"{d.label}: negative density")

@@ -37,6 +37,8 @@ def test_measure_relative(tmp_path, capsys):
 def test_measure_dynamic_requires_t(tmp_path):
     assert run(["measure", "residual-relative", "--family-x", "exp:1",
                 "--family-y", "exp:2", "--out", str(tmp_path)]) == 2
+    assert run(["measure", "residual-relative", "--family-x", "exp:1",
+                "--family-y", "exp:2", "--t", "nan", "--out", str(tmp_path)]) == 2
 
 
 def test_measure_atom_convention(tmp_path):
@@ -229,9 +231,13 @@ def test_verify_computes_each_integral_once(tmp_path, monkeypatch):
 
     windowed = measures._windowed
     keys = []
+    calls = []
 
     def counting(form, window, models, t=None, q=None, atom_convention="ac"):
-        keys.append((form, window, tuple(m.label for m in models), t, atom_convention))
+        calls.append(form)
+        labels = tuple(m.label for m in models)
+        times = [None] if t is None else np.ravel(t).tolist()
+        keys.extend((form, window, labels, ti, atom_convention) for ti in times)
         return windowed(form, window, models, t, q, atom_convention)
 
     monkeypatch.setattr(measures, "_windowed", counting)
@@ -242,3 +248,5 @@ def test_verify_computes_each_integral_once(tmp_path, monkeypatch):
     repeated = sorted({k for k in keys if keys.count(k) > 1}, key=repr)
     assert not repeated, repeated[:5]
     assert len(keys) <= 167, len(keys)
+    # each series over the grid is one batched integral
+    assert len(calls) <= 30, len(calls)

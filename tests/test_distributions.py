@@ -80,7 +80,7 @@ def test_crh_mass_with_and_without_atom():
     q = QuadratureSpec()
     p = ConstantReversedHazardParams(1.0, 2.0)
     m = make_model(p)
-    mass = integrate(lambda x: float(m.pdf(x)), 0.0, 2.0, q).value
+    mass = integrate(m.pdf, 0.0, 2.0, q).value
     assert mass == pytest.approx(1.0 - math.exp(-2.0), abs=1e-10)
     assert m.atom_at_lo == 0.0
 
