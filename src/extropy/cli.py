@@ -20,19 +20,7 @@ import numpy as np
 
 from . import dynamic, measures
 from .distributions import make_model, parse_family
-from .errors import (
-    CsvParseError,
-    DegenerateSample,
-    DenominatorUnderflow,
-    ExtropyError,
-    InsufficientGrid,
-    InvalidModel,
-    InvalidParameter,
-    MissingColumn,
-    NoBracket,
-    QuadratureFailure,
-    TooFewObservations,
-)
+from .errors import ExtropyError, InsufficientGrid, InvalidParameter
 from .estimation import (
     McStudyConfig,
     SampleBatch,
@@ -44,44 +32,14 @@ from .grouping import QuantileGroupSpec, load_csv, load_sample, pairwise_matrix
 from .quadrature import QuadratureSpec
 from .reports import write_heatmap, write_matrix_csv, write_report, write_study_csv
 
-_INPUT_ERRORS = (
-    InvalidParameter,
-    MissingColumn,
-    CsvParseError,
-    TooFewObservations,
-    FileNotFoundError,
-)
-_NUMERICAL_ERRORS = (
-    QuadratureFailure,
-    DenominatorUnderflow,
-    DegenerateSample,
-    NoBracket,
-    InsufficientGrid,
-    InvalidModel,
-)
-
-_STATIC_MEASURES = {
-    "extropy": lambda x, y, t, q, conv: measures.extropy(x, q),
-    "inaccuracy": lambda x, y, t, q, conv: measures.extropy_inaccuracy(x, y, q),
-    "relative": lambda x, y, t, q, conv: measures.relative_extropy(x, y, q),
-    "divergence-fg": lambda x, y, t, q, conv: measures.extropy_divergence(x, y, q),
-    "divergence-gf": lambda x, y, t, q, conv: measures.extropy_divergence(y, x, q),
-}
-_DYNAMIC_MEASURES = {
-    "residual-extropy": lambda x, y, t, q, conv: dynamic.residual_extropy(x, t, q),
-    "past-extropy": lambda x, y, t, q, conv: dynamic.past_extropy(x, t, q, conv),
-    "residual-inaccuracy": lambda x, y, t, q, conv: dynamic.residual_inaccuracy(x, y, t, q),
-    "past-inaccuracy": lambda x, y, t, q, conv: dynamic.past_inaccuracy(x, y, t, q, conv),
-    "residual-relative": lambda x, y, t, q, conv: dynamic.residual_relative(x, y, t, q),
-    "past-relative": lambda x, y, t, q, conv: dynamic.past_relative(x, y, t, q, conv),
-    "residual-divergence-fg": lambda x, y, t, q, conv: dynamic.residual_divergence(x, y, t, q),
-    "residual-divergence-gf": lambda x, y, t, q, conv: dynamic.residual_divergence(y, x, t, q),
-    "past-divergence-fg": lambda x, y, t, q, conv: dynamic.past_divergence(x, y, t, q, conv),
-    "past-divergence-gf": lambda x, y, t, q, conv: dynamic.past_divergence(y, x, t, q, conv),
-}
-_PAIR_MEASURES = set(_STATIC_MEASURES) - {"extropy"} | set(_DYNAMIC_MEASURES) - {
-    "residual-extropy",
-    "past-extropy",
+# measure name -> (form, window, swap): each form of ``measures._FORMS`` over
+# each window, and J(g|f) as J(f|g) with X and Y swapped.  A name's
+# measure_id is the name with "-" -> "_".
+_MEASURES = {
+    prefix + form.replace("_", "-").replace("fg", "gf" if swap else "fg"): (form, window, swap)
+    for prefix, window in (("", "support"), ("residual-", "residual"), ("past-", "past"))
+    for form in measures._FORMS
+    for swap in ((False, True) if form.endswith("_fg") else (False,))
 }
 
 
@@ -98,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: current)")
 
     p = sub.add_parser("measure", help="evaluate one measure between named families")
-    p.add_argument("name", choices=sorted(set(_STATIC_MEASURES) | set(_DYNAMIC_MEASURES)))
+    p.add_argument("name", choices=sorted(_MEASURES))
     add_common(p)
     p.add_argument("--t", type=float, default=None, help="time point for dynamic measures")
     p.add_argument("--atom-convention", choices=("paper", "ac"), default="ac")
@@ -140,6 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numbers(text: str, flag: str, kind) -> list:
+    """The comma-separated numbers of a flag's value, each parsed by ``kind``."""
+    try:
+        return [kind(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise InvalidParameter(f"{flag} takes comma-separated numbers, got {text!r}") from None
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -147,22 +113,17 @@ def _outdir(args) -> Path:
 
 
 def cmd_measure(args) -> int:
-    q = QuadratureSpec()
-    params_x = parse_family(args.family_x)
-    dx = make_model(params_x)
-    dy = None
-    if args.family_y:
-        dy = make_model(parse_family(args.family_y))
-    if args.name in _PAIR_MEASURES and dy is None:
+    form, window, swap = _MEASURES[args.name]
+    dx = make_model(parse_family(args.family_x))
+    dy = make_model(parse_family(args.family_y)) if args.family_y else None
+    if form != "extropy" and dy is None:
         raise InvalidParameter(f"measure {args.name!r} needs --family-y")
-    if args.name in _DYNAMIC_MEASURES and args.t is None:
+    if window != "support" and args.t is None:
         raise InvalidParameter(f"measure {args.name!r} needs --t")
-    fn = _STATIC_MEASURES.get(args.name) or _DYNAMIC_MEASURES[args.name]
-    report = fn(dx, dy, args.t, q, args.atom_convention)
-    if args.name.endswith("-gf"):
-        import dataclasses
-
-        report = dataclasses.replace(report, measure_id=report.measure_id.replace("_fg", "_gf"))
+    models = (dx,) if form == "extropy" else (dy, dx) if swap else (dx, dy)
+    t = None if window == "support" else args.t
+    report = measures._windowed(form, window, models, t, QuadratureSpec(), args.atom_convention)
+    measure_id = args.name.replace("-", "_")
     out = _outdir(args)
     write_report(
         out / "report.json",
@@ -174,14 +135,14 @@ def cmd_measure(args) -> int:
             "atom_convention": args.atom_convention,
         },
         {
-            "measure_id": report.measure_id,
+            "measure_id": measure_id,
             "value": report.value,
             "abs_error": report.abs_error,
             "subdivisions": report.subdivisions,
             "warnings": list(report.warnings),
         },
     )
-    print(f"{report.measure_id} = {report.value:.10g}")
+    print(f"{measure_id} = {report.value:.10g}")
     return 0
 
 
@@ -232,7 +193,7 @@ def cmd_simulate(args) -> int:
     params_x = parse_family(args.family_x)
     params_y = parse_family(args.family_y)
     true_value = measures.relative_extropy(make_model(params_x), make_model(params_y)).value
-    sizes = [int(v) for v in str(args.n).split(",") if v.strip()]
+    sizes = _numbers(args.n, "--n", int)
     rows = []
     for n in sizes:
         cfg = McStudyConfig(
@@ -281,7 +242,7 @@ def cmd_simulate(args) -> int:
 def cmd_groups(args) -> int:
     quantiles = None
     if args.quantiles:
-        probs = tuple(float(p) for p in args.quantiles.split(",") if p.strip())
+        probs = tuple(_numbers(args.quantiles, "--quantiles", float))
         quantiles = QuantileGroupSpec(group_column=args.group_col, cut_probabilities=probs)
         ds = load_csv(args.csv, args.value_col, quantile_spec=quantiles)
     else:
@@ -317,7 +278,7 @@ def cmd_groups(args) -> int:
     return 0
 
 
-def _auto_grid(dx, dy, q: QuadratureSpec, count: int = 10) -> dynamic.TimeGrid:
+def _auto_grid(dx, dy, count: int = 10) -> dynamic.TimeGrid:
     """Evenly spaced times where all four conditioning denominators are safe.
 
     On a finite right end the grid also stops where a survival falls to 0.05:
@@ -335,16 +296,13 @@ def _auto_grid(dx, dy, q: QuadratureSpec, count: int = 10) -> dynamic.TimeGrid:
         while min(float(dx.survival(hi)), float(dy.survival(hi))) > 0.05:
             hi *= 2.0
     candidates = np.linspace(lo, hi, 512)[1:-1]
-    valid = [
-        float(t)
-        for t in candidates
-        if min(float(dx.survival(t)), float(dy.survival(t))) > min_survival
-        and min(float(dx.cdf(t)), float(dy.cdf(t))) > floor
-    ]
+    survival = np.minimum(dx.survival(candidates), dy.survival(candidates))
+    cdf = np.minimum(dx.cdf(candidates), dy.cdf(candidates))
+    valid = candidates[(survival > min_survival) & (cdf > floor)]
     if len(valid) < count:
         raise InsufficientGrid("could not find enough valid grid times for this pair")
     idx = np.linspace(0, len(valid) - 1, count).round().astype(int)
-    return dynamic.TimeGrid(points=tuple(valid[i] for i in idx))
+    return dynamic.TimeGrid(points=tuple(valid[idx].tolist()))
 
 
 def cmd_verify(args) -> int:
@@ -352,9 +310,9 @@ def cmd_verify(args) -> int:
     dx = make_model(parse_family(args.family_x))
     dy = make_model(parse_family(args.family_y))
     if args.t:
-        grid = dynamic.TimeGrid(points=tuple(float(v) for v in str(args.t).split(",")))
+        grid = dynamic.TimeGrid(points=tuple(_numbers(args.t, "--t", float)))
     else:
-        grid = _auto_grid(dx, dy, q)
+        grid = _auto_grid(dx, dy)
 
     p = dynamic.dynamic_profile(dx, dy, grid, q, args.atom_convention)
     checks: list[dict] = []
@@ -371,10 +329,9 @@ def cmd_verify(args) -> int:
         ("sum_rules", dynamic.sum_rules(p)),
         ("ode_relative", dynamic.ode_check_relative(p)),
         ("ode_divergence", dynamic.ode_check_divergence(p)),
+        ("decompositions", dynamic.global_decompositions(p, tol=1e-6)),
     ):
         record(name, v.max_abs_residual, v.tolerance, v.holds)
-    deco = [dynamic.global_decompositions(p, t, tol=1e-6) for t in p.decomposition_points]
-    record("decompositions", max(v.max_abs_residual for v in deco), 1e-6)
     orderings = dynamic.dynamic_orderings(p)
     equivalent = orderings.rex_red_equivalent and orderings.pex_ped_equivalent
     record("ordering_equivalences", 0.0, 0.0, equivalent)
@@ -447,15 +404,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except ExtropyError as exc:
+        kind = "input error" if exc.exit_code == 2 else "numerical failure"
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ExtropyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -157,6 +157,7 @@ class WeibullParams:
             reversed_hazard=reversed_hazard,
             quantile=self.quantile,
             support=(0.0, math.inf),
+            lo_exponent=k - 1.0,
         )
 
     def quantile(self, u):

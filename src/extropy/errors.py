@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each error carries the exit code the command line reports for it: 2 for
+input the caller can correct, 3 for a value that could not be computed.
+"""
 
 
 class ExtropyError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 3
 
 
 class InvalidModel(ExtropyError):
@@ -11,6 +17,8 @@ class InvalidModel(ExtropyError):
 
 class InvalidParameter(ExtropyError, ValueError):
     """A parameter lies outside its family's valid domain."""
+
+    exit_code = 2
 
 
 class QuadratureFailure(ExtropyError):
@@ -36,9 +44,13 @@ class InsufficientGrid(ExtropyError):
 class MissingColumn(ExtropyError):
     """A requested CSV column is absent from the header."""
 
+    exit_code = 2
+
 
 class CsvParseError(ExtropyError):
     """A CSV cell failed to parse as a finite real."""
+
+    exit_code = 2
 
     def __init__(self, row: int, column: str, cell: str):
         super().__init__(f"row {row}, column {column!r}: cannot parse {cell!r} as a finite real")
@@ -48,6 +60,8 @@ class CsvParseError(ExtropyError):
 
 class TooFewObservations(ExtropyError):
     """A group has fewer observations than the minimum required."""
+
+    exit_code = 2
 
     def __init__(self, group: str, count: int, minimum: int):
         super().__init__(f"group {group!r} has {count} observations, minimum is {minimum}")

@@ -39,13 +39,15 @@ __all__ = [
     "compare_static_ordering",
 ]
 
-# The quadratic forms of the two (conditional) densities u = f/a, v = g/b, and
-# the coefficient that turns the integral of a form into the measure.
+# The quadratic forms of the two (conditional) densities u = f/a, v = g/b, the
+# coefficient that turns the integral of a form into the measure, and the
+# density products (indices into the models) whose integrals decide whether
+# the form's is finite; (u - v)^2 diverges only where u*u or v*v does.
 _FORMS = {
-    "extropy": (-0.5, lambda u, v: u * u),
-    "inaccuracy": (-0.5, lambda u, v: u * v),
-    "relative": (0.5, lambda u, v: (u - v) ** 2),
-    "divergence_fg": (0.5, lambda u, v: (u - v) * u),
+    "extropy": (-0.5, lambda u, v: u * u, ((0, 0),)),
+    "inaccuracy": (-0.5, lambda u, v: u * v, ((0, 1),)),
+    "relative": (0.5, lambda u, v: (u - v) ** 2, ((0, 0), (1, 1))),
+    "divergence_fg": (0.5, lambda u, v: (u - v) * u, ((0, 0), (0, 1))),
 }
 
 
@@ -78,18 +80,23 @@ def _windowed(
     "past" ((lo, t], each density divided by its cdf at t).  Every integrand
     is a conditional density, so the error estimate is in the units of the
     value.  The product form vanishes off the overlap of the supports and is
-    integrated over it alone.  Under ``atom_convention="paper"`` the past
-    window adds the form of the atoms' conditional masses to the integral.
-    An array ``t`` gives arrays of values in one batched integral; a scalar
-    ``t`` (or none) gives a float.
+    integrated over it alone; on disjoint supports it is 0 with the warning
+    "disjoint_supports".  A form whose integral diverges at a left end the
+    window reaches (see ``DistributionModel.lo_exponent``) raises
+    :class:`InvalidParameter` before integrating.  Under
+    ``atom_convention="paper"`` the past window adds the form of the atoms'
+    conditional masses to the integral.  An array ``t`` gives arrays of
+    values in one batched integral; a scalar ``t`` (or none) gives a float.
     """
     q = q or QuadratureSpec()
     if atom_convention not in ("ac", "paper"):
         raise InvalidParameter(f"atom_convention must be 'ac' or 'paper', got {atom_convention!r}")
     if t is not None and np.isnan(t).any():
         raise InvalidParameter("t is NaN")  # its window would be empty and integrate to 0
-    coef, pointwise = _FORMS[form]
+    coef, pointwise, products = _FORMS[form]
+    measure_id = form if window == "support" else f"{window}_{form}"
     masses = [_window_mass(m, window, t, q) for m in models]
+    inputs = tuple(m.label for m in models)
 
     lo = min(m.support[0] for m in models)
     hi = max(m.support[1] for m in models)
@@ -98,8 +105,22 @@ def _windowed(
     elif window == "residual":
         lo = np.maximum(t, lo)
     if form == "inaccuracy":
-        lo = np.maximum(lo, max(m.support[0] for m in models))
-        hi = np.minimum(hi, min(m.support[1] for m in models))
+        start = max(m.support[0] for m in models)
+        end = min(m.support[1] for m in models)
+        if end <= start:
+            # f g vanishes everywhere: exactly 0, flagged because it usually signals user error
+            zero = np.zeros(np.shape(t)) if np.ndim(t) else 0.0
+            return MeasureReport(measure_id, zero, t=t, warnings=("disjoint_supports",), inputs=inputs)
+        lo, hi = np.maximum(lo, start), np.minimum(hi, end)
+    for i, j in products:
+        a, b = models[i], models[j]
+        edge, power = a.support[0], a.lo_exponent + b.lo_exponent
+        # u v ~ (x - edge)^power near a shared left end, not integrable for power <= -1
+        if b.support[0] == edge and power <= -1.0 and np.min(lo) <= edge:
+            raise InvalidParameter(
+                f"{measure_id} of {', '.join(inputs)} diverges: its integrand behaves "
+                f"like (x - {edge:g})^{power:g} where the window starts"
+            )
 
     pf, pg = models[0].pdf, models[-1].pdf
     if form == "extropy":
@@ -120,13 +141,12 @@ def _windowed(
     paper = window == "past" and atom_convention == "paper"
     atoms = [m.atom_at_lo / s if paper else 0.0 for m, s in zip(models, masses)]
     value = coef * (res.value + pointwise(atoms[0], atoms[-1]))
-    measure_id = form if window == "support" else f"{window}_{form}"
     if form == "relative" and np.min(value) < -q.abs_tol:
         low = np.min(value)
         raise InvalidModel(f"{measure_id} came out {low:.3e}, below the nonnegativity floor")
     return MeasureReport(
         measure_id, float(value) if np.ndim(value) == 0 else value, t=t, abs_error=res.abs_error,
-        subdivisions=res.subdivisions, inputs=tuple(m.label for m in models),
+        subdivisions=res.subdivisions, inputs=inputs,
     )
 
 
@@ -142,15 +162,7 @@ def extropy(d: DistributionModel, q: QuadratureSpec | None = None) -> MeasureRep
 def extropy_inaccuracy(
     dX: DistributionModel, dY: DistributionModel, q: QuadratureSpec | None = None
 ) -> MeasureReport:
-    """xiJ(X,Y) = -(1/2) int f g; reduces to J(X) when the models coincide.
-
-    Disjoint supports make the integral exactly zero; that is reported with a
-    warning flag rather than an error because it usually signals user error.
-    """
-    if min(dX.support[1], dY.support[1]) <= max(dX.support[0], dY.support[0]):
-        return MeasureReport(
-            "inaccuracy", 0.0, warnings=("disjoint_supports",), inputs=(dX.label, dY.label)
-        )
+    """xiJ(X,Y) = -(1/2) int f g; reduces to J(X) when the models coincide."""
     return _windowed("inaccuracy", "support", (dX, dY), q=q)
 
 

@@ -38,7 +38,9 @@ class DistributionModel:
     ``quantile`` inverts the cdf on (0, 1); integrals split at its values.
     ``atom_at_lo`` is an optional point mass at ``support[0]``; density-based
     integrals never see it, but past-lifetime measures may fold it in under
-    the mass-squared convention.
+    the mass-squared convention.  ``lo_exponent`` is the power p with
+    pdf(x) ~ (x - support[0])^p as x approaches the left end; it is negative
+    where the density is unbounded there.
     """
 
     label: str
@@ -50,6 +52,7 @@ class DistributionModel:
     quantile: Evaluator
     support: tuple[float, float]
     atom_at_lo: float = 0.0
+    lo_exponent: float = 0.0
 
     def __post_init__(self):
         lo, hi = self.support

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from extropy import cli, dynamic, make_model, measures, parse_family
 from extropy.cli import main
 
 
@@ -250,3 +251,81 @@ def test_verify_computes_each_integral_once(tmp_path, monkeypatch):
     assert len(keys) <= 167, len(keys)
     # each series over the grid is one batched integral
     assert len(calls) <= 30, len(calls)
+
+
+# every measure name, and the public library call it must agree with
+LIBRARY = {
+    "extropy": lambda x, y, t, conv: measures.extropy(x),
+    "inaccuracy": lambda x, y, t, conv: measures.extropy_inaccuracy(x, y),
+    "relative": lambda x, y, t, conv: measures.relative_extropy(x, y),
+    "divergence-fg": lambda x, y, t, conv: measures.extropy_divergence(x, y),
+    "divergence-gf": lambda x, y, t, conv: measures.extropy_divergence(y, x),
+    "residual-extropy": lambda x, y, t, conv: dynamic.residual_extropy(x, t),
+    "residual-inaccuracy": lambda x, y, t, conv: dynamic.residual_inaccuracy(x, y, t),
+    "residual-relative": lambda x, y, t, conv: dynamic.residual_relative(x, y, t),
+    "residual-divergence-fg": lambda x, y, t, conv: dynamic.residual_divergence(x, y, t),
+    "residual-divergence-gf": lambda x, y, t, conv: dynamic.residual_divergence(y, x, t),
+    "past-extropy": lambda x, y, t, conv: dynamic.past_extropy(x, t, atom_convention=conv),
+    "past-inaccuracy": lambda x, y, t, conv: dynamic.past_inaccuracy(x, y, t, atom_convention=conv),
+    "past-relative": lambda x, y, t, conv: dynamic.past_relative(x, y, t, atom_convention=conv),
+    "past-divergence-fg": lambda x, y, t, conv: dynamic.past_divergence(x, y, t, atom_convention=conv),
+    "past-divergence-gf": lambda x, y, t, conv: dynamic.past_divergence(y, x, t, atom_convention=conv),
+}
+
+
+@pytest.mark.parametrize("fx, fy, conv", [
+    ("exp:1", "weibull:2,1", "ac"),
+    ("crh:a=1,b=2,atom=true", "crh:a=0.5,b=2,atom=true", "paper"),
+], ids=["exp-weibull", "crh-atoms-paper"])
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+def test_measure_matches_the_library(tmp_path, name, fx, fy, conv):
+    assert set(cli._MEASURES) == set(LIBRARY)
+    code = run(["measure", name, "--family-x", fx, "--family-y", fy, "--t", "0.5",
+                "--atom-convention", conv, "--out", str(tmp_path)])
+    assert code == 0
+    results = json.loads((tmp_path / "report.json").read_text())["results"]
+    expected = LIBRARY[name](make_model(parse_family(fx)), make_model(parse_family(fy)), 0.5, conv)
+    assert results["value"] == expected.value
+    assert results["measure_id"] == name.replace("-", "_")
+
+
+@pytest.mark.parametrize("argv", [
+    lambda csv, d: ["simulate", "--family-x", "exp:1", "--family-y", "exp:2", "--n", "abc"],
+    lambda csv, d: ["verify", "--family-x", "exp:1", "--family-y", "exp:2", "--t", "0.5,abc"],
+    lambda csv, d: ["groups", csv, "--value-col", "value", "--group-col", "arm",
+                    "--quantiles", "0.5,abc"],
+    lambda csv, d: ["groups", d, "--value-col", "value", "--group-col", "arm"],
+], ids=["simulate-n", "verify-t", "groups-quantiles", "groups-directory"])
+def test_malformed_flags_and_unreadable_paths_are_input_errors(two_group_csv, tmp_path, capsys, argv):
+    code = run(argv(two_group_csv, str(tmp_path)) + ["--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_measure_divergent_weibull_extropy_is_input_error(tmp_path, capsys):
+    # shape <= 1/2: int f^2 diverges at 0, where the quadrature once reported +0.621
+    code = run(["measure", "extropy", "--family-x", "weibull:0.467,3.24", "--out", str(tmp_path)])
+    assert code == 2
+    assert "diverges" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.fixture()
+def near_identical_csv(tmp_path):
+    # 30 Exp(1) draws x and x (1 + 1e-12): the estimate is rounding noise around 0
+    rng = np.random.default_rng(1)
+    x = (-np.log1p(-rng.random(30))).tolist()
+    rows = ["arm,value"] + [f"a,{v!r}" for v in x] + [f"b,{v * (1.0 + 1e-12)!r}" for v in x]
+    path = tmp_path / "near.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_rounding_noise_estimates_are_zero(near_identical_csv, tmp_path):
+    common = [near_identical_csv, "--value-col", "value", "--group-col", "arm"]
+    assert run(["groups", *common, "--out", str(tmp_path / "g")]) == 0
+    matrix = json.loads((tmp_path / "g" / "report.json").read_text())["results"]["matrix"]
+    assert matrix == [[0.0, 0.0], [0.0, 0.0]]
+    assert run(["estimate", *common, "--out", str(tmp_path / "e")]) == 0
+    report = json.loads((tmp_path / "e" / "report.json").read_text())
+    assert report["results"]["relative_extropy"] == 0.0

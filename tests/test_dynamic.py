@@ -422,36 +422,33 @@ def test_decomposition_degenerate_extropy_split(exp1):
     lhs = extropy(exp1).value
     rhs = sf**2 * residual_extropy(exp1, t).value + cd**2 * past_extropy(exp1, t).value
     assert lhs == pytest.approx(rhs, abs=1e-9)
-    verdict = global_decompositions(dynamic_profile(exp1, exp1, TimeGrid((t,))), t)
+    verdict = global_decompositions(dynamic_profile(exp1, exp1, TimeGrid((t,))))
     assert verdict.holds
 
 
 def test_decompositions_exponential_tight(exp1, exp2):
-    verdict = global_decompositions(dynamic_profile(exp1, exp2, TimeGrid((0.5,))), 0.5)
+    profile = dynamic_profile(exp1, exp2, GRID)
+    assert profile.decomposition_points == GRID.points[::2]
+    verdict = global_decompositions(profile)
+    # rows (a), (b), (c) at each decomposition point
+    assert [row[0] for row in verdict.per_point] == [t for t in GRID.points[::2] for _ in range(3)]
     assert verdict.holds
     assert verdict.max_abs_residual <= 1e-8
 
 
 def test_decompositions_mixed_pairs(exp1, weib_15_2):
     profile = dynamic_profile(weib_15_2, exp1, TimeGrid((0.4, 1.0, 1.6)))
-    for t in (0.4, 1.0, 1.6):
-        verdict = global_decompositions(profile, t, tol=1e-6)
-        assert verdict.holds
-        assert verdict.max_abs_residual <= 1e-6
+    verdict = global_decompositions(profile, tol=1e-6)
+    assert len(verdict.per_point) == 9
+    assert verdict.holds
+    assert verdict.max_abs_residual <= 1e-6
 
 
 def test_decomposition_unweighted_variant_fails(exp1, exp2):
     # the unweighted third term misses badly; its residual is reported in note
-    verdict = global_decompositions(dynamic_profile(exp1, exp2, TimeGrid((0.7,))), 0.7)
+    verdict = global_decompositions(dynamic_profile(exp1, exp2, TimeGrid((0.7,))))
     resid = float(verdict.note.split("=")[1])
     assert resid > 1e-2
-
-
-def test_decompositions_only_at_profile_decomposition_points(exp1, exp2):
-    profile = dynamic_profile(exp1, exp2, GRID)
-    assert profile.decomposition_points == GRID.points[::2]
-    with pytest.raises(InvalidParameter):
-        global_decompositions(profile, GRID.points[1])
 
 
 def test_sum_rules_residual_rows_then_past(exp1, weib21):

@@ -22,7 +22,7 @@ from extropy import (
     sheather_jones_bandwidth,
 )
 from extropy import estimation
-from extropy.errors import DegenerateSample, InvalidParameter
+from extropy.errors import DegenerateSample, InvalidModel, InvalidParameter
 from extropy.grouping import GroupedDataset
 from extropy.quadrature import QuadratureSpec, integrate
 from oracles import (
@@ -311,6 +311,27 @@ def test_pairwise_matrix_reuses_self_terms_exactly(boundary_reflect):
             boundary_reflect=boundary_reflect,
         )
         assert abs(matrix.values[i, j] - pair) <= 1e-15
+
+
+def near_identical_pair(seed=1, n=30):
+    """Exp(1) draws x and x (1 + 1e-12), each through its repr as a CSV would store it."""
+    rng = np.random.default_rng(seed)
+    x = [float(repr(v)) for v in (-np.log1p(-rng.random(n))).tolist()]
+    return x, [float(repr(v * (1.0 + 1e-12))) for v in x]
+
+
+def test_estimate_within_rounding_of_its_sums_is_zero():
+    # the three kernel sums cancel to a few ulps, either side of 0
+    for seed in range(10):
+        x, y = near_identical_pair(seed)
+        assert estimate_relative_extropy(SampleBatch(np.array(x)), SampleBatch(np.array(y))) == 0.0
+
+
+def test_estimate_below_rounding_bound_raises(monkeypatch):
+    # a cross term larger than both self terms by more than rounding breaks Cauchy-Schwarz
+    monkeypatch.setattr(KdeModel, "inner", lambda self, other, lower=None: 1.0 + 1e-12 * (self is not other))
+    with pytest.raises(InvalidModel, match="rounding bound"):
+        estimate_relative_extropy(exp_batch(1.0, 20, 1), exp_batch(2.0, 20, 2))
 
 
 @settings(max_examples=10, deadline=None)

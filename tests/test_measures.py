@@ -16,7 +16,11 @@ from extropy import (
     extropy_inaccuracy,
     make_model,
     perturbation_approx,
+    past_extropy,
+    past_inaccuracy,
     relative_extropy,
+    residual_extropy,
+    residual_inaccuracy,
 )
 from extropy.errors import InvalidParameter
 from oracles import rel_extropy_trap
@@ -72,6 +76,31 @@ def test_inaccuracy_disjoint_supports_flagged():
     report = extropy_inaccuracy(a, b)
     assert report.value == 0.0
     assert "disjoint_supports" in report.warnings
+    # the residual and past windows report it too, as +0.0
+    for report in (residual_inaccuracy(a, b, 0.5), past_inaccuracy(a, b, 2.5)):
+        assert report.value == 0.0 and np.copysign(1.0, report.value) == 1.0
+        assert report.warnings == ("disjoint_supports",)
+
+
+def test_divergent_weibull_forms_raise_before_integrating():
+    # shape <= 1/2: int f^2 diverges at 0; quadrature once returned +0.621 for J(X)
+    w, e = make_model(WeibullParams(0.467, 3.24)), make_model(ExponentialParams(1.0))
+    w4 = make_model(WeibullParams(0.4, 1.0))
+    divergent = [
+        lambda: extropy(w),
+        lambda: relative_extropy(w, e),
+        lambda: relative_extropy(e, w),
+        lambda: extropy_divergence(w, e),
+        lambda: extropy_inaccuracy(w4, w4),
+        lambda: past_extropy(w, 1.0),
+        lambda: residual_extropy(w, 0.0),
+    ]
+    for measure in divergent:
+        with pytest.raises(InvalidParameter, match="diverges"):
+            measure()
+    # windows that stop short of 0, and forms with no square of that density, stay finite
+    assert residual_extropy(w4, 1.0).value == pytest.approx(-0.0629046, abs=1e-7)
+    assert extropy_divergence(e, w).value == pytest.approx(0.0589968, abs=1e-7)
 
 
 # --- relative extropy -------------------------------------------------------
