@@ -8,7 +8,6 @@ from .distributions import (
     WeibullParams,
     closed_form_relative_exponential,
     crh_past_measures,
-    make_model,
     parse_family,
     sample,
 )

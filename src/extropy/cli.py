@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamic, measures
-from .distributions import make_model, parse_family
+from .distributions import parse_family
 from .errors import ExtropyError, InsufficientGrid, InvalidParameter
 from .estimation import (
     McStudyConfig,
@@ -101,9 +101,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _numbers(text: str, flag: str, kind) -> list:
     """The comma-separated numbers of a flag's value, each parsed by ``kind``."""
     try:
-        return [kind(v) for v in text.split(",") if v.strip()]
+        values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise InvalidParameter(f"{flag} takes comma-separated numbers, got {text!r}") from None
+        values = []
+    if not values:
+        raise InvalidParameter(f"{flag} takes comma-separated numbers, got {text!r}")
+    return values
 
 
 def _outdir(args) -> Path:
@@ -114,8 +117,8 @@ def _outdir(args) -> Path:
 
 def cmd_measure(args) -> int:
     form, window, swap = _MEASURES[args.name]
-    dx = make_model(parse_family(args.family_x))
-    dy = make_model(parse_family(args.family_y)) if args.family_y else None
+    dx = parse_family(args.family_x)
+    dy = parse_family(args.family_y) if args.family_y else None
     if form != "extropy" and dy is None:
         raise InvalidParameter(f"measure {args.name!r} needs --family-y")
     if window != "support" and args.t is None:
@@ -192,7 +195,7 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     params_x = parse_family(args.family_x)
     params_y = parse_family(args.family_y)
-    true_value = measures.relative_extropy(make_model(params_x), make_model(params_y)).value
+    true_value = measures.relative_extropy(params_x, params_y).value
     sizes = _numbers(args.n, "--n", int)
     rows = []
     for n in sizes:
@@ -241,7 +244,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_groups(args) -> int:
     quantiles = None
-    if args.quantiles:
+    if args.quantiles is not None:
         probs = tuple(_numbers(args.quantiles, "--quantiles", float))
         quantiles = QuantileGroupSpec(group_column=args.group_col, cut_probabilities=probs)
         ds = load_csv(args.csv, args.value_col, quantile_spec=quantiles)
@@ -307,9 +310,9 @@ def _auto_grid(dx, dy, count: int = 10) -> dynamic.TimeGrid:
 
 def cmd_verify(args) -> int:
     q = QuadratureSpec()
-    dx = make_model(parse_family(args.family_x))
-    dy = make_model(parse_family(args.family_y))
-    if args.t:
+    dx = parse_family(args.family_x)
+    dy = parse_family(args.family_y)
+    if args.t is not None:
         grid = dynamic.TimeGrid(points=tuple(_numbers(args.t, "--t", float)))
     else:
         grid = _auto_grid(dx, dy)

@@ -1,5 +1,8 @@
 """Parametric families with exact evaluators, closed forms, and seeded sampling.
 
+Each family is a frozen dataclass of its parameters that subclasses
+:class:`~extropy.models.DistributionModel`: the parameter set is the model.
+
 Four families cover all analyses: exponential, Weibull (shape/scale
 convention, pdf ``(k/s)(x/s)^(k-1) exp(-(x/s)^k)``), uniform, and the
 constant-reversed-hazard law ``F(x) = exp(a (x - b))`` on [0, b].  The last
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -28,9 +30,7 @@ __all__ = [
     "WeibullParams",
     "UniformParams",
     "ConstantReversedHazardParams",
-    "FamilyParams",
     "SeededSampler",
-    "make_model",
     "sample",
     "parse_family",
     "exponential_extropy",
@@ -47,62 +47,43 @@ def _as_float_array(x):
 
 
 @dataclass(frozen=True)
-class ExponentialParams:
+class ExponentialParams(DistributionModel):
     rate: float
+    support = (0.0, math.inf)
 
     def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
+        super().__post_init__()
+        if not self.rate > 0:
             raise InvalidParameter(f"exponential rate must be positive, got {self.rate}")
 
     @property
     def label(self) -> str:
         return f"exponential(rate={self.rate:g})"
 
-    def model(self) -> DistributionModel:
-        lam = self.rate
+    def pdf(self, x):
+        x = _as_float_array(x)
+        return np.where(x >= 0, self.rate * np.exp(-self.rate * x), 0.0)
 
-        def pdf(x):
-            x = _as_float_array(x)
-            return np.where(x >= 0, lam * np.exp(-lam * x), 0.0)
+    def cdf(self, x):
+        x = _as_float_array(x)
+        return np.where(x >= 0, -np.expm1(-self.rate * x), 0.0)
 
-        def cdf(x):
-            x = _as_float_array(x)
-            return np.where(x >= 0, -np.expm1(-lam * x), 0.0)
-
-        def survival(x):
-            x = _as_float_array(x)
-            return np.where(x >= 0, np.exp(-lam * x), 1.0)
-
-        def hazard(x):
-            x = _as_float_array(x)
-            return np.where(x >= 0, lam, 0.0)
-
-        def reversed_hazard(x):
-            x = _as_float_array(x)
-            with np.errstate(divide="ignore", over="ignore"):
-                return np.where(x > 0, lam / np.expm1(lam * x), np.inf)
-
-        return DistributionModel(
-            label=self.label,
-            pdf=pdf,
-            cdf=cdf,
-            survival=survival,
-            hazard=hazard,
-            reversed_hazard=reversed_hazard,
-            quantile=self.quantile,
-            support=(0.0, math.inf),
-        )
+    def survival(self, x):
+        x = _as_float_array(x)
+        return np.where(x >= 0, np.exp(-self.rate * x), 1.0)
 
     def quantile(self, u):
         return -np.log1p(-_as_float_array(u)) / self.rate
 
 
 @dataclass(frozen=True)
-class WeibullParams:
+class WeibullParams(DistributionModel):
     shape: float
     scale: float
+    support = (0.0, math.inf)
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.shape > 0 and self.scale > 0):
             raise InvalidParameter(
                 f"weibull shape and scale must be positive, got ({self.shape}, {self.scale})"
@@ -112,64 +93,39 @@ class WeibullParams:
     def label(self) -> str:
         return f"weibull(shape={self.shape:g}, scale={self.scale:g})"
 
-    def model(self) -> DistributionModel:
+    @property
+    def lo_exponent(self) -> float:
+        return self.shape - 1.0
+
+    def pdf(self, x):
         k, s = self.shape, self.scale
+        x = _as_float_array(x)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            z = np.where(x > 0, x / s, 1.0)
+            val = (k / s) * z ** (k - 1) * np.exp(-(z**k))
+        if k == 1.0:
+            return np.where(x >= 0, (1 / s) * np.exp(-np.maximum(x, 0.0) / s), 0.0)
+        return np.where(x > 0, val, np.where((x == 0) & (k < 1), np.inf, 0.0))
 
-        def pdf(x):
-            x = _as_float_array(x)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                z = np.where(x > 0, x / s, 1.0)
-                val = (k / s) * z ** (k - 1) * np.exp(-(z**k))
-            if k == 1.0:
-                return np.where(x >= 0, (1 / s) * np.exp(-np.maximum(x, 0.0) / s), 0.0)
-            return np.where(x > 0, val, np.where((x == 0) & (k < 1), np.inf, 0.0))
+    def cdf(self, x):
+        x = _as_float_array(x)
+        return np.where(x > 0, -np.expm1(-((np.maximum(x, 0.0) / self.scale) ** self.shape)), 0.0)
 
-        def cdf(x):
-            x = _as_float_array(x)
-            return np.where(x > 0, -np.expm1(-((np.maximum(x, 0.0) / s) ** k)), 0.0)
-
-        def survival(x):
-            x = _as_float_array(x)
-            return np.where(x > 0, np.exp(-((np.maximum(x, 0.0) / s) ** k)), 1.0)
-
-        def hazard(x):
-            x = _as_float_array(x)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                z = np.where(x > 0, x / s, 1.0)
-                val = (k / s) * z ** (k - 1)
-            at_zero = np.inf if k < 1 else (1 / s if k == 1 else 0.0)
-            return np.where(x > 0, val, np.where(x == 0, at_zero, 0.0))
-
-        def reversed_hazard(x):
-            x = _as_float_array(x)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                z = np.where(x > 0, x / s, 1.0)
-                u = z**k
-                val = (k / s) * z ** (k - 1) * np.exp(-u) / (-np.expm1(-u))
-            return np.where(x > 0, val, np.inf)
-
-        return DistributionModel(
-            label=self.label,
-            pdf=pdf,
-            cdf=cdf,
-            survival=survival,
-            hazard=hazard,
-            reversed_hazard=reversed_hazard,
-            quantile=self.quantile,
-            support=(0.0, math.inf),
-            lo_exponent=k - 1.0,
-        )
+    def survival(self, x):
+        x = _as_float_array(x)
+        return np.where(x > 0, np.exp(-((np.maximum(x, 0.0) / self.scale) ** self.shape)), 1.0)
 
     def quantile(self, u):
         return self.scale * (-np.log1p(-_as_float_array(u))) ** (1.0 / self.shape)
 
 
 @dataclass(frozen=True)
-class UniformParams:
+class UniformParams(DistributionModel):
     lo: float
     hi: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.lo < self.hi):
             raise InvalidParameter(f"uniform needs lo < hi, got ({self.lo}, {self.hi})")
 
@@ -177,48 +133,27 @@ class UniformParams:
     def label(self) -> str:
         return f"uniform({self.lo:g}, {self.hi:g})"
 
-    def model(self) -> DistributionModel:
-        lo, hi = self.lo, self.hi
-        width = hi - lo
+    @property
+    def support(self) -> tuple[float, float]:
+        return (self.lo, self.hi)
 
-        def pdf(x):
-            x = _as_float_array(x)
-            return np.where((x >= lo) & (x <= hi), 1.0 / width, 0.0)
+    def pdf(self, x):
+        x = _as_float_array(x)
+        return np.where((x >= self.lo) & (x <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
 
-        def cdf(x):
-            x = _as_float_array(x)
-            return np.clip((x - lo) / width, 0.0, 1.0)
+    def cdf(self, x):
+        x = _as_float_array(x)
+        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
-        def survival(x):
-            return 1.0 - cdf(x)
-
-        def hazard(x):
-            x = _as_float_array(x)
-            with np.errstate(divide="ignore"):
-                return np.where((x >= lo) & (x < hi), 1.0 / (hi - x), 0.0)
-
-        def reversed_hazard(x):
-            x = _as_float_array(x)
-            with np.errstate(divide="ignore"):
-                return np.where((x > lo) & (x <= hi), 1.0 / (x - lo), np.where(x == lo, np.inf, 0.0))
-
-        return DistributionModel(
-            label=self.label,
-            pdf=pdf,
-            cdf=cdf,
-            survival=survival,
-            hazard=hazard,
-            reversed_hazard=reversed_hazard,
-            quantile=self.quantile,
-            support=(lo, hi),
-        )
+    def survival(self, x):
+        return 1.0 - self.cdf(x)
 
     def quantile(self, u):
         return self.lo + _as_float_array(u) * (self.hi - self.lo)
 
 
 @dataclass(frozen=True)
-class ConstantReversedHazardParams:
+class ConstantReversedHazardParams(DistributionModel):
     """F(x) = exp(a (x - b)) on [0, b]: reversed hazard is the constant a.
 
     The law places mass ``exp(-a b)`` at 0.  With ``include_atom`` the model
@@ -232,6 +167,7 @@ class ConstantReversedHazardParams:
     include_atom: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.a > 0 and self.b > 0):
             raise InvalidParameter(f"crh needs a > 0 and b > 0, got ({self.a}, {self.b})")
 
@@ -240,59 +176,34 @@ class ConstantReversedHazardParams:
         return math.exp(-self.a * self.b)
 
     @property
+    def atom_at_lo(self) -> float:
+        return self.atom_mass if self.include_atom else 0.0
+
+    @property
     def label(self) -> str:
         return f"crh(a={self.a:g}, b={self.b:g}{', atom' if self.include_atom else ''})"
 
-    def model(self) -> DistributionModel:
+    @property
+    def support(self) -> tuple[float, float]:
+        return (0.0, self.b)
+
+    def pdf(self, x):
         a, b = self.a, self.b
+        x = _as_float_array(x)
+        return np.where((x > 0) & (x <= b), a * np.exp(a * (np.minimum(x, b) - b)), 0.0)
 
-        def pdf(x):
-            x = _as_float_array(x)
-            return np.where((x > 0) & (x <= b), a * np.exp(a * (np.minimum(x, b) - b)), 0.0)
+    def cdf(self, x):
+        x = _as_float_array(x)
+        return np.where(x < 0, 0.0, np.where(x >= self.b, 1.0, np.exp(self.a * (x - self.b))))
 
-        def cdf(x):
-            x = _as_float_array(x)
-            return np.where(x < 0, 0.0, np.where(x >= b, 1.0, np.exp(a * (x - b))))
-
-        def survival(x):
-            return 1.0 - cdf(x)
-
-        def hazard(x):
-            x = _as_float_array(x)
-            f = pdf(x)
-            sf = survival(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(sf > 0, f / np.where(sf > 0, sf, 1.0), np.inf)
-
-        def reversed_hazard(x):
-            x = _as_float_array(x)
-            return np.where((x > 0) & (x <= b), a, np.where(x == 0, np.inf, 0.0))
-
-        return DistributionModel(
-            label=self.label,
-            pdf=pdf,
-            cdf=cdf,
-            survival=survival,
-            hazard=hazard,
-            reversed_hazard=reversed_hazard,
-            quantile=self.quantile,
-            support=(0.0, b),
-            atom_at_lo=self.atom_mass if self.include_atom else 0.0,
-        )
+    def survival(self, x):
+        return 1.0 - self.cdf(x)
 
     def quantile(self, u):
         u = _as_float_array(u)
         with np.errstate(divide="ignore"):
             x = self.b + np.log(u) / self.a
         return np.maximum(x, 0.0)
-
-
-FamilyParams = Union[ExponentialParams, WeibullParams, UniformParams, ConstantReversedHazardParams]
-
-
-def make_model(params: FamilyParams) -> DistributionModel:
-    """Build the distribution model for a validated parameter set."""
-    return params.model()
 
 
 @dataclass(frozen=True)
@@ -313,7 +224,7 @@ class SeededSampler:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.seed, index))))
 
 
-def sample(params: FamilyParams, n: int, sampler: SeededSampler, *, substream: int | None = None) -> np.ndarray:
+def sample(params: DistributionModel, n: int, sampler: SeededSampler, *, substream: int | None = None) -> np.ndarray:
     """Draw n i.i.d. values by inverse cdf; deterministic given (seed, substream)."""
     if n < 1:
         raise InvalidParameter(f"sample size must be >= 1, got {n}")
@@ -412,7 +323,7 @@ _FAMILY_FIELDS = {
 }
 
 
-def parse_family(text: str) -> FamilyParams:
+def parse_family(text: str) -> DistributionModel:
     """Parse 'name:key=value,...' or 'name:v1,v2' into a parameter set.
 
     Accepted names: exp/exponential, weib/weibull, unif/uniform, crh.

@@ -25,8 +25,9 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .distributions import FamilyParams, SeededSampler, sample
+from .distributions import SeededSampler, sample
 from .errors import DegenerateSample, InvalidModel, InvalidParameter, NoBracket
+from .models import DistributionModel
 
 # not called in this module: the name stays bound because the benchmark
 # tracer (perfbench/tracer.py) rebinds estimation.integrate and fails without it
@@ -223,7 +224,7 @@ class KdeModel:
 
 
 def sample_batch(
-    params: FamilyParams, n: int, sampler: SeededSampler, *, substream: int | None = None
+    params: DistributionModel, n: int, sampler: SeededSampler, *, substream: int | None = None
 ) -> SampleBatch:
     """Draw a seeded inverse-cdf sample from a family as a SampleBatch."""
     return SampleBatch(sample(params, n, sampler, substream=substream))
@@ -370,8 +371,8 @@ class McStudyConfig:
     estimator.
     """
 
-    family_x: FamilyParams
-    family_y: FamilyParams
+    family_x: DistributionModel
+    family_y: DistributionModel
     n: int
     reps: int
     seed: int

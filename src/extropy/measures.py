@@ -210,7 +210,7 @@ class PerturbationQuery:
             return self.param_derivative_step
         return max(1e-5, 1e-5 * abs(self.theta))
 
-    def params_at(self, theta: float):
+    def params_at(self, theta: float) -> DistributionModel:
         if self.family == "exponential":
             return ExponentialParams(rate=theta)
         if self.family == "weibull-shape":
@@ -238,14 +238,14 @@ def perturbation_approx(
     base = pq.params_at(pq.theta)  # validates theta
     shifted = pq.params_at(pq.theta + pq.delta_theta)  # validates theta + delta
 
-    exact = relative_extropy(base.model(), shifted.model(), q).value
+    exact = relative_extropy(base, shifted, q).value
     if pq.delta_theta == 0.0:
         return 0.0, exact
 
     h = pq.step()
     if derivative == "theta":
-        lo_model = pq.params_at(pq.theta - h).model()
-        hi_model = pq.params_at(pq.theta + h).model()
+        lo_model = pq.params_at(pq.theta - h)
+        hi_model = pq.params_at(pq.theta + h)
 
         def dsq(x):
             return ((hi_model.pdf(x) - lo_model.pdf(x)) / (2.0 * h)) ** 2
@@ -253,15 +253,13 @@ def perturbation_approx(
         ref = [lo_model, hi_model]
         points = break_points(ref)
     else:
-        model = base.model()
-
         def dsq(x):
             hx = np.maximum(1e-6, 1e-6 * np.abs(x))
-            return ((model.pdf(x + hx) - model.pdf(x - hx)) / (2.0 * hx)) ** 2
+            return ((base.pdf(x + hx) - base.pdf(x - hx)) / (2.0 * hx)) ** 2
 
-        ref = [model]
+        ref = [base]
         # below lo + 1e-6 the backward point x - hx leaves the support
-        points = break_points(ref) + [model.support[0] + 1e-6]
+        points = break_points(ref) + [base.support[0] + 1e-6]
 
     lo = min(m.support[0] for m in ref)
     hi = max(m.support[1] for m in ref)

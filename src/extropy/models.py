@@ -1,7 +1,8 @@
-"""Distribution model and measure-report containers.
+"""Distribution model base class and measure-report containers.
 
-A :class:`DistributionModel` bundles exact evaluators for one absolutely
-continuous law (possibly carrying a point mass at the left support endpoint).
+A :class:`DistributionModel` is one absolutely continuous law (possibly
+carrying a point mass at the left support endpoint) with exact evaluators;
+its hazard and reversed hazard follow from them.
 All measure operations consume models and emit :class:`MeasureReport` values
 whose diagnostics come straight from the quadrature layer.
 """
@@ -9,17 +10,16 @@ whose diagnostics come straight from the quadrature layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from abc import ABC, abstractmethod
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidModel
+from .errors import InvalidModel, InvalidParameter
 from .quadrature import QuadratureSpec, integrate
 
 __all__ = ["DistributionModel", "MeasureReport", "validate_model", "break_points"]
-
-Evaluator = Callable[[float], float]
 
 #: cdf levels whose quantiles split every integral over a model's support; the
 #: upper ones run down to a survival of 1e-16, so a residual window at any t
@@ -29,37 +29,56 @@ QUANTILE_LEVELS = (
 )
 
 
-@dataclass(frozen=True)
-class DistributionModel:
-    """Evaluable density, distribution and hazard functions on one support.
+class DistributionModel(ABC):
+    """One law on one support: its evaluators, and the hazards they define.
 
-    Evaluators accept scalars or numpy arrays, return 0 density outside the
-    support, and must be pure (they are shared across concurrent callers).
-    ``quantile`` inverts the cdf on (0, 1); integrals split at its values.
-    ``atom_at_lo`` is an optional point mass at ``support[0]``; density-based
-    integrals never see it, but past-lifetime measures may fold it in under
-    the mass-squared convention.  ``lo_exponent`` is the power p with
-    pdf(x) ~ (x - support[0])^p as x approaches the left end; it is negative
-    where the density is unbounded there.
+    The parametric families in :mod:`extropy.distributions` are frozen
+    dataclasses of their parameters that subclass this; the parameter set is
+    the model.  ``pdf``, ``cdf``, ``survival`` and ``quantile`` accept scalars
+    or numpy arrays, return 0 density outside the support, and must be pure
+    (models are shared across concurrent callers).  ``quantile`` inverts the
+    cdf on (0, 1); integrals split at its values.  ``atom_at_lo`` is an
+    optional point mass at ``support[0]``; density-based integrals never see
+    it, but past-lifetime measures may fold it in under the mass-squared
+    convention.  ``lo_exponent`` is the power p with pdf(x) ~ (x - support[0])^p
+    as x approaches the left end; it is negative where the density is
+    unbounded there.  Every parameter must be finite.
     """
 
     label: str
-    pdf: Evaluator
-    cdf: Evaluator
-    survival: Evaluator
-    hazard: Evaluator
-    reversed_hazard: Evaluator
-    quantile: Evaluator
     support: tuple[float, float]
     atom_at_lo: float = 0.0
     lo_exponent: float = 0.0
 
     def __post_init__(self):
-        lo, hi = self.support
-        if not (lo < hi):
-            raise InvalidModel(f"empty support [{lo}, {hi}]")
-        if not (0.0 <= self.atom_at_lo < 1.0):
-            raise InvalidModel(f"atom_at_lo {self.atom_at_lo} outside [0, 1)")
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise InvalidParameter(f"{self.label}: parameters must be finite")
+
+    @abstractmethod
+    def pdf(self, x): ...
+
+    @abstractmethod
+    def cdf(self, x): ...
+
+    @abstractmethod
+    def survival(self, x): ...
+
+    @abstractmethod
+    def quantile(self, u): ...
+
+    def hazard(self, x):
+        """pdf / survival, +inf where the survival is 0."""
+        return _ratio(self.pdf(x), self.survival(x))
+
+    def reversed_hazard(self, x):
+        """pdf / cdf, +inf where the cdf is 0."""
+        return _ratio(self.pdf(x), self.cdf(x))
+
+
+def _ratio(num, den):
+    num, den = np.asarray(num, dtype=float), np.asarray(den, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
 
 
 @dataclass(frozen=True)
@@ -90,8 +109,8 @@ def validate_model(d: DistributionModel, q: QuadratureSpec | None = None) -> Non
     """Check the model invariants; raise :class:`InvalidModel` on violation.
 
     Normalization uses the quadrature tolerance scaled by a safety factor of
-    100 (the probe integral is itself approximate).  Hazard identities are
-    checked only where the relevant denominator exceeds the floor.
+    100 (the probe integral is itself approximate).  The hazards need no
+    check: the base class defines them as pdf/survival and pdf/cdf.
     """
     q = q or QuadratureSpec()
     lo, hi = d.support
@@ -115,12 +134,3 @@ def validate_model(d: DistributionModel, q: QuadratureSpec | None = None) -> Non
     sf = np.asarray(d.survival(probe), dtype=float)
     if np.max(np.abs(sf - (1.0 - cdf))) > 1e-9:
         raise InvalidModel(f"{d.label}: survival != 1 - cdf")
-    eps = q.denominator_floor
-    ok = sf > eps
-    hz = np.asarray(d.hazard(probe), dtype=float)
-    if np.max(np.abs(hz[ok] * sf[ok] - pdf[ok]), initial=0.0) > 1e-8 * max(1.0, float(pdf.max())):
-        raise InvalidModel(f"{d.label}: hazard * survival != pdf")
-    ok = cdf > eps
-    rh = np.asarray(d.reversed_hazard(probe), dtype=float)
-    if np.max(np.abs(rh[ok] * cdf[ok] - pdf[ok]), initial=0.0) > 1e-8 * max(1.0, float(pdf.max())):
-        raise InvalidModel(f"{d.label}: reversed_hazard * cdf != pdf")

@@ -11,7 +11,6 @@ from extropy import (
     QuadratureSpec,
     UniformParams,
     WeibullParams,
-    make_model,
 )
 
 
@@ -22,32 +21,32 @@ def q():
 
 @pytest.fixture(scope="session")
 def exp1():
-    return make_model(ExponentialParams(1.0))
+    return ExponentialParams(1.0)
 
 
 @pytest.fixture(scope="session")
 def exp2():
-    return make_model(ExponentialParams(2.0))
+    return ExponentialParams(2.0)
 
 
 @pytest.fixture(scope="session")
 def weib21():
-    return make_model(WeibullParams(2.0, 1.0))
+    return WeibullParams(2.0, 1.0)
 
 
 @pytest.fixture(scope="session")
 def weib_15_2():
-    return make_model(WeibullParams(1.5, 2.0))
+    return WeibullParams(1.5, 2.0)
 
 
 @pytest.fixture(scope="session")
 def weib_2_3():
-    return make_model(WeibullParams(2.0, 3.0))
+    return WeibullParams(2.0, 3.0)
 
 
 @pytest.fixture(scope="session")
 def unif01():
-    return make_model(UniformParams(0.0, 1.0))
+    return UniformParams(0.0, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
-"""Independent oracles: brute-force quadrature and a from-scratch bandwidth solver.
+"""Independent oracles: brute-force quadrature, a from-scratch bandwidth solver
+and the families' closed-form hazards.
 
 Nothing here touches the package's quadrature or estimation code paths; the
 point is to pin expected values through a second, dissimilar route.
@@ -112,3 +113,31 @@ def sheather_jones_oracle(x):
         if hi - lo < 1e-13:
             break
     return float(np.exp(0.5 * (lo + hi)))
+
+
+# --- closed-form hazards ------------------------------------------------------
+# Each returns (hazard, reversed hazard) at points strictly inside the support,
+# written from the family's formulas rather than as pdf/survival and pdf/cdf.
+
+
+def exponential_hazards(rate, x):
+    x = np.asarray(x, dtype=float)
+    return np.full_like(x, rate), rate / np.expm1(rate * x)
+
+
+def weibull_hazards(shape, scale, x):
+    z = np.asarray(x, dtype=float) / scale
+    u = z**shape
+    hazard = (shape / scale) * z ** (shape - 1)
+    return hazard, hazard * np.exp(-u) / -np.expm1(-u)
+
+
+def uniform_hazards(lo, hi, x):
+    x = np.asarray(x, dtype=float)
+    return 1.0 / (hi - x), 1.0 / (x - lo)
+
+
+def crh_hazards(a, b, x):
+    """F(x) = exp(a (x - b)): h = a F / (1 - F) = a / expm1(a (b - x)), rh = a."""
+    x = np.asarray(x, dtype=float)
+    return a / np.expm1(a * (b - x)), np.full_like(x, a)

@@ -25,7 +25,6 @@ from extropy import (
     hazard_repr_inaccuracy,
     hazard_repr_relative,
     load_csv,
-    make_model,
     mc_bias_mse,
     McStudyConfig,
     ode_check_divergence,
@@ -61,8 +60,8 @@ def record(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_closed_form_agreement(exp1, exp2):
     start = time.time()
-    e2 = make_model(ExponentialParams(2.0))
-    e5 = make_model(ExponentialParams(5.0))
+    e2 = ExponentialParams(2.0)
+    e5 = ExponentialParams(5.0)
     d12 = relative_extropy(exp1, exp2, Q).value
     d25 = relative_extropy(e2, e5, Q).value
     gap12 = abs(d12 - closed_form_relative_exponential(1.0, 2.0))
@@ -108,8 +107,8 @@ def test_criterion_3_identity_suite():
     worst = 0.0
     checked_dynamic = 0
     for _ in range(50):
-        mx = make_model(random_params(rng))
-        my = make_model(random_params(rng))
+        mx = random_params(rng)
+        my = random_params(rng)
         fg, gf, d = decompose_relative(mx, my, Q)
         worst = max(worst, abs(fg + gf - d))
         xi = extropy_inaccuracy(mx, my, Q).value

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from extropy import cli, dynamic, make_model, measures, parse_family
+from extropy import cli, dynamic, measures, parse_family
 from extropy.cli import main
 
 
@@ -284,7 +284,7 @@ def test_measure_matches_the_library(tmp_path, name, fx, fy, conv):
                 "--atom-convention", conv, "--out", str(tmp_path)])
     assert code == 0
     results = json.loads((tmp_path / "report.json").read_text())["results"]
-    expected = LIBRARY[name](make_model(parse_family(fx)), make_model(parse_family(fy)), 0.5, conv)
+    expected = LIBRARY[name](parse_family(fx), parse_family(fy), 0.5, conv)
     assert results["value"] == expected.value
     assert results["measure_id"] == name.replace("-", "_")
 
@@ -300,6 +300,36 @@ def test_malformed_flags_and_unreadable_paths_are_input_errors(two_group_csv, tm
     code = run(argv(two_group_csv, str(tmp_path)) + ["--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("empty", [",", ""], ids=["comma", "blank"])
+@pytest.mark.parametrize("argv", [
+    lambda csv, e: ["simulate", "--family-x", "exp:1", "--family-y", "exp:2", "--n", e, "--reps", "5"],
+    lambda csv, e: ["verify", "--family-x", "exp:1", "--family-y", "exp:2", "--t", e],
+    lambda csv, e: ["groups", csv, "--value-col", "value", "--group-col", "arm", "--quantiles", e],
+], ids=["simulate-n", "verify-t", "groups-quantiles"])
+def test_empty_number_lists_are_input_errors(two_group_csv, tmp_path, capsys, argv, empty):
+    # once: simulate wrote a report with no rows, verify exited 3 on an empty
+    # grid; a blank --t ran the auto grid and a blank --quantiles grouped by the raw column
+    code = run(argv(two_group_csv, empty) + ["--out", str(tmp_path)])
+    assert code == 2
+    assert "takes comma-separated numbers" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "relative", "--family-x", "weibull:2,inf", "--family-y", "exp:1"],
+    ["measure", "extropy", "--family-x", "uniform:0,inf"],
+    ["measure", "extropy", "--family-x", "uniform:-inf,0"],
+    ["measure", "extropy", "--family-x", "crh:1,inf"],
+    ["measure", "extropy", "--family-x", "exp:inf"],
+], ids=["weibull-scale", "uniform-hi", "uniform-lo", "crh-b", "exp-rate"])
+def test_non_finite_family_parameters_are_input_errors(tmp_path, capsys, argv):
+    # once: each printed a number (0.25 or -0) and exited 0
+    code = run(argv + ["--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_measure_divergent_weibull_extropy_is_input_error(tmp_path, capsys):

@@ -15,7 +15,6 @@ from extropy import (
     crh_past_measures,
     extropy,
     extropy_inaccuracy,
-    make_model,
     relative_extropy,
     sample,
     validate_model,
@@ -31,6 +30,7 @@ from extropy.distributions import (
 from extropy.dynamic import past_divergence, past_extropy, past_inaccuracy, past_relative
 from extropy.errors import InvalidParameter
 from extropy.quadrature import integrate
+from oracles import crh_hazards, exponential_hazards, uniform_hazards, weibull_hazards
 
 rates = st.floats(min_value=0.3, max_value=4.0)
 shapes = st.floats(min_value=0.8, max_value=3.0)
@@ -48,7 +48,7 @@ scales = st.floats(min_value=0.5, max_value=3.0)
     ],
 )
 def test_model_invariants(params):
-    validate_model(make_model(params))
+    validate_model(params)
 
 
 def test_parameter_validation():
@@ -58,16 +58,31 @@ def test_parameter_validation():
             bad()
 
 
+@pytest.mark.parametrize("build", [
+    lambda v: ExponentialParams(v),
+    lambda v: WeibullParams(v, 1.0),
+    lambda v: WeibullParams(2.0, v),
+    lambda v: UniformParams(0.0, v),
+    lambda v: UniformParams(-v, 0.0),
+    lambda v: ConstantReversedHazardParams(v, 1.0),
+    lambda v: ConstantReversedHazardParams(1.0, v),
+], ids=["exp-rate", "weibull-shape", "weibull-scale", "uniform-hi", "uniform-lo", "crh-a", "crh-b"])
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_parameters_are_rejected(build, value):
+    with pytest.raises(InvalidParameter):
+        build(value)
+
+
 def test_exact_hazards():
-    m = make_model(ExponentialParams(2.0))
+    m = ExponentialParams(2.0)
     assert float(m.hazard(0.3)) == 2.0
     assert float(m.hazard(5.0)) == 2.0
 
-    crh = make_model(ConstantReversedHazardParams(1.5, 2.0))
+    crh = ConstantReversedHazardParams(1.5, 2.0)
     xs = np.linspace(0.1, 2.0, 7)
     assert np.allclose(np.asarray(crh.reversed_hazard(xs)), 1.5)
 
-    w = make_model(WeibullParams(2.0, 1.0))
+    w = WeibullParams(2.0, 1.0)
     xs = np.linspace(0.05, 3.0, 9)
     assert np.allclose(np.asarray(w.hazard(xs)), 2.0 * xs)
     # h * survival = pdf, checked numerically
@@ -76,15 +91,47 @@ def test_exact_hazards():
     )
 
 
+@pytest.mark.parametrize(
+    "model, reference, survival_is_one_minus_cdf",
+    [
+        (ExponentialParams(2.0), lambda x: exponential_hazards(2.0, x), False),
+        (WeibullParams(2.0, 1.0), lambda x: weibull_hazards(2.0, 1.0, x), False),
+        (WeibullParams(0.9, 2.0), lambda x: weibull_hazards(0.9, 2.0, x), False),
+        (UniformParams(0.5, 2.0), lambda x: uniform_hazards(0.5, 2.0, x), True),
+        (ConstantReversedHazardParams(1.5, 2.0), lambda x: crh_hazards(1.5, 2.0, x), True),
+        (ConstantReversedHazardParams(1.0, 2.0, include_atom=True),
+         lambda x: crh_hazards(1.0, 2.0, x), True),
+    ],
+    ids=["exp", "weibull-2", "weibull-0.9", "uniform", "crh", "crh-atom"],
+)
+def test_derived_hazards_match_closed_forms(model, reference, survival_is_one_minus_cdf):
+    # quantiles from 1e-11 into both tails, kept where both conditioning
+    # denominators clear the floor, strictly inside the support
+    u = np.concatenate([np.geomspace(1e-11, 0.5, 60), 1.0 - np.geomspace(1e-11, 0.5, 60)])
+    x = np.unique(model.quantile(u))
+    sf, cdf = np.asarray(model.survival(x)), np.asarray(model.cdf(x))
+    floor = QuadratureSpec().denominator_floor
+    keep = (x > model.support[0]) & (x < model.support[1]) & (sf > floor) & (cdf > floor)
+    x, sf = x[keep], sf[keep]
+    hazard, reversed_hazard = reference(x)
+    # measured: at most 1 ulp for the reversed hazards and for the hazards of
+    # families whose survival is its own closed form; where the survival is
+    # 1 - cdf it carries the cdf's rounding, at most 1.0 eps/survival
+    eps = np.finfo(float).eps
+    hazard_tol = 2.0 * eps / sf if survival_is_one_minus_cdf else 2.0 * eps
+    assert x.size > 50
+    assert np.all(np.abs(np.asarray(model.hazard(x)) / hazard - 1.0) <= hazard_tol)
+    assert np.all(np.abs(np.asarray(model.reversed_hazard(x)) / reversed_hazard - 1.0) <= 2.0 * eps)
+
+
 def test_crh_mass_with_and_without_atom():
     q = QuadratureSpec()
     p = ConstantReversedHazardParams(1.0, 2.0)
-    m = make_model(p)
-    mass = integrate(m.pdf, 0.0, 2.0, q).value
+    mass = integrate(p.pdf, 0.0, 2.0, q).value
     assert mass == pytest.approx(1.0 - math.exp(-2.0), abs=1e-10)
-    assert m.atom_at_lo == 0.0
+    assert p.atom_at_lo == 0.0
 
-    m_atom = make_model(ConstantReversedHazardParams(1.0, 2.0, include_atom=True))
+    m_atom = ConstantReversedHazardParams(1.0, 2.0, include_atom=True)
     assert m_atom.atom_at_lo == pytest.approx(math.exp(-2.0))
     assert mass + m_atom.atom_at_lo == pytest.approx(1.0, abs=1e-10)
     assert float(m_atom.cdf(0.0)) == pytest.approx(m_atom.atom_at_lo)
@@ -104,7 +151,7 @@ def test_closed_form_relative_exponential_values():
 @settings(max_examples=20, deadline=None)
 @given(rates, rates)
 def test_exponential_closed_forms_match_quadrature(l1, l2):
-    m1, m2 = make_model(ExponentialParams(l1)), make_model(ExponentialParams(l2))
+    m1, m2 = ExponentialParams(l1), ExponentialParams(l2)
     assert extropy(m1).value == pytest.approx(exponential_extropy(l1), abs=1e-8)
     assert extropy_inaccuracy(m1, m2).value == pytest.approx(
         exponential_inaccuracy(l1, l2), abs=1e-8
@@ -117,7 +164,7 @@ def test_exponential_closed_forms_match_quadrature(l1, l2):
 @settings(max_examples=15, deadline=None)
 @given(shapes, scales)
 def test_weibull_extropy_closed_form(k, s):
-    m = make_model(WeibullParams(k, s))
+    m = WeibullParams(k, s)
     assert extropy(m).value == pytest.approx(weibull_extropy(k, s), abs=1e-8)
 
 
@@ -127,7 +174,7 @@ def test_weibull_extropy_oracle_value():
 
 
 def test_exponential_past_extropy_closed_form():
-    m = make_model(ExponentialParams(1.0))
+    m = ExponentialParams(1.0)
     assert past_extropy(m, 2.0).value == pytest.approx(exponential_past_extropy(1.0, 2.0), abs=1e-9)
     assert exponential_past_extropy(1.0, 2.0) == pytest.approx(-0.3282588213748328, abs=1e-12)
 
@@ -145,12 +192,11 @@ def test_crh_same_params_zero_relative():
 def test_crh_closed_forms_match_quadrature():
     px = ConstantReversedHazardParams(1.0, 2.0)
     py = ConstantReversedHazardParams(0.5, 2.0)
-    mx, my = make_model(px), make_model(py)
     t = 1.0
     jx, xi, div, rel = crh_past_measures(px, py, t)
-    assert past_extropy(mx, t).value == pytest.approx(jx, abs=1e-8)
-    assert past_inaccuracy(mx, my, t).value == pytest.approx(xi, abs=1e-8)
-    assert past_relative(mx, my, t).value == pytest.approx(rel, abs=1e-8)
+    assert past_extropy(px, t).value == pytest.approx(jx, abs=1e-8)
+    assert past_inaccuracy(px, py, t).value == pytest.approx(xi, abs=1e-8)
+    assert past_relative(px, py, t).value == pytest.approx(rel, abs=1e-8)
 
 
 def test_crh_atom_convention_reproduces_printed_bracket():
@@ -165,20 +211,18 @@ def test_crh_atom_convention_reproduces_printed_bracket():
     )
     assert xi == pytest.approx(expected_xi, abs=1e-12)
     # atom convention agrees with the quadrature path fed the atom-bearing model
-    mx = make_model(px)
-    assert past_extropy(mx, t, atom_convention="paper").value == pytest.approx(jx, abs=1e-8)
+    assert past_extropy(px, t, atom_convention="paper").value == pytest.approx(jx, abs=1e-8)
 
 
 @pytest.mark.parametrize("t", [0.25, 1.0, 2.0])
 def test_crh_atom_convention_all_past_measures(t):
     px = ConstantReversedHazardParams(1.0, 2.0, include_atom=True)
     py = ConstantReversedHazardParams(0.5, 2.0, include_atom=True)
-    mx, my = make_model(px), make_model(py)
     jx, xi, div, rel = crh_past_measures(px, py, t, include_atom=True)
-    assert past_extropy(mx, t, atom_convention="paper").value == pytest.approx(jx, abs=1e-8)
-    assert past_inaccuracy(mx, my, t, atom_convention="paper").value == pytest.approx(xi, abs=1e-8)
-    assert past_divergence(mx, my, t, atom_convention="paper").value == pytest.approx(div, abs=1e-8)
-    assert past_relative(mx, my, t, atom_convention="paper").value == pytest.approx(rel, abs=1e-8)
+    assert past_extropy(px, t, atom_convention="paper").value == pytest.approx(jx, abs=1e-8)
+    assert past_inaccuracy(px, py, t, atom_convention="paper").value == pytest.approx(xi, abs=1e-8)
+    assert past_divergence(px, py, t, atom_convention="paper").value == pytest.approx(div, abs=1e-8)
+    assert past_relative(px, py, t, atom_convention="paper").value == pytest.approx(rel, abs=1e-8)
 
 
 def test_crh_time_domain_guard():
@@ -211,8 +255,7 @@ def test_sampling_law_of_large_numbers():
 def test_sampling_ks_distance():
     p = WeibullParams(2.0, 3.0)
     values = np.sort(sample(p, 100_000, SeededSampler(7)))
-    m = make_model(p)
-    grid = np.asarray(m.cdf(values))
+    grid = np.asarray(p.cdf(values))
     emp = np.arange(1, values.size + 1) / values.size
     assert np.max(np.abs(emp - grid)) < 0.01
 
@@ -223,10 +266,9 @@ def test_sampling_ks_distance():
      ConstantReversedHazardParams(2.0, 2.0, include_atom=True)],
 )
 def test_inverse_cdf_roundtrip(params):
-    m = make_model(params)
     for u in np.linspace(0.1, 0.9, 9):
         x = float(params.quantile(u))
-        assert float(m.cdf(x)) == pytest.approx(u, abs=1e-12)
+        assert float(params.cdf(x)) == pytest.approx(u, abs=1e-12)
 
 
 # --- family parsing ---------------------------------------------------------

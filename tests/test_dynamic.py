@@ -22,7 +22,6 @@ from extropy import (
     global_decompositions,
     hazard_repr_inaccuracy,
     hazard_repr_relative,
-    make_model,
     ode_check_divergence,
     ode_check_relative,
     past_divergence,
@@ -118,9 +117,9 @@ def test_residual_denominator_underflow(exp2):
         residual_extropy(exp2, 60.0)
 
 
-_EXP_1 = make_model(ExponentialParams(1.0))
-_EXP_HALF = make_model(ExponentialParams(0.5))
-_UNIF_01 = make_model(UniformParams(0.0, 1.0))
+_EXP_1 = ExponentialParams(1.0)
+_EXP_HALF = ExponentialParams(0.5)
+_UNIF_01 = UniformParams(0.0, 1.0)
 _CONDITIONAL = {
     "residual_extropy": lambda t: residual_extropy(_EXP_1, t),
     "residual_inaccuracy": lambda t: residual_inaccuracy(_EXP_1, _EXP_HALF, t),
@@ -171,8 +170,8 @@ def test_past_measures_limit_to_static(exp1, exp2):
 
 def test_past_relative_cases(exp1, exp2, weib21):
     assert past_relative(weib21, weib21, 0.7).value == pytest.approx(0.0, abs=1e-12)
-    u1 = make_model(UniformParams(0.0, 1.0))
-    u2 = make_model(UniformParams(0.0, 2.0))
+    u1 = UniformParams(0.0, 1.0)
+    u2 = UniformParams(0.0, 2.0)
     assert past_relative(u1, u2, 0.5).value == pytest.approx(0.0, abs=1e-12)
     # frozen from the trapezoid oracle over [0, 1]
     assert past_relative(exp1, exp2, 1.0).value == pytest.approx(0.0385097631050, abs=1e-8)
@@ -189,7 +188,7 @@ def test_past_divergence_crh_matches_closed_form():
     px = ConstantReversedHazardParams(1.0, 2.0)
     py = ConstantReversedHazardParams(0.5, 2.0)
     _, _, div, _ = crh_past_measures(px, py, 1.0)
-    assert past_divergence(make_model(px), make_model(py), 1.0).value == pytest.approx(
+    assert past_divergence(px, py, 1.0).value == pytest.approx(
         div, abs=1e-8
     )
 
@@ -308,12 +307,11 @@ def test_past_inaccuracy_ode():
     # exercised on constant-reversed-hazard models where rh is exactly a, c
     px = ConstantReversedHazardParams(1.0, 2.0)
     py = ConstantReversedHazardParams(0.5, 2.0)
-    mx, my = make_model(px), make_model(py)
     h = 1e-5
     for t in (0.5, 1.0, 1.5):
-        xi = past_inaccuracy(mx, my, t).value
+        xi = past_inaccuracy(px, py, t).value
         xi_prime = (
-            past_inaccuracy(mx, my, t + h).value - past_inaccuracy(mx, my, t - h).value
+            past_inaccuracy(px, py, t + h).value - past_inaccuracy(px, py, t - h).value
         ) / (2 * h)
         assert xi_prime + xi * (1.0 + 0.5) == pytest.approx(-0.5 * 1.0 * 0.5, abs=1e-6)
 
@@ -402,8 +400,8 @@ def test_dynamic_orderings_weibull_pair(weib_15_2, weib_2_3):
 def test_profile_orderings_read_density_only_past_values():
     # under "paper" the past series fold in the atoms; the orderings compare
     # the density-only ones, so both conventions give the same orderings
-    mx = make_model(ConstantReversedHazardParams(1.0, 2.0, include_atom=True))
-    my = make_model(ConstantReversedHazardParams(0.5, 2.0, include_atom=True))
+    mx = ConstantReversedHazardParams(1.0, 2.0, include_atom=True)
+    my = ConstantReversedHazardParams(0.5, 2.0, include_atom=True)
     grid = TimeGrid(points=(0.5, 1.0, 1.5))
     ac, paper = (dynamic_profile(mx, my, grid, atom_convention=c) for c in ("ac", "paper"))
     assert paper.past_ac == ac.past_ac == (ac.jpx, ac.jpy, ac.jp_fg, ac.jp_gf)
@@ -473,7 +471,7 @@ def test_profile_needs_every_survival_and_cdf_above_the_floor(exp1, exp2, points
 @settings(max_examples=15, deadline=None)
 @given(rates, rates, st.floats(min_value=0.1, max_value=1.2))
 def test_sum_rule_random(l1, l2, t):
-    mx, my = make_model(ExponentialParams(l1)), make_model(WeibullParams(1.0 + l2 / 3.0, 1.0))
+    mx, my = ExponentialParams(l1), WeibullParams(1.0 + l2 / 3.0, 1.0)
     d_r = residual_relative(mx, my, t).value
     assert d_r >= -TOL10
     s = residual_divergence(mx, my, t).value + residual_divergence(my, mx, t).value
@@ -493,8 +491,8 @@ def test_exponential_t_invariance(exp1, exp2):
 
 def test_strict_monotonicity_on_verified_pair():
     # hypotheses: strictly decreasing densities and h_Y > h_X on the grid
-    mx = make_model(WeibullParams(0.9, 2.0))
-    my = make_model(ExponentialParams(2.0))
+    mx = WeibullParams(0.9, 2.0)
+    my = ExponentialParams(2.0)
     ts = np.linspace(0.2, 1.0, 9)
     assert all(float(my.hazard(t)) > float(mx.hazard(t)) for t in ts)
     values = [residual_relative(mx, my, t).value for t in ts]
@@ -511,8 +509,8 @@ def test_strict_monotonicity_fails_for_exponentials(exp1, exp2):
 def test_monotonicity_counterexample_decreasing():
     # hypotheses hold (h_Y in [0.8, 1.02] > h_X = 0.5, both densities strictly
     # decreasing) while d_r strictly decreases
-    mx = make_model(ExponentialParams(0.5))
-    my = make_model(WeibullParams(0.8, 1.0))
+    mx = ExponentialParams(0.5)
+    my = WeibullParams(0.8, 1.0)
     ts = np.linspace(0.3, 1.0, 8)
     assert all(float(my.hazard(t)) > float(mx.hazard(t)) for t in ts)
     values = [residual_relative(mx, my, t).value for t in ts]

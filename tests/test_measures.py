@@ -14,7 +14,6 @@ from extropy import (
     extropy,
     extropy_divergence,
     extropy_inaccuracy,
-    make_model,
     perturbation_approx,
     past_extropy,
     past_inaccuracy,
@@ -71,8 +70,8 @@ def test_inaccuracy_exp_pair(exp1, exp2):
 
 
 def test_inaccuracy_disjoint_supports_flagged():
-    a = make_model(UniformParams(0.0, 1.0))
-    b = make_model(UniformParams(2.0, 3.0))
+    a = UniformParams(0.0, 1.0)
+    b = UniformParams(2.0, 3.0)
     report = extropy_inaccuracy(a, b)
     assert report.value == 0.0
     assert "disjoint_supports" in report.warnings
@@ -84,8 +83,8 @@ def test_inaccuracy_disjoint_supports_flagged():
 
 def test_divergent_weibull_forms_raise_before_integrating():
     # shape <= 1/2: int f^2 diverges at 0; quadrature once returned +0.621 for J(X)
-    w, e = make_model(WeibullParams(0.467, 3.24)), make_model(ExponentialParams(1.0))
-    w4 = make_model(WeibullParams(0.4, 1.0))
+    w, e = WeibullParams(0.467, 3.24), ExponentialParams(1.0)
+    w4 = WeibullParams(0.4, 1.0)
     divergent = [
         lambda: extropy(w),
         lambda: relative_extropy(w, e),
@@ -108,8 +107,8 @@ def test_divergent_weibull_forms_raise_before_integrating():
 
 def test_relative_extropy_table_values(exp1, exp2):
     assert relative_extropy(exp1, exp2).value == pytest.approx(0.0833, abs=5e-5)
-    e2 = make_model(ExponentialParams(2.0))
-    e5 = make_model(ExponentialParams(5.0))
+    e2 = ExponentialParams(2.0)
+    e5 = ExponentialParams(5.0)
     assert relative_extropy(e2, e5).value == pytest.approx(0.32143, abs=5e-6)
 
 
@@ -155,8 +154,8 @@ def test_decompose_identical(exp1):
 @settings(max_examples=25, deadline=None)
 @given(rates, rates, shapes, scales)
 def test_identities_random_pairs(l1, l2, k, s):
-    mx = make_model(ExponentialParams(l1)) if l1 < l2 else make_model(WeibullParams(k, s))
-    my = make_model(ExponentialParams(l2))
+    mx = ExponentialParams(l1) if l1 < l2 else WeibullParams(k, s)
+    my = ExponentialParams(l2)
     fg, gf, d = decompose_relative(mx, my)
     assert abs(fg + gf - d) <= TOL10
     xi = extropy_inaccuracy(mx, my).value
@@ -241,7 +240,7 @@ def test_static_ordering_ties(weib21):
 @settings(max_examples=20, deadline=None)
 @given(rates, rates)
 def test_ordering_identity_random(l1, l2):
-    v = compare_static_ordering(make_model(ExponentialParams(l1)), make_model(ExponentialParams(l2)))
+    v = compare_static_ordering(ExponentialParams(l1), ExponentialParams(l2))
     assert abs(v.identity_gap) <= TOL10
     assert v.consistent
 
@@ -252,8 +251,8 @@ def test_additive_extropy_corollary():
     # J(g|f) = J(f|g) - c and d = 2 J(f|g) - c = 2 J(g|f) + c
     rng = np.random.default_rng(5)
     for _ in range(10):
-        mx = make_model(ExponentialParams(float(rng.uniform(0.5, 3.0))))
-        my = make_model(WeibullParams(float(rng.uniform(1.0, 2.5)), float(rng.uniform(0.5, 2.0))))
+        mx = ExponentialParams(float(rng.uniform(0.5, 3.0)))
+        my = WeibullParams(float(rng.uniform(1.0, 2.5)), float(rng.uniform(0.5, 2.0)))
         c = extropy(my).value - extropy(mx).value
         fg, gf, d = decompose_relative(mx, my)
         assert gf == pytest.approx(fg - c, abs=TOL10)
@@ -261,11 +260,12 @@ def test_additive_extropy_corollary():
         assert d == pytest.approx(2 * gf + c, abs=TOL10)
 
 
-def test_extropy_rejects_negative_density(exp1):
-    import dataclasses
-
+def test_extropy_rejects_negative_density():
     from extropy.errors import InvalidModel
 
-    broken = dataclasses.replace(exp1, pdf=lambda x: -np.asarray(exp1.pdf(x), dtype=float))
+    class NegatedExponential(ExponentialParams):
+        def pdf(self, x):
+            return -np.asarray(super().pdf(x), dtype=float)
+
     with pytest.raises(InvalidModel):
-        extropy(broken)
+        extropy(NegatedExponential(1.0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from extropy import QuadratureSpec, WeibullParams, extropy, make_model
+from extropy import QuadratureSpec, WeibullParams, extropy
 from extropy.distributions import weibull_extropy
 from extropy.errors import QuadratureFailure
 from extropy.quadrature import integrate, truncation_point
@@ -58,7 +58,7 @@ def test_left_end_singularity_goes_to_quadpack():
 def test_weibull_extropy_near_half_shape():
     q = QuadratureSpec()
     exact = weibull_extropy(0.503, 85.5)
-    value = extropy(make_model(WeibullParams(0.503, 85.5)), q).value
+    value = extropy(WeibullParams(0.503, 85.5), q).value
     assert value == pytest.approx(exact, abs=max(q.abs_tol, q.rel_tol * abs(exact)))
 
 

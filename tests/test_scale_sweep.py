@@ -18,7 +18,6 @@ from extropy import (
     WeibullParams,
     crh_past_measures,
     extropy,
-    make_model,
     relative_extropy,
 )
 from extropy.distributions import (
@@ -59,7 +58,7 @@ def assert_matches(measure, exact):
     st.floats(min_value=0.0, max_value=25.0),
 )
 def test_exponential_measures_at_any_rate(r1, r2, frac, far):
-    mx, my = make_model(ExponentialParams(r1)), make_model(ExponentialParams(r2))
+    mx, my = ExponentialParams(r1), ExponentialParams(r2)
     t = frac / max(r1, r2)
     relative = closed_form_relative_exponential(r1, r2)
     assert_matches(lambda: extropy(mx, Q), exponential_extropy(r1))
@@ -80,7 +79,7 @@ shapes = st.one_of(
 @given(shapes, log_uniform(-3, 3))
 def test_weibull_extropy_at_any_scale(shape, scale):
     assume(shape > 0.5)
-    model = make_model(WeibullParams(shape, scale))
+    model = WeibullParams(shape, scale)
     assert_matches(lambda: extropy(model, Q), weibull_extropy(shape, scale))
 
 
@@ -92,14 +91,13 @@ def test_weibull_extropy_at_any_scale(shape, scale):
 def test_crh_past_measures_at_any_scale(b1, b2, ab1, ab2, frac, atom):
     px = ConstantReversedHazardParams(ab1 / b1, b1, include_atom=atom)
     py = ConstantReversedHazardParams(ab2 / b2, b2, include_atom=atom)
-    mx, my = make_model(px), make_model(py)
     t = frac * min(b1, b2)
     conv = "paper" if atom else "ac"
     jx, xi, divergence, relative = crh_past_measures(px, py, t, include_atom=atom)
-    assert_matches(lambda: past_extropy(mx, t, Q, conv), jx)
-    assert_matches(lambda: past_inaccuracy(mx, my, t, Q, conv), xi)
-    assert_matches(lambda: past_divergence(mx, my, t, Q, conv), divergence)
-    assert_matches(lambda: past_relative(mx, my, t, Q, conv), relative)
+    assert_matches(lambda: past_extropy(px, t, Q, conv), jx)
+    assert_matches(lambda: past_inaccuracy(px, py, t, Q, conv), xi)
+    assert_matches(lambda: past_divergence(px, py, t, Q, conv), divergence)
+    assert_matches(lambda: past_relative(px, py, t, Q, conv), relative)
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,7 +111,7 @@ def test_uniform_past_measures_at_any_scale(w1, w2, c1, c2, frac):
     lo, hi = max(l1, l2), min(l1 + w1, l2 + w2)
     assume(hi > lo)
     t = lo + frac * (hi - lo)
-    mx, my = make_model(UniformParams(l1, l1 + w1)), make_model(UniformParams(l2, l2 + w2))
+    mx, my = UniformParams(l1, l1 + w1), UniformParams(l2, l2 + w2)
     # past densities are 1/(t - l) on (l, t]; they overlap on (lo, t]
     jx, jy = -0.5 / (t - l1), -0.5 / (t - l2)
     xi = -0.5 * (t - lo) / ((t - l1) * (t - l2))
@@ -123,6 +121,6 @@ def test_uniform_past_measures_at_any_scale(w1, w2, c1, c2, frac):
 
 
 def test_wide_exponential_pair_is_not_silently_truncated():
-    mx, my = make_model(ExponentialParams(0.001)), make_model(ExponentialParams(1.0))
+    mx, my = ExponentialParams(0.001), ExponentialParams(1.0)
     value = relative_extropy(mx, my, Q).value
     assert value == pytest.approx(closed_form_relative_exponential(0.001, 1.0), abs=1e-9)
