@@ -24,12 +24,14 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=500)
     ap.add_argument("--seed", type=int, default=20260810)
     ap.add_argument("--full-interval", action="store_true",
-                    help="integrate over the whole line instead of [0, inf)")
+                    help="integrate over the whole line instead of from the left end "
+                    "of the supports' hull")
     ap.add_argument("--out", default=None, help="directory for study.csv (optional)")
     args = ap.parse_args()
 
     px, py = parse_family(args.family_x), parse_family(args.family_y)
     true_value = relative_extropy(px, py).value
+    lower = None if args.full_interval else min(px.support[0], py.support[0])
     print(f"true d(f,g) = {true_value:.6f}  ({args.family_x} vs {args.family_y})")
     print(f"{'n':>6} {'mean':>10} {'bias':>10} {'mse':>12}")
 
@@ -42,7 +44,7 @@ def main() -> None:
             reps=args.reps,
             seed=args.seed,
             true_value=true_value,
-            support_lower=None if args.full_interval else 0.0,
+            support_lower=lower,
         )
         row = mc_bias_mse(cfg)
         rows.append(row)

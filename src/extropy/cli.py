@@ -125,7 +125,7 @@ def cmd_measure(args) -> int:
         raise InvalidParameter(f"measure {args.name!r} needs --t")
     models = (dx,) if form == "extropy" else (dy, dx) if swap else (dx, dy)
     t = None if window == "support" else args.t
-    report = measures._windowed(form, window, models, t, QuadratureSpec(), args.atom_convention)
+    report = measures._windowed(form, window, models, t, args.atom_convention)
     measure_id = args.name.replace("-", "_")
     out = _outdir(args)
     write_report(
@@ -196,6 +196,8 @@ def cmd_simulate(args) -> int:
     params_x = parse_family(args.family_x)
     params_y = parse_family(args.family_y)
     true_value = measures.relative_extropy(params_x, params_y).value
+    # estimates are cut off (and reflected) at the left end of the support hull
+    lower = min(params_x.support[0], params_y.support[0])
     sizes = _numbers(args.n, "--n", int)
     rows = []
     for n in sizes:
@@ -206,6 +208,7 @@ def cmd_simulate(args) -> int:
             reps=args.reps,
             seed=args.seed,
             true_value=true_value,
+            support_lower=lower,
             boundary_reflect=args.boundary_reflect == "on",
         )
         rows.append(mc_bias_mse(cfg))
@@ -309,7 +312,6 @@ def _auto_grid(dx, dy, count: int = 10) -> dynamic.TimeGrid:
 
 
 def cmd_verify(args) -> int:
-    q = QuadratureSpec()
     dx = parse_family(args.family_x)
     dy = parse_family(args.family_y)
     if args.t is not None:
@@ -317,14 +319,14 @@ def cmd_verify(args) -> int:
     else:
         grid = _auto_grid(dx, dy)
 
-    p = dynamic.dynamic_profile(dx, dy, grid, q, args.atom_convention)
+    p = dynamic.dynamic_profile(dx, dy, grid, args.atom_convention)
     checks: list[dict] = []
 
     def record(name, residual, tol, holds=None):
         ok = residual <= tol if holds is None else holds
         checks.append({"name": name, "max_abs_residual": residual, "tolerance": tol, "holds": bool(ok)})
 
-    tol10 = 10.0 * q.abs_tol
+    tol10 = 10.0 * QuadratureSpec.abs_tol
     record("split_identity", abs(p.j_fg + p.j_gf - p.d), tol10)
     record("triple_identity", abs(p.d - (2 * p.xi - p.jx - p.jy)), tol10)
     record("symmetry", abs(p.d_yx - p.d), tol10)

@@ -146,7 +146,8 @@ class UniformParams(DistributionModel):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def survival(self, x):
-        return 1.0 - self.cdf(x)
+        x = _as_float_array(x)
+        return np.clip((self.hi - x) / (self.hi - self.lo), 0.0, 1.0)
 
     def quantile(self, u):
         return self.lo + _as_float_array(u) * (self.hi - self.lo)
@@ -197,7 +198,9 @@ class ConstantReversedHazardParams(DistributionModel):
         return np.where(x < 0, 0.0, np.where(x >= self.b, 1.0, np.exp(self.a * (x - self.b))))
 
     def survival(self, x):
-        return 1.0 - self.cdf(x)
+        x = _as_float_array(x)
+        tail = -np.expm1(self.a * (np.minimum(x, self.b) - self.b))
+        return np.where(x < 0, 1.0, np.where(x >= self.b, 0.0, tail))
 
     def quantile(self, u):
         u = _as_float_array(u)

@@ -104,30 +104,24 @@ class DynamicVerdict:
 # ---------------------------------------------------------------------------
 
 
-def residual_extropy(d: DistributionModel, t: float, q: QuadratureSpec | None = None) -> MeasureReport:
+def residual_extropy(d: DistributionModel, t: float) -> MeasureReport:
     """Extropy of the residual life at t: -(1/2) int_t (f / S(t))^2."""
-    return _windowed("extropy", "residual", (d,), t, q)
+    return _windowed("extropy", "residual", (d,), t)
 
 
-def residual_inaccuracy(
-    dX: DistributionModel, dY: DistributionModel, t: float, q: QuadratureSpec | None = None
-) -> MeasureReport:
+def residual_inaccuracy(dX: DistributionModel, dY: DistributionModel, t: float) -> MeasureReport:
     """-(1/2) int_t f g / (S_F(t) S_G(t)); equals residual extropy at f = g."""
-    return _windowed("inaccuracy", "residual", (dX, dY), t, q)
+    return _windowed("inaccuracy", "residual", (dX, dY), t)
 
 
-def residual_relative(
-    dX: DistributionModel, dY: DistributionModel, t: float, q: QuadratureSpec | None = None
-) -> MeasureReport:
+def residual_relative(dX: DistributionModel, dY: DistributionModel, t: float) -> MeasureReport:
     """d_r(f,g,t) >= 0; constant in t for two exponentials."""
-    return _windowed("relative", "residual", (dX, dY), t, q)
+    return _windowed("relative", "residual", (dX, dY), t)
 
 
-def residual_divergence(
-    dX: DistributionModel, dY: DistributionModel, t: float, q: QuadratureSpec | None = None
-) -> MeasureReport:
+def residual_divergence(dX: DistributionModel, dY: DistributionModel, t: float) -> MeasureReport:
     """J_r(f|g,t) = xiJ_r(X,Y,t) - J_t(X); sign unrestricted."""
-    return _windowed("divergence_fg", "residual", (dX, dY), t, q)
+    return _windowed("divergence_fg", "residual", (dX, dY), t)
 
 
 # ---------------------------------------------------------------------------
@@ -135,44 +129,30 @@ def residual_divergence(
 # ---------------------------------------------------------------------------
 
 
-def past_extropy(
-    d: DistributionModel, t: float, q: QuadratureSpec | None = None, atom_convention: str = "ac"
-) -> MeasureReport:
+def past_extropy(d: DistributionModel, t: float, atom_convention: str = "ac") -> MeasureReport:
     """Extropy of the past life at t: -(1/2) int_0^t (f / F(t))^2."""
-    return _windowed("extropy", "past", (d,), t, q, atom_convention)
+    return _windowed("extropy", "past", (d,), t, atom_convention)
 
 
 def past_inaccuracy(
-    dX: DistributionModel,
-    dY: DistributionModel,
-    t: float,
-    q: QuadratureSpec | None = None,
-    atom_convention: str = "ac",
+    dX: DistributionModel, dY: DistributionModel, t: float, atom_convention: str = "ac"
 ) -> MeasureReport:
     """-(1/2) int_0^t f g / (F(t) G(t))."""
-    return _windowed("inaccuracy", "past", (dX, dY), t, q, atom_convention)
+    return _windowed("inaccuracy", "past", (dX, dY), t, atom_convention)
 
 
 def past_relative(
-    dX: DistributionModel,
-    dY: DistributionModel,
-    t: float,
-    q: QuadratureSpec | None = None,
-    atom_convention: str = "ac",
+    dX: DistributionModel, dY: DistributionModel, t: float, atom_convention: str = "ac"
 ) -> MeasureReport:
     """d_p(f,g,t) = (1/2) int_0^t (f/F(t) - g/G(t))^2 >= 0."""
-    return _windowed("relative", "past", (dX, dY), t, q, atom_convention)
+    return _windowed("relative", "past", (dX, dY), t, atom_convention)
 
 
 def past_divergence(
-    dX: DistributionModel,
-    dY: DistributionModel,
-    t: float,
-    q: QuadratureSpec | None = None,
-    atom_convention: str = "ac",
+    dX: DistributionModel, dY: DistributionModel, t: float, atom_convention: str = "ac"
 ) -> MeasureReport:
     """J_p(f|g,t) = xiJ_p(X,Y,t) - past extropy of X; sign unrestricted."""
-    return _windowed("divergence_fg", "past", (dX, dY), t, q, atom_convention)
+    return _windowed("divergence_fg", "past", (dX, dY), t, atom_convention)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +160,7 @@ def past_divergence(
 # ---------------------------------------------------------------------------
 
 
-def _hazard_forms(rate_x, hazard_y, t, q, cumulative_hazard_y):
+def _hazard_forms(rate_x, hazard_y, t, cumulative_hazard_y):
     """H_Y as an array callable, and the finite upper limit of the hazard-form integrals.
 
     H_Y is ``cumulative_hazard_y`` when given, else the quadrature of h_Y.
@@ -193,19 +173,18 @@ def _hazard_forms(rate_x, hazard_y, t, q, cumulative_hazard_y):
     if cum is None:
         # a constant h_Y may return a scalar; the quadrature needs one value per point
         hazard = lambda u: np.full(np.shape(u), hazard_y(u), dtype=float)
-        cum = lambda x: integrate(hazard, 0.0, x, q).value
+        cum = lambda x: integrate(hazard, 0.0, x).value
     survival_y = lambda x: np.exp(-cum(x))
     pdf_y = lambda x: hazard_y(x) * survival_y(x)
     survival_x = lambda x: np.exp(-rate_x * x)
     pdf_x = lambda x: rate_x * np.exp(-rate_x * x)
-    return cum, truncation_point([survival_x, survival_y], [pdf_x, pdf_y], t, q)
+    return cum, truncation_point([survival_x, survival_y], [pdf_x, pdf_y], t)
 
 
 def hazard_repr_inaccuracy(
     rate_x: float,
     hazard_y: Callable[[np.ndarray], np.ndarray],
     t: float,
-    q: QuadratureSpec | None = None,
     cumulative_hazard_y: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Residual inaccuracy rebuilt from the exponential rate and h_Y alone.
@@ -215,10 +194,9 @@ def hazard_repr_inaccuracy(
     Both callables are evaluated on numpy arrays.  Matches
     :func:`residual_inaccuracy` on the corresponding models.
     """
-    q = q or QuadratureSpec()
-    cum, upper = _hazard_forms(rate_x, hazard_y, t, q, cumulative_hazard_y)
+    cum, upper = _hazard_forms(rate_x, hazard_y, t, cumulative_hazard_y)
     integrand = lambda x: 0.5 * rate_x * hazard_y(x) * np.exp(-rate_x * x - cum(x))
-    res = integrate(integrand, t, upper, q)
+    res = integrate(integrand, t, upper)
     return -math.exp(rate_x * t + float(cum(t))) * res.value
 
 
@@ -226,7 +204,6 @@ def hazard_repr_relative(
     rate_x: float,
     hazard_y: Callable[[np.ndarray], np.ndarray],
     t: float,
-    q: QuadratureSpec | None = None,
     cumulative_hazard_y: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> float:
     """Residual relative extropy from the exponential rate and h_Y alone.
@@ -234,11 +211,10 @@ def hazard_repr_relative(
     Twice the hazard-form inaccuracy, plus the hazard-form negative residual
     extropy of Y, plus rate/4 (the negative residual extropy of X).
     """
-    q = q or QuadratureSpec()
-    cum, upper = _hazard_forms(rate_x, hazard_y, t, q, cumulative_hazard_y)
-    inaccuracy = hazard_repr_inaccuracy(rate_x, hazard_y, t, q, cumulative_hazard_y=cum)
+    cum, upper = _hazard_forms(rate_x, hazard_y, t, cumulative_hazard_y)
+    inaccuracy = hazard_repr_inaccuracy(rate_x, hazard_y, t, cumulative_hazard_y=cum)
     integrand = lambda x: 0.5 * hazard_y(x) ** 2 * np.exp(-2.0 * cum(x))
-    res = integrate(integrand, t, upper, q)
+    res = integrate(integrand, t, upper)
     neg_extropy_y = math.exp(2.0 * float(cum(t))) * res.value
     return 2.0 * inaccuracy + neg_extropy_y + rate_x / 4.0
 
@@ -248,6 +224,12 @@ def hazard_repr_relative(
 # ---------------------------------------------------------------------------
 
 Series = tuple[float, ...]
+
+# Tolerance of the ODE checks, whose central differences of d_r and J_r(f|g)
+# err far more than the integrals they difference.
+_ODE_TOL = 1e-3
+# Tolerance of the hazard-rate bounds and of their equality case.
+_BOUND_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -265,7 +247,6 @@ class DynamicProfile:
     """
 
     points: Series
-    q: QuadratureSpec
     hx: Series
     hy: Series
     lx: Series
@@ -303,7 +284,6 @@ def dynamic_profile(
     dX: DistributionModel,
     dY: DistributionModel,
     grid: TimeGrid,
-    q: QuadratureSpec | None = None,
     atom_convention: str = "ac",
 ) -> DynamicProfile:
     """Evaluate the series of :class:`DynamicProfile` for (dX, dY) on the grid.
@@ -312,13 +292,13 @@ def dynamic_profile(
     each identity stays its own integral: d_r is never formed from the
     divergences, nor a static measure from its parts, so the checks compare
     independent computations.  Every grid point needs both survivals
-    and both cdfs above ``q.denominator_floor``, else :class:`InsufficientGrid`.
+    and both cdfs above ``QuadratureSpec.denominator_floor``, else
+    :class:`InsufficientGrid`.
     """
-    q = q or QuadratureSpec()
     ts = grid.points
     at_ts = np.array(ts)
     low = np.min([m(at_ts) for m in (dX.survival, dY.survival, dX.cdf, dY.cdf)], axis=0)
-    if low.min() <= q.denominator_floor:
+    if low.min() <= QuadratureSpec.denominator_floor:
         i = int(np.argmin(low))
         raise InsufficientGrid(
             f"t = {ts[i]:g}: a survival or cdf is {low[i]:.3e}, at or below the denominator floor"
@@ -333,7 +313,7 @@ def dynamic_profile(
         return tuple(np.asarray(fn(at_ts), dtype=float).tolist())
 
     def series(measure, *models, times=ts, **convention):
-        return tuple(measure(*models, np.array(times), q, **convention).value.tolist())
+        return tuple(measure(*models, np.array(times), **convention).value.tolist())
 
     def slope(measure, *models):
         at_lo, at_hi = series(measure, *models, times=lo), series(measure, *models, times=hi)
@@ -348,9 +328,9 @@ def dynamic_profile(
         )
 
     jpx, jpy, jp_fg, jp_gf = past_series = past(**conv)
-    j_fg, j_gf, d = measures.decompose_relative(dX, dY, q)
+    j_fg, j_gf, d = measures.decompose_relative(dX, dY)
     return DynamicProfile(
-        points=ts, q=q,
+        points=ts,
         hx=at(dX.hazard), hy=at(dY.hazard),
         lx=at(dX.reversed_hazard), ly=at(dY.reversed_hazard),
         sfx=at(dX.survival), sfy=at(dY.survival), cfx=at(dX.cdf), cfy=at(dY.cdf),
@@ -366,10 +346,10 @@ def dynamic_profile(
         decomposition_points=deco,
         xi_r=series(residual_inaccuracy, dX, dY, times=deco),
         xi_p=series(past_inaccuracy, dX, dY, times=deco, **conv),
-        xi=measures.extropy_inaccuracy(dX, dY, q).value,
-        jx=measures.extropy(dX, q).value, jy=measures.extropy(dY, q).value,
+        xi=measures.extropy_inaccuracy(dX, dY).value,
+        jx=measures.extropy(dX).value, jy=measures.extropy(dY).value,
         j_fg=j_fg, j_gf=j_gf, d=d,
-        d_yx=measures.relative_extropy(dY, dX, q).value,
+        d_yx=measures.relative_extropy(dY, dX).value,
     )
 
 
@@ -394,15 +374,13 @@ def sum_rules(p: DynamicProfile) -> DynamicVerdict:
     profile's atom convention.  The tolerance is 10 abs_tol, as for the
     static identities.
     """
-    tol = 10.0 * p.q.abs_tol
+    tol = 10.0 * QuadratureSpec.abs_tol
     rows = [(t, fg + gf, d) for t, fg, gf, d in zip(p.points, p.jr_fg, p.jr_gf, p.d_r)]
     rows += [(t, fg + gf, d) for t, fg, gf, d in zip(p.points, p.jp_fg, p.jp_gf, p.d_p)]
     return _identity("sum_rules", rows, tol)
 
 
-def ode_check_relative(
-    p: DynamicProfile, form: str = "corrected", tol: float = 1e-3
-) -> DynamicVerdict:
+def ode_check_relative(p: DynamicProfile, form: str = "corrected") -> DynamicVerdict:
     """Check the differential identity satisfied by d_r on the grid.
 
     lhs = d_r' - d_r (h_X + h_Y), with d_r' by central difference; rhs is the
@@ -417,16 +395,16 @@ def ode_check_relative(
     ):
         last = hx - hy if form == "corrected" else hx + hy
         rows.append((t, d_prime - d_r * (hx + hy), (hy - hx) * (jtx - jty) - 0.5 * last**2))
-    return _identity("ode_residual", rows, tol, note=f"form={form}")
+    return _identity("ode_residual", rows, _ODE_TOL, note=f"form={form}")
 
 
-def ode_check_divergence(p: DynamicProfile, tol: float = 1e-3) -> DynamicVerdict:
+def ode_check_divergence(p: DynamicProfile) -> DynamicVerdict:
     """Check d/dt J_r(f|g,t) = (h_X+h_Y) J_r + (h_Y-h_X)(h_X/2 + J_t(X))."""
     rows = [
         (t, lhs, (hx + hy) * j_r + (hy - hx) * (hx / 2.0 + jtx))
         for t, lhs, j_r, hx, hy, jtx in zip(p.points, p.jr_fg_prime, p.jr_fg, p.hx, p.hy, p.jtx)
     ]
-    return _identity("ode_divergence", rows, tol)
+    return _identity("ode_divergence", rows, _ODE_TOL)
 
 
 def _nonincreasing(values: Sequence[float], slack: float = 1e-9) -> bool:
@@ -437,7 +415,7 @@ def _nondecreasing(values: Sequence[float], slack: float = 1e-9) -> bool:
     return all(b >= a - slack for a, b in zip(values, values[1:]))
 
 
-def bound_checks(p: DynamicProfile, tol: float = 1e-6) -> list[DynamicVerdict]:
+def bound_checks(p: DynamicProfile) -> list[DynamicVerdict]:
     """Evaluate the three hazard-rate bounds for d_r on the grid.
 
     (i) lower bound via dynamic extropies, hypothesis: d_r nondecreasing;
@@ -447,6 +425,7 @@ def bound_checks(p: DynamicProfile, tol: float = 1e-6) -> list[DynamicVerdict]:
     failed premise is reported in ``hypothesis_met``, never raised.
     """
     ts, d_r, d_prime, hx, hy = p.points, p.d_r, p.d_r_prime, p.hx, p.hy
+    tol = _BOUND_TOL
     verdicts = []
 
     # (i) d_r >= ((h_X - h_Y)/(h_X + h_Y)) (J_t(X) - J_t(Y)) when d_r is nondecreasing
@@ -476,7 +455,7 @@ def bound_checks(p: DynamicProfile, tol: float = 1e-6) -> list[DynamicVerdict]:
     rows = [
         (t, d_prime[i] / d_r[i], hx[i] + hy[i])
         for i, t in enumerate(ts)
-        if d_r[i] > p.q.denominator_floor
+        if d_r[i] > QuadratureSpec.denominator_floor
     ]
     ok = all(lhs <= rhs + tol for _, lhs, rhs in rows) if rows else True
     worst = max((max(lhs - rhs, 0.0) for _, lhs, rhs in rows), default=0.0)
@@ -547,7 +526,7 @@ def dynamic_orderings(p: DynamicProfile) -> DynamicOrderings:
 
     The past orderings read the density-only past series (``past_ac``).
     """
-    resolution = 100.0 * p.q.abs_tol
+    resolution = 100.0 * QuadratureSpec.abs_tol
     jpx, jpy, jp_fg, jp_gf = p.past_ac
 
     # X <=_hr Y iff h_X >= h_Y pointwise; relation string compares X to Y
@@ -591,7 +570,7 @@ def global_decompositions(p: DynamicProfile, tol: float | None = None) -> Dynami
     (J_t(X) - J(_tX)) is also evaluated and its largest residual recorded in
     ``note`` for comparison.
     """
-    tol = 10.0 * p.q.abs_tol if tol is None else tol
+    tol = 10.0 * QuadratureSpec.abs_tol if tol is None else tol
     rows, unweighted = [], 0.0
     for k, t in enumerate(p.decomposition_points):
         i = p.points.index(t)

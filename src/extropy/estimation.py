@@ -312,7 +312,9 @@ def estimate_pairwise_relative_extropy(
     Entry (i, j) is (1/2) int (fhat_i - fhat_j)^2 = (1/2)(int fhat_i^2 +
     int fhat_j^2 - 2 int fhat_i fhat_j), each integral in closed form (see
     ``KdeModel.inner``) over the whole line, or over [support_lower, inf).
-    Reflection anchors at ``support_lower`` (0 when it is ``None``).  Each
+    Reflection anchors at ``support_lower`` (0 when it is ``None``) and
+    needs every observation at or above it, else :class:`InvalidParameter`
+    (folding would silently move the mass below it).  Each
     sample's int fhat^2 is computed once and reused across its pairs; the
     matrix is symmetric with a zero diagonal.  An entry within the rounding
     bound of its three sums, ``_SUM_ROUNDING`` relative to each, is 0.0; one
@@ -321,6 +323,12 @@ def estimate_pairwise_relative_extropy(
     reflect_at = None
     if boundary_reflect:
         reflect_at = 0.0 if support_lower is None else support_lower
+        low = min(float(batch.values.min()) for batch in batches)
+        if low < reflect_at:
+            raise InvalidParameter(
+                f"boundary reflection at {reflect_at:g} needs data at or above it; "
+                f"smallest observation is {low:g}"
+            )
     kdes = [KdeModel(batch, b, reflect_at) for batch, b in zip(batches, bandwidths)]
     norms = [m.inner(m, support_lower) for m in kdes]
     k = len(kdes)

@@ -51,12 +51,12 @@ _FORMS = {
 }
 
 
-def _window_mass(d: DistributionModel, window: str, t, q: QuadratureSpec):
+def _window_mass(d: DistributionModel, window: str, t):
     if window == "support":
         return 1.0
     name = "survival" if window == "residual" else "cdf"
     mass = np.asarray(getattr(d, name)(t), dtype=float)
-    if np.min(mass) <= q.denominator_floor:
+    if np.min(mass) <= QuadratureSpec.denominator_floor:
         i = np.argmin(mass)
         raise DenominatorUnderflow(
             f"{d.label}: {name}({np.ravel(t)[i]:g}) = {mass.flat[i]:.3e} below floor"
@@ -69,7 +69,6 @@ def _windowed(
     window: str,
     models: Sequence[DistributionModel],
     t=None,
-    q: QuadratureSpec | None = None,
     atom_convention: str = "ac",
 ) -> MeasureReport:
     """Integrate one quadratic form of (f, g) over one window, at one or many times.
@@ -88,14 +87,13 @@ def _windowed(
     conditional masses to the integral.  An array ``t`` gives arrays of
     values in one batched integral; a scalar ``t`` (or none) gives a float.
     """
-    q = q or QuadratureSpec()
     if atom_convention not in ("ac", "paper"):
         raise InvalidParameter(f"atom_convention must be 'ac' or 'paper', got {atom_convention!r}")
     if t is not None and np.isnan(t).any():
         raise InvalidParameter("t is NaN")  # its window would be empty and integrate to 0
     coef, pointwise, products = _FORMS[form]
     measure_id = form if window == "support" else f"{window}_{form}"
-    masses = [_window_mass(m, window, t, q) for m in models]
+    masses = [_window_mass(m, window, t) for m in models]
     inputs = tuple(m.label for m in models)
 
     lo = min(m.support[0] for m in models)
@@ -137,11 +135,11 @@ def _windowed(
         def integrand(x, a, b):
             return pointwise(pf(x) / a, pg(x) / b)
 
-    res = integrate(integrand, lo, hi, q, points=break_points(models), args=(masses[0], masses[-1]))
+    res = integrate(integrand, lo, hi, points=break_points(models), args=(masses[0], masses[-1]))
     paper = window == "past" and atom_convention == "paper"
     atoms = [m.atom_at_lo / s if paper else 0.0 for m, s in zip(models, masses)]
     value = coef * (res.value + pointwise(atoms[0], atoms[-1]))
-    if form == "relative" and np.min(value) < -q.abs_tol:
+    if form == "relative" and np.min(value) < -QuadratureSpec.abs_tol:
         low = np.min(value)
         raise InvalidModel(f"{measure_id} came out {low:.3e}, below the nonnegativity floor")
     return MeasureReport(
@@ -150,44 +148,35 @@ def _windowed(
     )
 
 
-def extropy(d: DistributionModel, q: QuadratureSpec | None = None) -> MeasureReport:
+def extropy(d: DistributionModel) -> MeasureReport:
     """J(X) = -(1/2) int f^2 over the support; always <= 0.
 
     Raises :class:`InvalidModel` when the density evaluates negative (the
     squared integrand would silently hide the defect otherwise).
     """
-    return _windowed("extropy", "support", (d,), q=q)
+    return _windowed("extropy", "support", (d,))
 
 
-def extropy_inaccuracy(
-    dX: DistributionModel, dY: DistributionModel, q: QuadratureSpec | None = None
-) -> MeasureReport:
+def extropy_inaccuracy(dX: DistributionModel, dY: DistributionModel) -> MeasureReport:
     """xiJ(X,Y) = -(1/2) int f g; reduces to J(X) when the models coincide."""
-    return _windowed("inaccuracy", "support", (dX, dY), q=q)
+    return _windowed("inaccuracy", "support", (dX, dY))
 
 
-def relative_extropy(
-    dX: DistributionModel, dY: DistributionModel, q: QuadratureSpec | None = None
-) -> MeasureReport:
+def relative_extropy(dX: DistributionModel, dY: DistributionModel) -> MeasureReport:
     """d(f,g) = (1/2) int (f-g)^2 >= 0; zero iff the densities agree a.e."""
-    return _windowed("relative", "support", (dX, dY), q=q)
+    return _windowed("relative", "support", (dX, dY))
 
 
-def extropy_divergence(
-    dX: DistributionModel, dY: DistributionModel, q: QuadratureSpec | None = None
-) -> MeasureReport:
+def extropy_divergence(dX: DistributionModel, dY: DistributionModel) -> MeasureReport:
     """J(f|g) = (1/2) int (f-g) f = xiJ(X,Y) - J(X); sign unrestricted."""
-    return _windowed("divergence_fg", "support", (dX, dY), q=q)
+    return _windowed("divergence_fg", "support", (dX, dY))
 
 
-def decompose_relative(
-    dX: DistributionModel, dY: DistributionModel, q: QuadratureSpec | None = None
-) -> tuple[float, float, float]:
+def decompose_relative(dX: DistributionModel, dY: DistributionModel) -> tuple[float, float, float]:
     """Return (J(f|g), J(g|f), d(f,g)), each computed by its own integral."""
-    q = q or QuadratureSpec()
-    fg = extropy_divergence(dX, dY, q).value
-    gf = extropy_divergence(dY, dX, q).value
-    d = relative_extropy(dX, dY, q).value
+    fg = extropy_divergence(dX, dY).value
+    gf = extropy_divergence(dY, dX).value
+    d = relative_extropy(dX, dY).value
     return fg, gf, d
 
 
@@ -202,12 +191,9 @@ class PerturbationQuery:
     family: str
     theta: float
     delta_theta: float
-    param_derivative_step: float | None = None
     fixed: float = 1.0
 
     def step(self) -> float:
-        if self.param_derivative_step is not None:
-            return self.param_derivative_step
         return max(1e-5, 1e-5 * abs(self.theta))
 
     def params_at(self, theta: float) -> DistributionModel:
@@ -220,11 +206,7 @@ class PerturbationQuery:
         raise InvalidParameter(f"unknown perturbation family {self.family!r}")
 
 
-def perturbation_approx(
-    pq: PerturbationQuery,
-    q: QuadratureSpec | None = None,
-    derivative: str = "theta",
-) -> tuple[float, float]:
+def perturbation_approx(pq: PerturbationQuery, derivative: str = "theta") -> tuple[float, float]:
     """Small-increment approximation of relative extropy, and its exact value.
 
     approx = (delta^2 / 2) int (df/dtheta)^2 dx with the parameter derivative
@@ -234,11 +216,10 @@ def perturbation_approx(
     """
     if derivative not in ("theta", "x"):
         raise InvalidParameter(f"derivative must be 'theta' or 'x', got {derivative!r}")
-    q = q or QuadratureSpec()
     base = pq.params_at(pq.theta)  # validates theta
     shifted = pq.params_at(pq.theta + pq.delta_theta)  # validates theta + delta
 
-    exact = relative_extropy(base, shifted, q).value
+    exact = relative_extropy(base, shifted).value
     if pq.delta_theta == 0.0:
         return 0.0, exact
 
@@ -263,7 +244,7 @@ def perturbation_approx(
 
     lo = min(m.support[0] for m in ref)
     hi = max(m.support[1] for m in ref)
-    res = integrate(dsq, lo, hi, q, points=points)
+    res = integrate(dsq, lo, hi, points=points)
     approx = 0.5 * pq.delta_theta**2 * res.value
     return approx, exact
 
@@ -291,9 +272,7 @@ def _relation(a: float, b: float, resolution: float) -> str:
     return "="
 
 
-def compare_static_ordering(
-    dX: DistributionModel, dY: DistributionModel, q: QuadratureSpec | None = None
-) -> OrderingVerdict:
+def compare_static_ordering(dX: DistributionModel, dY: DistributionModel) -> OrderingVerdict:
     """Evaluate the extropy and divergence orderings and their equivalence.
 
     The equivalence rests on J(f|g) - J(g|f) = J(Y) - J(X); ``identity_gap``
@@ -301,19 +280,18 @@ def compare_static_ordering(
     requires the two orderings to point the expected (opposite) ways whenever
     the gap between the compared quantities is resolvable.
     """
-    q = q or QuadratureSpec()
-    jx = extropy(dX, q).value
-    jy = extropy(dY, q).value
-    fg = extropy_divergence(dX, dY, q).value
-    gf = extropy_divergence(dY, dX, q).value
-    resolution = 100.0 * q.abs_tol
+    jx = extropy(dX).value
+    jy = extropy(dY).value
+    fg = extropy_divergence(dX, dY).value
+    gf = extropy_divergence(dY, dX).value
+    resolution = 100.0 * QuadratureSpec.abs_tol
     gap = (fg - gf) - (jy - jx)
 
     ex_rel = _relation(jx, jy, resolution)
     ed_rel = _relation(fg, gf, resolution)
     # X <_ex Y (J(X) < J(Y)) holds iff X >_ed Y (J(f|g) > J(g|f))
     expected_ed = {"<": ">", ">": "<", "=": "="}[ex_rel]
-    consistent = abs(gap) <= 10.0 * q.abs_tol and (
+    consistent = abs(gap) <= 10.0 * QuadratureSpec.abs_tol and (
         ed_rel == expected_ed or "=" in (ex_rel, ed_rel)
     )
 

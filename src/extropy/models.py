@@ -105,19 +105,18 @@ def break_points(models: Sequence[DistributionModel]) -> list[float]:
     return sorted(edges)
 
 
-def validate_model(d: DistributionModel, q: QuadratureSpec | None = None) -> None:
+def validate_model(d: DistributionModel) -> None:
     """Check the model invariants; raise :class:`InvalidModel` on violation.
 
     Normalization uses the quadrature tolerance scaled by a safety factor of
     100 (the probe integral is itself approximate).  The hazards need no
     check: the base class defines them as pdf/survival and pdf/cdf.
     """
-    q = q or QuadratureSpec()
     lo, hi = d.support
     points = break_points([d])
-    res = integrate(d.pdf, lo, hi, q, points=points)
+    res = integrate(d.pdf, lo, hi, points=points)
     total = res.value + d.atom_at_lo
-    if abs(total - 1.0) > 100 * max(q.abs_tol, res.abs_error) + 1e-9:
+    if abs(total - 1.0) > 100 * max(QuadratureSpec.abs_tol, res.abs_error) + 1e-9:
         raise InvalidModel(f"{d.label}: pdf + atom integrates to {total!r}, not 1")
     if abs(float(d.cdf(lo)) - d.atom_at_lo) > 1e-9:
         raise InvalidModel(f"{d.label}: cdf at the left endpoint is not the atom mass")

@@ -27,25 +27,19 @@ _QUADPACK_LIMIT = 200
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and policies applied to every integral.
+    """The package's one numerical policy, read as class attributes.
 
-    ``denominator_floor`` is the epsilon below which conditional measures
-    refuse to divide.  ``truncation_max`` caps the search for a finite upper
-    limit on heavy-tailed laws.
+    Every integral meets ``abs_tol`` or ``rel_tol``.  ``denominator_floor``
+    is the epsilon below which conditional measures refuse to divide.
+    ``truncation_max`` caps the search for a finite upper limit on
+    heavy-tailed laws.
     """
 
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-8
-    denominator_floor: float = 1e-12
-    truncation_max: float = 1e12
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-        if self.denominator_floor <= 0:
-            raise ValueError("denominator_floor must be positive")
+    abs_tol = 1e-9
+    rel_tol = 1e-8
+    denominator_floor = 1e-12
+    truncation_max = 1e12
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,6 @@ def truncation_point(
     survivals: Iterable[Callable[[float], float]],
     pdfs: Iterable[Callable[[np.ndarray], np.ndarray]],
     lo: float,
-    spec: QuadratureSpec,
 ) -> float:
     """Finite upper limit for an integral of density products over [lo, inf).
 
@@ -87,14 +80,14 @@ def truncation_point(
             finite = vals[np.isfinite(vals)]
             if finite.size:
                 m = max(m, float(finite.max()))
-        threshold = spec.abs_tol / (4.0 * m)
+        threshold = QuadratureSpec.abs_tol / (4.0 * m)
         if all(float(sf(t)) <= threshold for sf in survivals):
             return t
         t *= 2.0
-        if t > spec.truncation_max:
+        if t > QuadratureSpec.truncation_max:
             raise QuadratureFailure(
-                f"no truncation point below {spec.truncation_max:g} brings the tail "
-                f"below {spec.abs_tol:g}"
+                f"no truncation point below {QuadratureSpec.truncation_max:g} brings the tail "
+                f"below {QuadratureSpec.abs_tol:g}"
             )
 
 
@@ -108,7 +101,6 @@ def integrate(
     fn: Callable[..., np.ndarray],
     lo,
     hi,
-    spec: QuadratureSpec,
     points: Sequence[float] = (),
     args: Sequence = (),
 ) -> IntegralResult:
@@ -144,21 +136,21 @@ def integrate(
     if regular.any():
         res = _si.tanhsinh(
             fn, a[regular], b[regular], args=tuple(arg[regular] for arg in args),
-            atol=spec.abs_tol, rtol=spec.rel_tol,
+            atol=QuadratureSpec.abs_tol, rtol=QuadratureSpec.rel_tol,
         )
         value[regular], error[regular], converged[regular] = res.integral, res.error, res.success
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", _si.IntegrationWarning)
         for i in np.flatnonzero(singular):
             piece = lambda x, i=i: float(fn(np.float64(x), *(arg[i] for arg in args)))
-            out = _si.quad(piece, a[i], b[i], epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                           limit=_QUADPACK_LIMIT, full_output=1)
+            out = _si.quad(piece, a[i], b[i], epsabs=QuadratureSpec.abs_tol,
+                           epsrel=QuadratureSpec.rel_tol, limit=_QUADPACK_LIMIT, full_output=1)
             value[i], error[i], converged[i] = out[0], out[1], len(out) < 4
 
     total = np.bincount(element, weights=value, minlength=lo.size)
     abs_error = np.bincount(element, weights=error, minlength=lo.size)
     failed = np.bincount(element, weights=~converged, minlength=lo.size) > 0
-    tolerance = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+    tolerance = np.maximum(QuadratureSpec.abs_tol, QuadratureSpec.rel_tol * np.abs(total))
     bad = np.flatnonzero(failed & ~(abs_error <= tolerance))
     if bad.size:
         i = bad[0]

@@ -8,15 +8,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from extropy import (
     ConstantReversedHazardParams,
     ExponentialParams,
-    QuadratureSpec,
     UniformParams,
     WeibullParams,
 )
-
-
-@pytest.fixture(scope="session")
-def q():
-    return QuadratureSpec()
 
 
 @pytest.fixture(scope="session")

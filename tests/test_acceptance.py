@@ -47,8 +47,7 @@ from oracles import (
     rel_extropy_trap,
 )
 
-Q = QuadratureSpec()
-TOL10 = 10 * Q.abs_tol
+TOL10 = 10 * QuadratureSpec.abs_tol
 DEFAULT_SEED = 20260810
 
 
@@ -62,8 +61,8 @@ def test_criterion_1_closed_form_agreement(exp1, exp2):
     start = time.time()
     e2 = ExponentialParams(2.0)
     e5 = ExponentialParams(5.0)
-    d12 = relative_extropy(exp1, exp2, Q).value
-    d25 = relative_extropy(e2, e5, Q).value
+    d12 = relative_extropy(exp1, exp2).value
+    d25 = relative_extropy(e2, e5).value
     gap12 = abs(d12 - closed_form_relative_exponential(1.0, 2.0))
     gap25 = abs(d25 - closed_form_relative_exponential(2.0, 5.0))
     elapsed = time.time() - start
@@ -82,7 +81,7 @@ def test_criterion_2_weibull_table_target(weib_15_2, weib_2_3):
         return lambda x: np.where(x > 0, (k / s) * (x / s) ** (k - 1) * np.exp(-((x / s) ** k)), 0.0)
 
     oracle = rel_extropy_trap(pdf(1.5, 2.0), pdf(2.0, 3.0), 1e-12, 40.0)
-    value = relative_extropy(weib_15_2, weib_2_3, Q).value
+    value = relative_extropy(weib_15_2, weib_2_3).value
     published_gap = abs(oracle - 0.03414)
     ok = abs(value - oracle) <= 1e-6
     record(
@@ -109,23 +108,23 @@ def test_criterion_3_identity_suite():
     for _ in range(50):
         mx = random_params(rng)
         my = random_params(rng)
-        fg, gf, d = decompose_relative(mx, my, Q)
+        fg, gf, d = decompose_relative(mx, my)
         worst = max(worst, abs(fg + gf - d))
-        xi = extropy_inaccuracy(mx, my, Q).value
-        jx, jy = extropy(mx, Q).value, extropy(my, Q).value
+        xi = extropy_inaccuracy(mx, my).value
+        jx, jy = extropy(mx).value, extropy(my).value
         worst = max(worst, abs(d - (2 * xi - jx - jy)))
         t = _valid_t(mx, my)
         if t is not None:
             checked_dynamic += 1
             res_sum = (
-                residual_divergence(mx, my, t, Q).value
-                + residual_divergence(my, mx, t, Q).value
-                - residual_relative(mx, my, t, Q).value
+                residual_divergence(mx, my, t).value
+                + residual_divergence(my, mx, t).value
+                - residual_relative(mx, my, t).value
             )
             past_sum = (
-                past_divergence(mx, my, t, Q).value
-                + past_divergence(my, mx, t, Q).value
-                - past_relative(mx, my, t, Q).value
+                past_divergence(mx, my, t).value
+                + past_divergence(my, mx, t).value
+                - past_relative(mx, my, t).value
             )
             worst = max(worst, abs(res_sum), abs(past_sum))
     elapsed = time.time() - start
@@ -135,12 +134,12 @@ def test_criterion_3_identity_suite():
 
 def test_criterion_4_ode_suite(exp1, exp2, weib21, weib_15_2, weib_2_3):
     grid = TimeGrid(points=tuple(np.linspace(0.1, 1.0, 10)))
-    exp_profile = dynamic_profile(exp1, exp2, grid, Q)
+    exp_profile = dynamic_profile(exp1, exp2, grid)
     exp_rel = ode_check_relative(exp_profile)
     exp_div = ode_check_divergence(exp_profile)
     worst_mixed = 0.0
     for pair in ((exp1, weib21), (weib_15_2, weib_2_3)):
-        profile = dynamic_profile(*pair, grid, Q)
+        profile = dynamic_profile(*pair, grid)
         worst_mixed = max(
             worst_mixed,
             ode_check_relative(profile).max_abs_residual,
@@ -164,7 +163,7 @@ def test_criterion_5_decomposition_suite(exp1, exp2, weib21, weib_15_2):
     ts = (0.2, 0.5, 0.8, 1.2, 1.6)
     worst = 0.0
     for mx, my in pairs:
-        profile = dynamic_profile(mx, my, TimeGrid(ts), Q)
+        profile = dynamic_profile(mx, my, TimeGrid(ts))
         assert profile.decomposition_points == ts
         worst = max(worst, global_decompositions(profile, tol=1e-6).max_abs_residual)
     ok = worst <= 1e-6
@@ -174,14 +173,14 @@ def test_criterion_5_decomposition_suite(exp1, exp2, weib21, weib_15_2):
 def test_criterion_6_hazard_representation(exp1, exp2, weib21):
     gaps = []
     for t in (0.2, 0.6):
-        recon = hazard_repr_inaccuracy(1.0, lambda x: 2.0, t, Q, cumulative_hazard_y=lambda x: 2.0 * x)
-        gaps.append(abs(recon - residual_inaccuracy(exp1, exp2, t, Q).value))
-        recon = hazard_repr_relative(1.0, lambda x: 2.0, t, Q, cumulative_hazard_y=lambda x: 2.0 * x)
-        gaps.append(abs(recon - residual_relative(exp1, exp2, t, Q).value))
-        recon = hazard_repr_inaccuracy(1.0, lambda x: 2.0 * x, t, Q, cumulative_hazard_y=lambda x: x * x)
-        gaps.append(abs(recon - residual_inaccuracy(exp1, weib21, t, Q).value))
-        recon = hazard_repr_relative(1.0, lambda x: 2.0 * x, t, Q, cumulative_hazard_y=lambda x: x * x)
-        gaps.append(abs(recon - residual_relative(exp1, weib21, t, Q).value))
+        recon = hazard_repr_inaccuracy(1.0, lambda x: 2.0, t, cumulative_hazard_y=lambda x: 2.0 * x)
+        gaps.append(abs(recon - residual_inaccuracy(exp1, exp2, t).value))
+        recon = hazard_repr_relative(1.0, lambda x: 2.0, t, cumulative_hazard_y=lambda x: 2.0 * x)
+        gaps.append(abs(recon - residual_relative(exp1, exp2, t).value))
+        recon = hazard_repr_inaccuracy(1.0, lambda x: 2.0 * x, t, cumulative_hazard_y=lambda x: x * x)
+        gaps.append(abs(recon - residual_inaccuracy(exp1, weib21, t).value))
+        recon = hazard_repr_relative(1.0, lambda x: 2.0 * x, t, cumulative_hazard_y=lambda x: x * x)
+        gaps.append(abs(recon - residual_relative(exp1, weib21, t).value))
     worst = max(gaps)
     record(6, worst <= 1e-4, f"constant and increasing hazards, worst gap {worst:.2e}")
 
@@ -189,7 +188,7 @@ def test_criterion_6_hazard_representation(exp1, exp2, weib21):
 def test_criterion_7_perturbation_approximation():
     lam, delta = 2.0, 0.01
     pq = PerturbationQuery(family="exponential", theta=lam, delta_theta=delta)
-    _, exact = perturbation_approx(pq, Q)
+    _, exact = perturbation_approx(pq)
     ratio = exact / (delta**2 / (8.0 * lam))
     quoted_ratio = exact / (delta**2 / (4.0 * lam))
     ok = 0.95 <= ratio <= 1.05
@@ -232,9 +231,9 @@ def test_criterion_8_simulation_reproduction():
 
 def test_criterion_9_characterization_falsification(exp1, exp2, weib21):
     ts = np.linspace(0.1, 1.0, 10)
-    exp_values = [(t, residual_inaccuracy(exp1, exp2, t, Q).value) for t in ts]
+    exp_values = [(t, residual_inaccuracy(exp1, exp2, t).value) for t in ts]
     exp_constant = constancy_detector(exp_values, tol=1e-6)
-    weib_values = [(t, residual_inaccuracy(exp1, weib21, t, Q).value) for t in ts]
+    weib_values = [(t, residual_inaccuracy(exp1, weib21, t).value) for t in ts]
     spread = max(v for _, v in weib_values) - min(v for _, v in weib_values)
     ok = exp_constant and not constancy_detector(weib_values, tol=1e-3) and spread > 1e-3
     record(

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from extropy import cli, dynamic, measures, parse_family
+from extropy import McStudyConfig, cli, dynamic, mc_bias_mse, measures, parse_family
 from extropy.cli import main
 
 
@@ -234,12 +234,12 @@ def test_verify_computes_each_integral_once(tmp_path, monkeypatch):
     keys = []
     calls = []
 
-    def counting(form, window, models, t=None, q=None, atom_convention="ac"):
+    def counting(form, window, models, t=None, atom_convention="ac"):
         calls.append(form)
         labels = tuple(m.label for m in models)
         times = [None] if t is None else np.ravel(t).tolist()
         keys.extend((form, window, labels, ti, atom_convention) for ti in times)
-        return windowed(form, window, models, t, q, atom_convention)
+        return windowed(form, window, models, t, atom_convention)
 
     monkeypatch.setattr(measures, "_windowed", counting)
     monkeypatch.setattr(dynamic, "_windowed", counting)
@@ -359,3 +359,35 @@ def test_rounding_noise_estimates_are_zero(near_identical_csv, tmp_path):
     assert run(["estimate", *common, "--out", str(tmp_path / "e")]) == 0
     report = json.loads((tmp_path / "e" / "report.json").read_text())
     assert report["results"]["relative_extropy"] == 0.0
+
+
+@pytest.mark.parametrize("fx, fy, lower", [
+    ("uniform:-1,1", "uniform:-1,2", -1.0),
+    ("uniform:2,3", "uniform:2.5,4", 2.0),
+], ids=["below-0", "above-0"])
+def test_simulate_cuts_off_at_the_left_end_of_the_support_hull(tmp_path, fx, fy, lower):
+    # the estimates were cut off at 0 whatever the families' support
+    out = tmp_path / "sim"
+    code = run(["simulate", "--family-x", fx, "--family-y", fy, "--n", "20", "--reps", "10",
+                "--seed", "3", "--format", "json", "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())["results"]
+    px, py = parse_family(fx), parse_family(fy)
+    row = mc_bias_mse(McStudyConfig(px, py, n=20, reps=10, seed=3,
+                                    true_value=report["true_value"], support_lower=lower))
+    assert report["rows"][0]["mean_estimate"] == row.mean_estimate
+
+
+def test_estimate_refuses_to_reflect_data_below_the_bound(tmp_path, capsys):
+    # reflection at 0 once folded the negative half of these samples silently
+    rng = np.random.default_rng(4)
+    rows = ["arm,value"] + [f"a,{v!r}" for v in rng.normal(0.0, 1.0, 200).tolist()]
+    rows += [f"b,{v!r}" for v in rng.normal(0.5, 1.0, 200).tolist()]
+    path = tmp_path / "normal.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    common = [str(path), "--value-col", "value", "--group-col", "arm"]
+    assert run(["estimate", *common, "--out", str(tmp_path / "off")]) == 0
+    code = run(["estimate", *common, "--boundary-reflect", "on", "--out", str(tmp_path / "on")])
+    assert code == 2
+    assert "reflection at 0" in capsys.readouterr().err
+    assert not (tmp_path / "on" / "report.json").exists()

@@ -40,7 +40,7 @@ from oracles import residual_relative_trap
 
 rates = st.floats(min_value=0.4, max_value=3.0)
 
-TOL10 = 10 * QuadratureSpec().abs_tol
+TOL10 = 10 * QuadratureSpec.abs_tol
 GRID = TimeGrid(points=tuple(np.linspace(0.1, 1.0, 10)))
 
 

@@ -47,8 +47,7 @@ def test_gaussian_kernel_center():
 def test_gaussian_kernel_symmetry_and_mass():
     u = np.linspace(0.1, 6.0, 25)
     assert np.allclose(gaussian_kernel(u), gaussian_kernel(-u))
-    q = QuadratureSpec()
-    mass = integrate(gaussian_kernel, -8.0, 8.0, q).value
+    mass = integrate(gaussian_kernel, -8.0, 8.0).value
     assert mass == pytest.approx(1.0, abs=1e-10)
 
 
@@ -80,10 +79,9 @@ def test_kde_mass_is_one():
     batch = exp_batch(1.0, 80, 3)
     b = sheather_jones_bandwidth(batch)
     m = KdeModel(batch, b)
-    q = QuadratureSpec()
     lo = batch.values[0] - 8 * b
     hi = batch.values[-1] + 8 * b
-    assert integrate(m.pdf, lo, hi, q).value == pytest.approx(1.0, abs=1e-6)
+    assert integrate(m.pdf, lo, hi).value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_kde_windowed_path_matches_exact():
@@ -102,8 +100,7 @@ def test_kde_reflection_preserves_mass_and_clips():
     b = sheather_jones_bandwidth(batch)
     m = KdeModel(batch, b, reflect_at=0.0)
     assert float(m.pdf(-0.5)) == 0.0
-    q = QuadratureSpec()
-    mass = integrate(m.pdf, 0.0, float(batch.values[-1]) + 8 * b, q).value
+    mass = integrate(m.pdf, 0.0, float(batch.values[-1]) + 8 * b).value
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
@@ -273,8 +270,9 @@ def _quadrature_estimate(sx, sy, bx, by, support_lower, boundary_reflect):
     if support_lower is not None:
         lo = max(lo, support_lower)
     integrand = lambda x: (float(fx.pdf(x)) - float(fy.pdf(x))) ** 2
-    q = QuadratureSpec()
-    return 0.5 * quad(integrand, lo, hi, epsabs=q.abs_tol, epsrel=q.rel_tol, limit=200)[0]
+    return 0.5 * quad(
+        integrand, lo, hi, epsabs=QuadratureSpec.abs_tol, epsrel=QuadratureSpec.rel_tol, limit=200
+    )[0]
 
 
 @pytest.mark.parametrize("n", [50, 200, 2500])

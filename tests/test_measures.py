@@ -28,7 +28,7 @@ rates = st.floats(min_value=0.3, max_value=4.0)
 shapes = st.floats(min_value=0.8, max_value=3.0)
 scales = st.floats(min_value=0.5, max_value=3.0)
 
-TOL10 = 10 * QuadratureSpec().abs_tol
+TOL10 = 10 * QuadratureSpec.abs_tol
 
 
 def _weib_pdf(k, s):

@@ -8,34 +8,30 @@ from extropy.quadrature import integrate, truncation_point
 
 
 def test_known_integral():
-    q = QuadratureSpec()
-    res = integrate(lambda x: np.exp(-x), 0.0, 50.0, q)
+    res = integrate(lambda x: np.exp(-x), 0.0, 50.0)
     assert res.value == pytest.approx(1.0, abs=1e-10)
     assert res.abs_error < 1e-8
     assert res.subdivisions >= 1
 
 
 def test_infinite_upper_limit():
-    q = QuadratureSpec()
-    res = integrate(lambda x: np.exp(-x), 0.0, np.inf, q)
+    res = integrate(lambda x: np.exp(-x), 0.0, np.inf)
     assert isinstance(res.value, float)
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_interior_break_points_handle_kinks():
-    q = QuadratureSpec()
     fn = lambda x: np.where((x >= 0.25) & (x <= 0.75), 1.0, 0.0)
-    res = integrate(fn, 0.0, 1.0, q, points=[0.25, 0.75])
+    res = integrate(fn, 0.0, 1.0, points=[0.25, 0.75])
     assert res.value == pytest.approx(0.5, abs=1e-12)
     assert res.subdivisions == 3
 
 
 def test_broadcast_limits_keep_their_shape():
-    q = QuadratureSpec()
     lo = np.array([[0.0], [1.0]])
     hi = np.array([[0.5, 2.0, 3.0]])
     rate = np.array([1.0, 2.0, 3.0])
-    res = integrate(lambda x, r: r * np.exp(-r * x), lo, hi, q, points=[1.5], args=(rate,))
+    res = integrate(lambda x, r: r * np.exp(-r * x), lo, hi, points=[1.5], args=(rate,))
     assert res.value.shape == res.abs_error.shape == (2, 3)
     exact = np.exp(-rate * lo) - np.exp(-rate * np.maximum(hi, lo))
     assert np.allclose(res.value, exact, rtol=0.0, atol=1e-9)
@@ -43,53 +39,42 @@ def test_broadcast_limits_keep_their_shape():
 
 
 def test_empty_interval_is_zero():
-    q = QuadratureSpec()
-    res = integrate(np.ones_like, 2.0, 2.0, q)
+    res = integrate(np.ones_like, 2.0, 2.0)
     assert res.value == 0.0 and res.subdivisions == 0
 
 
 def test_left_end_singularity_goes_to_quadpack():
     # tanh-sinh alone returns 49.99996 here and reports convergence
-    q = QuadratureSpec()
-    res = integrate(lambda x: x**-0.98, 0.0, 1.0, q)
-    assert res.value == pytest.approx(50.0, abs=max(q.abs_tol, q.rel_tol * 50.0))
+    res = integrate(lambda x: x**-0.98, 0.0, 1.0)
+    tol = max(QuadratureSpec.abs_tol, QuadratureSpec.rel_tol * 50.0)
+    assert res.value == pytest.approx(50.0, abs=tol)
 
 
 def test_weibull_extropy_near_half_shape():
-    q = QuadratureSpec()
     exact = weibull_extropy(0.503, 85.5)
-    value = extropy(WeibullParams(0.503, 85.5), q).value
-    assert value == pytest.approx(exact, abs=max(q.abs_tol, q.rel_tol * abs(exact)))
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(denominator_floor=-1.0)
+    value = extropy(WeibullParams(0.503, 85.5)).value
+    tol = max(QuadratureSpec.abs_tol, QuadratureSpec.rel_tol * abs(exact))
+    assert value == pytest.approx(exact, abs=tol)
 
 
 def test_truncation_tail_below_tolerance():
-    q = QuadratureSpec()
     sf = lambda x: np.exp(-2.0 * x)
     pdf = lambda x: 2.0 * np.exp(-2.0 * x)
-    t = truncation_point([sf], [pdf], 0.0, q)
+    t = truncation_point([sf], [pdf], 0.0)
     # discarded tail of the squared density is below abs_tol
-    tail = integrate(lambda x: pdf(x) ** 2, t, t + 50.0, q).value
-    assert tail < q.abs_tol
+    tail = integrate(lambda x: pdf(x) ** 2, t, t + 50.0).value
+    assert tail < QuadratureSpec.abs_tol
 
 
 def test_truncation_gives_up_on_fat_tails():
-    q = QuadratureSpec(truncation_max=1e4)
     sf = lambda x: 1.0 / (1.0 + x) ** 0.25
     pdf = lambda x: 0.25 / (1.0 + x) ** 1.25
     with pytest.raises(QuadratureFailure):
-        truncation_point([sf], [pdf], 0.0, q)
+        truncation_point([sf], [pdf], 0.0)
 
 
 def test_failure_on_pathological_integrand():
-    q = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-13)
     rng = np.random.default_rng(0)
     noisy = lambda x: rng.normal(size=np.shape(x))
     with pytest.raises(QuadratureFailure):
-        integrate(noisy, 0.0, 1.0, q)
+        integrate(noisy, 0.0, 1.0)

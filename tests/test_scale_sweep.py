@@ -37,8 +37,6 @@ from extropy.dynamic import (
 )
 from extropy.errors import ExtropyError
 
-Q = QuadratureSpec()
-
 
 def log_uniform(lo_exp, hi_exp):
     return st.floats(min_value=lo_exp, max_value=hi_exp).map(lambda e: 10.0**e)
@@ -49,7 +47,8 @@ def assert_matches(measure, exact):
         value = measure().value
     except ExtropyError:
         return  # a typed refusal is allowed; a wrong number is not
-    assert abs(value - exact) <= 10.0 * max(Q.abs_tol, Q.rel_tol * abs(exact)), (value, exact)
+    tol = 10.0 * max(QuadratureSpec.abs_tol, QuadratureSpec.rel_tol * abs(exact))
+    assert abs(value - exact) <= tol, (value, exact)
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,12 +60,12 @@ def test_exponential_measures_at_any_rate(r1, r2, frac, far):
     mx, my = ExponentialParams(r1), ExponentialParams(r2)
     t = frac / max(r1, r2)
     relative = closed_form_relative_exponential(r1, r2)
-    assert_matches(lambda: extropy(mx, Q), exponential_extropy(r1))
+    assert_matches(lambda: extropy(mx), exponential_extropy(r1))
     # survival down to e^-25, beyond the 1 - 1e-6 quantile
-    assert_matches(lambda: residual_extropy(mx, far / r1, Q), exponential_extropy(r1))
-    assert_matches(lambda: relative_extropy(mx, my, Q), relative)
-    assert_matches(lambda: residual_relative(mx, my, t, Q), relative)
-    assert_matches(lambda: residual_inaccuracy(mx, my, t, Q), exponential_inaccuracy(r1, r2))
+    assert_matches(lambda: residual_extropy(mx, far / r1), exponential_extropy(r1))
+    assert_matches(lambda: relative_extropy(mx, my), relative)
+    assert_matches(lambda: residual_relative(mx, my, t), relative)
+    assert_matches(lambda: residual_inaccuracy(mx, my, t), exponential_inaccuracy(r1, r2))
 
 
 near_half = st.floats(min_value=0.5, max_value=0.52, exclude_min=True)
@@ -80,7 +79,7 @@ shapes = st.one_of(
 def test_weibull_extropy_at_any_scale(shape, scale):
     assume(shape > 0.5)
     model = WeibullParams(shape, scale)
-    assert_matches(lambda: extropy(model, Q), weibull_extropy(shape, scale))
+    assert_matches(lambda: extropy(model), weibull_extropy(shape, scale))
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,10 +93,10 @@ def test_crh_past_measures_at_any_scale(b1, b2, ab1, ab2, frac, atom):
     t = frac * min(b1, b2)
     conv = "paper" if atom else "ac"
     jx, xi, divergence, relative = crh_past_measures(px, py, t, include_atom=atom)
-    assert_matches(lambda: past_extropy(px, t, Q, conv), jx)
-    assert_matches(lambda: past_inaccuracy(px, py, t, Q, conv), xi)
-    assert_matches(lambda: past_divergence(px, py, t, Q, conv), divergence)
-    assert_matches(lambda: past_relative(px, py, t, Q, conv), relative)
+    assert_matches(lambda: past_extropy(px, t, conv), jx)
+    assert_matches(lambda: past_inaccuracy(px, py, t, conv), xi)
+    assert_matches(lambda: past_divergence(px, py, t, conv), divergence)
+    assert_matches(lambda: past_relative(px, py, t, conv), relative)
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,12 +114,12 @@ def test_uniform_past_measures_at_any_scale(w1, w2, c1, c2, frac):
     # past densities are 1/(t - l) on (l, t]; they overlap on (lo, t]
     jx, jy = -0.5 / (t - l1), -0.5 / (t - l2)
     xi = -0.5 * (t - lo) / ((t - l1) * (t - l2))
-    assert_matches(lambda: past_extropy(mx, t, Q), jx)
-    assert_matches(lambda: past_inaccuracy(mx, my, t, Q), xi)
-    assert_matches(lambda: past_relative(mx, my, t, Q), 2.0 * xi - jx - jy)
+    assert_matches(lambda: past_extropy(mx, t), jx)
+    assert_matches(lambda: past_inaccuracy(mx, my, t), xi)
+    assert_matches(lambda: past_relative(mx, my, t), 2.0 * xi - jx - jy)
 
 
 def test_wide_exponential_pair_is_not_silently_truncated():
     mx, my = ExponentialParams(0.001), ExponentialParams(1.0)
-    value = relative_extropy(mx, my, Q).value
+    value = relative_extropy(mx, my).value
     assert value == pytest.approx(closed_form_relative_exponential(0.001, 1.0), abs=1e-9)
