@@ -22,7 +22,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+
+# not called in this module: the name stays bound because the benchmark
+# tracer (perfbench/tracer.py) rebinds estimation.brentq and fails without it;
+# scipy.integrate loads scipy.optimize anyway, so it costs no import time
+from scipy.optimize import brentq  # noqa: F401
 from scipy.special import ndtr
 
 from .distributions import SeededSampler, sample
@@ -57,6 +61,10 @@ _SJ_KEEP_TERMS = 1 << 21
 # u^6 exp(-u^2 / 2) is below 1e-18 of its peak for |u| > 10.5; the
 # Sheather-Jones sums drop pairs farther apart than that many pilot widths
 _SJ_WINDOW = 10.5
+# the Sheather-Jones solve stops at a Newton step this small on the standardized
+# scale, where the step is the error: half the 1e-14 the reference bandwidths of
+# the benchmark gate hold (perfbench/workloads.py); steps of a few ulps stall
+_SJ_STEP = 0.5e-14
 # ndtr(z) rounds to exactly 1.0 in double precision for every z >= 8.3
 _PHI_ONE = 8.3
 # relative rounding error allowed in each kernel sum: measured under 2 ulps
@@ -91,7 +99,8 @@ def _upper_squares(z: np.ndarray, reach: float):
     """
     for start, stop, _, hi in _blocks(z, z, reach):
         diffs = np.concatenate([z[i + 1 : hi] - z[i] for i in range(start, stop)])
-        yield diffs * diffs
+        diffs *= diffs
+        yield diffs
 
 
 def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float | None) -> float:
@@ -230,16 +239,53 @@ def sample_batch(
     return SampleBatch(sample(params, n, sampler, substream=substream))
 
 
+def _psi4_terms(w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """w^2 - 6w + 3 into ``out``: phi^(4)(u) sqrt(2 pi) e^(w/2) at w = u^2."""
+    np.multiply(w, w, out=out)
+    np.multiply(w, 6.0, out=tmp)
+    out -= tmp
+    out += 3.0
+
+
+def _psi6_terms(w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """w^3 - 15w^2 + 45w - 15 into ``out``: phi^(6)(u) sqrt(2 pi) e^(w/2) at w = u^2."""
+    np.multiply(w, w, out=out)
+    out *= w
+    np.multiply(w, 15.0, out=tmp)
+    tmp *= w
+    out -= tmp
+    np.multiply(w, 45.0, out=tmp)
+    out += tmp
+    out -= 15.0
+
+
+def _psi4_slope_terms(w: np.ndarray, out: np.ndarray) -> None:
+    """w^3 - 10w^2 + 15w into ``out``.
+
+    At w = (d/g)^2 it is g d/dg of (w^2 - 6w + 3) e^(-w/2), over e^(-w/2).
+    """
+    np.subtract(w, 10.0, out=out)
+    out *= w
+    out += 15.0
+    out *= w
+
+
 def sheather_jones_bandwidth(s: SampleBatch) -> float:
     """Solve-the-equation plug-in bandwidth for a Gaussian kernel.
 
     Pilot functionals use Gaussian-reference bandwidths on the robust scale
-    min(sd, IQR/1.349); the fixed point is bracketed inside
-    [1e-3, 1e3] * sd * n^(-1/5) and solved by Brent's method.  The sample is
-    standardized by its sd first, which makes the result exactly
-    scale-equivariant.  The pilot functionals are exact pair sums over the
-    sorted blocks of ``_upper_squares``, less pairs beyond ``_SJ_WINDOW``
-    pilot widths when the blocks are rebuilt at each evaluation.
+    min(sd, IQR/1.349).  The sample is standardized by its sd first, which
+    makes the result exactly scale-equivariant.  The equation
+    F(h) = (c1 / psi4(alpha2 h^(5/7)))^(1/5) - h must change sign over
+    [1e-3, 1e3] * n^(-1/5), else :class:`NoBracket`.  It is solved by Newton's
+    method from n^(-1/5) inside that bracket, which each evaluation narrows; a
+    step that would leave the bracket, or not halve the step before it,
+    bisects instead.  The solve stops at a step of at most ``_SJ_STEP`` and
+    takes about 9 pair-sum passes, counting the two pilots and the two
+    bracket ends.  Each pass sums the pair terms of psi4 and of its slope
+    under one shared exponential, over the sorted blocks of
+    ``_upper_squares``, less pairs beyond ``_SJ_WINDOW`` pilot widths when
+    the blocks are rebuilt at each pass.
     """
     if s.n < 5:
         raise DegenerateSample(f"bandwidth selection needs n >= 5, got {s.n}")
@@ -253,51 +299,81 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     scale_z = min(1.0, iqr / (1.349 * sd)) if iqr > 0 else 1.0
 
     z = vals / sd
-    # one solve evaluates the sums some 20 times: below the cap the blocks are
-    # kept for all of them, above it each evaluation rebuilds them in its window
-    kept = list(_upper_squares(z, math.inf)) if n * (n - 1) // 2 <= _SJ_KEEP_TERMS else None
+    pairs = n * (n - 1) // 2
+    # one solve makes some 9 passes over the pairs: below the cap the blocks are
+    # kept for all of them, above it each pass rebuilds them in its window
+    kept = list(_upper_squares(z, math.inf)) if pairs <= _SJ_KEEP_TERMS else None
+    # every pass works in these, sized to the largest block: fresh block-sized
+    # arrays at each pass cost page faults
+    w, expo, terms, slope_terms = np.empty((4, min(pairs, max(_BLOCK_TERMS, n))))
 
-    def _offdiag_sum(h: float, poly) -> float:
-        total = 0.0
-        for dsq in kept if kept is not None else _upper_squares(z, _SJ_WINDOW * h):
-            u2 = dsq / (h * h)
-            terms = poly(u2)
-            u2 *= -0.5  # the exponent in place: each new block-sized array costs page faults
-            terms *= np.exp(u2, out=u2)
-            total += float(terms.sum())
-        return total
+    def pair_sums(g: float, poly, slope: bool = False) -> tuple[float, float]:
+        """Sums over j > i of poly(w) e^(-w/2) and, with ``slope``, of
+        ``_psi4_slope_terms`` times e^(-w/2); w = ((z_j - z_i) / g)^2."""
+        total = slope_total = 0.0
+        for dsq in kept if kept is not None else _upper_squares(z, _SJ_WINDOW * g):
+            k = dsq.size
+            wk, ek, tk, sk = w[:k], expo[:k], terms[:k], slope_terms[:k]
+            np.divide(dsq, g * g, out=wk)
+            poly(wk, tk, ek)
+            if slope:
+                _psi4_slope_terms(wk, sk)
+            np.multiply(wk, -0.5, out=ek)
+            np.exp(ek, out=ek)
+            tk *= ek
+            total += float(tk.sum())
+            if slope:
+                sk *= ek
+                slope_total += float(sk.sum())
+        return total, slope_total
 
-    def sd_functional(h: float) -> float:
-        total = 2.0 * _offdiag_sum(h, lambda u2: u2 * u2 - 6.0 * u2 + 3.0) + 3.0 * n
-        return total / (n * (n - 1) * h**5 * _SQRT_2PI)
+    def sd_functional(g: float, slope: bool = False) -> tuple[float, float]:
+        """psi4 at g = N / (n (n - 1) g^5 sqrt(2 pi)) and, with ``slope``, g N'(g) / N."""
+        total, slope_total = pair_sums(g, _psi4_terms, slope)
+        total = 2.0 * total + 3.0 * n
+        return total / (n * (n - 1) * g**5 * _SQRT_2PI), 2.0 * slope_total / total
 
-    def td_functional(h: float) -> float:
-        total = (
-            2.0 * _offdiag_sum(h, lambda u2: u2 * u2 * u2 - 15.0 * u2 * u2 + 45.0 * u2 - 15.0)
-            - 15.0 * n
-        )
-        return -total / (n * (n - 1) * h**7 * _SQRT_2PI)
+    def td_functional(g: float) -> float:
+        total = 2.0 * pair_sums(g, _psi6_terms)[0] - 15.0 * n
+        return -total / (n * (n - 1) * g**7 * _SQRT_2PI)
 
     a = 0.920 * 1.349 * scale_z * n ** (-1.0 / 7.0)
     b = 0.912 * 1.349 * scale_z * n ** (-1.0 / 9.0)
     td = td_functional(b)
     if not (td > 0 and math.isfinite(td)):
         raise DegenerateSample("sample too sparse for the pilot curvature functional")
-    alpha2_coeff = 1.357 * (sd_functional(a) / td) ** (1.0 / 7.0)
+    alpha2_coeff = 1.357 * (sd_functional(a)[0] / td) ** (1.0 / 7.0)
     c1 = 1.0 / (2.0 * math.sqrt(math.pi) * n)
 
-    def equation(h: float) -> float:
-        return (c1 / sd_functional(alpha2_coeff * h ** (5.0 / 7.0))) ** 0.2 - h
+    def equation(h: float, slope: bool = False) -> tuple[float, float]:
+        """F(h) and, with ``slope``, F'(h) = (r / h)(5 - g N'/N) / 7 - 1, r = F(h) + h."""
+        psi4, log_slope = sd_functional(alpha2_coeff * h ** (5.0 / 7.0), slope)
+        r = (c1 / psi4) ** 0.2
+        return r - h, (r / h) * (5.0 - log_slope) / 7.0 - 1.0
 
     h0 = n ** (-0.2)
     lo, hi = 1e-3 * h0, 1e3 * h0
-    f_lo, f_hi = equation(lo), equation(hi)
+    f_lo, f_hi = equation(lo)[0], equation(hi)[0]
     if f_lo * f_hi > 0:
         raise NoBracket(
             f"bandwidth equation has no sign change in [{lo * sd:.3e}, {hi * sd:.3e}]"
         )
-    root = brentq(equation, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    return float(root * sd)
+    h, step, last = h0, hi - lo, hi - lo
+    while abs(step) > _SJ_STEP:
+        f, slope = equation(h, slope=True)
+        if f == 0.0:
+            break
+        if (f > 0.0) == (f_lo > 0.0):
+            lo = h
+        else:
+            hi = h
+        newton = -f / slope if slope != 0.0 else math.nan
+        last, step = step, newton
+        # not (lo < . < hi) also holds for a NaN step
+        if not (lo < h + newton < hi) or abs(newton) > 0.5 * abs(last):
+            step = 0.5 * (lo + hi) - h
+        h += step
+    return float(h * sd)
 
 
 def estimate_pairwise_relative_extropy(

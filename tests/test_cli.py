@@ -391,3 +391,18 @@ def test_estimate_refuses_to_reflect_data_below_the_bound(tmp_path, capsys):
     assert code == 2
     assert "reflection at 0" in capsys.readouterr().err
     assert not (tmp_path / "on" / "report.json").exists()
+
+
+def test_estimate_without_a_bandwidth_bracket_is_numerical_failure(tmp_path, capsys):
+    # a tight cluster and one outlier: the bandwidth equation of arm a has no
+    # sign change in its bracket
+    rng = np.random.default_rng(1)
+    a = np.concatenate([rng.normal(0.0, 1e-6, 199), [1.0]])
+    b = np.random.default_rng(2).normal(size=200)
+    rows = ["arm,value"] + [f"a,{v!r}" for v in a.tolist()] + [f"b,{v!r}" for v in b.tolist()]
+    path = tmp_path / "cluster.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code = run(["estimate", str(path), "--value-col", "value", "--group-col", "arm",
+                "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "no sign change" in capsys.readouterr().err

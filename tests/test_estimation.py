@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -22,7 +23,7 @@ from extropy import (
     sheather_jones_bandwidth,
 )
 from extropy import estimation
-from extropy.errors import DegenerateSample, InvalidModel, InvalidParameter
+from extropy.errors import DegenerateSample, InvalidModel, InvalidParameter, NoBracket
 from extropy.grouping import GroupedDataset
 from extropy.quadrature import QuadratureSpec, integrate
 from oracles import (
@@ -143,6 +144,29 @@ def test_sj_against_independent_oracle(sj_blocks):
         assert mine == pytest.approx(oracle, abs=1e-6)
 
 
+@functools.lru_cache(maxsize=None)
+def _sj_oracle_case(kind, n):
+    """A seeded sample and its oracle bandwidth, once per case for both
+    fixtures: the oracle's meshgrid bisection takes seconds at n = 800."""
+    rng = np.random.default_rng(n)
+    if kind == "normal":
+        x = rng.normal(size=n)
+    elif kind == "exponential":
+        x = rng.exponential(size=n)
+    else:
+        x = np.concatenate([rng.normal(size=n // 2), rng.normal(4.0, 0.5, size=n - n // 2)])
+    return x, sheather_jones_oracle(x)
+
+
+@pytest.mark.parametrize("n", [50, 200, 800])
+@pytest.mark.parametrize("kind", ["normal", "exponential", "bimodal"])
+def test_sj_matches_oracle_to_rounding(sj_blocks, kind, n):
+    # both sides solve to about 1e-14 of the root; 1e-12 leaves room only
+    # for the rounding of two different summation orders
+    x, oracle = _sj_oracle_case(kind, n)
+    assert sheather_jones_bandwidth(SampleBatch(x)) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
 def test_sj_rebuilt_blocks_match_kept(monkeypatch):
     rng = np.random.default_rng(31)
     samples = [
@@ -173,6 +197,14 @@ def test_sj_degenerate_inputs():
         sheather_jones_bandwidth(SampleBatch(np.array([1.0, 1.0, 1.0, 1.0, 1.0])))
     with pytest.raises(DegenerateSample):
         sheather_jones_bandwidth(SampleBatch(np.array([1.0, 2.0, 3.0])))
+
+
+def test_sj_without_sign_change_raises_no_bracket(sj_blocks):
+    # the outlier sets the sd, and the tight cluster puts the root of the
+    # bandwidth equation below the bracket's lower end, 1e-3 sd n^(-1/5)
+    x = np.concatenate([np.random.default_rng(1).normal(0.0, 1e-6, 199), [1.0]])
+    with pytest.raises(NoBracket, match="no sign change"):
+        sheather_jones_bandwidth(SampleBatch(x))
 
 
 def test_sample_batch_validation():
