@@ -196,8 +196,6 @@ def cmd_simulate(args) -> int:
     params_x = parse_family(args.family_x)
     params_y = parse_family(args.family_y)
     true_value = measures.relative_extropy(params_x, params_y).value
-    # estimates are cut off (and reflected) at the left end of the support hull
-    lower = min(params_x.support[0], params_y.support[0])
     sizes = _numbers(args.n, "--n", int)
     rows = []
     for n in sizes:
@@ -208,7 +206,6 @@ def cmd_simulate(args) -> int:
             reps=args.reps,
             seed=args.seed,
             true_value=true_value,
-            support_lower=lower,
             boundary_reflect=args.boundary_reflect == "on",
         )
         rows.append(mc_bias_mse(cfg))

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .errors import InvalidParameter
 from .models import DistributionModel
@@ -265,7 +264,7 @@ def weibull_extropy(shape: float, scale: float) -> float:
     """-(k/(2s)) Gamma(2 - 1/k) / 2^(2 - 1/k); finite only for shape > 1/2."""
     if shape <= 0.5:
         raise InvalidParameter("weibull extropy requires shape > 1/2")
-    return -(shape / (2.0 * scale)) * float(_gamma(2.0 - 1.0 / shape)) / 2.0 ** (2.0 - 1.0 / shape)
+    return -(shape / (2.0 * scale)) * math.gamma(2.0 - 1.0 / shape) / 2.0 ** (2.0 - 1.0 / shape)
 
 
 def exponential_past_extropy(rate: float, t: float) -> float:

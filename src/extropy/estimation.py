@@ -23,10 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-# not called in this module: the name stays bound because the benchmark
-# tracer (perfbench/tracer.py) rebinds estimation.brentq and fails without it;
-# scipy.integrate loads scipy.optimize anyway, so it costs no import time
-from scipy.optimize import brentq  # noqa: F401
 from scipy.special import ndtr
 
 from .distributions import SeededSampler, sample
@@ -36,6 +32,16 @@ from .models import DistributionModel
 # not called in this module: the name stays bound because the benchmark
 # tracer (perfbench/tracer.py) rebinds estimation.integrate and fails without it
 from .quadrature import integrate  # noqa: F401
+
+
+# never called by the package: the name stays bound because the benchmark tracer
+# (perfbench/tracer.py) rebinds estimation.brentq and fails without it; importing
+# scipy.optimize costs about 0.2 s (Intel Xeon), so it loads only on a call
+def brentq(f, a, b, **kwargs):
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, **kwargs)
+
 
 __all__ = [
     "SampleBatch",
@@ -446,13 +452,17 @@ def estimate_relative_extropy(
     return float(values[0, 1])
 
 
+# McStudyConfig's default support_lower: the left end of the families' support hull
+_SUPPORT_HULL = object()
+
+
 @dataclass(frozen=True)
 class McStudyConfig:
     """One row of a bias/MSE study: families, sample size, replications.
 
-    ``support_lower`` defaults to 0 because the study reproduces analyses of
-    nonnegative lifetimes; set ``None`` for the translation-invariant
-    estimator.
+    ``support_lower`` defaults to the left end of the hull of the two
+    families' supports, where the estimates are cut off (and reflected);
+    set ``None`` for the translation-invariant estimator over the whole line.
     """
 
     family_x: DistributionModel
@@ -461,10 +471,13 @@ class McStudyConfig:
     reps: int
     seed: int
     true_value: float
-    support_lower: float | None = 0.0
+    support_lower: float | None = _SUPPORT_HULL
     boundary_reflect: bool = False
 
     def __post_init__(self):
+        if self.support_lower is _SUPPORT_HULL:
+            lower = min(self.family_x.support[0], self.family_y.support[0])
+            object.__setattr__(self, "support_lower", lower)
         if self.reps < 2:
             raise InvalidParameter(f"reps must be >= 2, got {self.reps}")
         if self.n < 10:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,3 +410,27 @@ def test_estimate_without_a_bandwidth_bracket_is_numerical_failure(tmp_path, cap
                 "--out", str(tmp_path / "out")])
     assert code == 3
     assert "no sign change" in capsys.readouterr().err
+
+
+_IMPORT_GUARD = """
+import sys
+from extropy.cli import main
+out, csv = sys.argv[1], sys.argv[2]
+assert main(["verify", "--family-x", "exp:rate=1", "--family-y", "weibull:shape=2,scale=1",
+             "--out", out + "/verify"]) == 4
+assert main(["groups", csv, "--value-col", "value", "--group-col", "arm",
+             "--out", out + "/groups"]) == 0
+print(sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.optimize"))))
+"""
+
+
+def test_verify_and_groups_load_neither_scipy_integrate_nor_optimize(tmp_path, two_group_csv):
+    # a fresh interpreter: this test process has long imported scipy.integrate
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path), two_group_csv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -14,6 +14,7 @@ from extropy import (
     McStudyConfig,
     SampleBatch,
     SeededSampler,
+    UniformParams,
     WeibullParams,
     estimate_relative_extropy,
     gaussian_kernel,
@@ -423,6 +424,14 @@ def test_mc_study_config_validation():
         _cfg(reps=1)
     with pytest.raises(InvalidParameter):
         _cfg(n=5)
+
+
+def test_mc_study_cuts_off_at_the_support_hull_by_default():
+    assert _cfg().support_lower == 0.0
+    below = McStudyConfig(UniformParams(-1.0, 1.0), UniformParams(-1.0, 2.0), n=20, reps=2,
+                          seed=3, true_value=0.0)
+    assert below.support_lower == -1.0
+    assert _cfg(support_lower=None).support_lower is None
 
 
 def test_mc_study_same_family_shrinks():
