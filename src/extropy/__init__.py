@@ -6,8 +6,6 @@ from .distributions import (
     SeededSampler,
     UniformParams,
     WeibullParams,
-    closed_form_relative_exponential,
-    crh_past_measures,
     parse_family,
     sample,
 )

@@ -31,17 +31,17 @@ closed forms with their leading "1 +" bracket.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import measures
-from .errors import InsufficientGrid, InvalidParameter
+from .distributions import ExponentialParams
+from .errors import InsufficientGrid, InvalidModel, InvalidParameter
 from .measures import _windowed
 from .models import DistributionModel, MeasureReport
-from .quadrature import QuadratureSpec, integrate, truncation_point
+from .quadrature import QuadratureSpec, integrate  # noqa: F401 (perfbench/tracer.py rebinds integrate)
 
 __all__ = [
     "TimeGrid",
@@ -160,63 +160,62 @@ def past_divergence(
 # ---------------------------------------------------------------------------
 
 
-def _hazard_forms(rate_x, hazard_y, t, cumulative_hazard_y):
-    """H_Y as an array callable, and the finite upper limit of the hazard-form integrals.
+class _HazardLaw(DistributionModel):
+    """The law on [0, inf) of hazard h and cumulative hazard H; quantiles bisect the rising H."""
 
-    H_Y is ``cumulative_hazard_y`` when given, else the quadrature of h_Y.
-    h_Y has no quantile to split at, and tanh-sinh misjudges its error on a
-    bare [t, inf), so the integrals stop at the truncation point of X and Y.
-    """
-    if rate_x <= 0:
-        raise InvalidParameter("rate_x must be positive")
-    cum = cumulative_hazard_y
-    if cum is None:
-        # a constant h_Y may return a scalar; the quadrature needs one value per point
-        hazard = lambda u: np.full(np.shape(u), hazard_y(u), dtype=float)
-        cum = lambda x: integrate(hazard, 0.0, x).value
-    survival_y = lambda x: np.exp(-cum(x))
-    pdf_y = lambda x: hazard_y(x) * survival_y(x)
-    survival_x = lambda x: np.exp(-rate_x * x)
-    pdf_x = lambda x: rate_x * np.exp(-rate_x * x)
-    return cum, truncation_point([survival_x, survival_y], [pdf_x, pdf_y], t)
+    label = "hazard-defined law"
+    support = (0.0, np.inf)
+
+    def __init__(self, hazard, cumulative):
+        self._h, self._cum = hazard, cumulative
+
+    def pdf(self, x):
+        return self._h(x) * self.survival(x)
+
+    def cdf(self, x):
+        return -np.expm1(-self._cum(x))
+
+    def survival(self, x):
+        return np.exp(-self._cum(x))
+
+    def quantile(self, u):
+        target = -np.log1p(-np.asarray(u, dtype=float))
+        lo, hi = np.zeros_like(target), np.ones_like(target)
+        while np.any(short := self._cum(hi) < target):  # double hi to a bracket of H = target
+            if (hi[short] > np.finfo(float).max / 2).any():
+                raise InvalidModel("the cumulative hazard stays bounded: not a lifetime law")
+            hi = np.where(short, 2.0 * hi, hi)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = self._cum(mid) < target
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return hi
 
 
 def hazard_repr_inaccuracy(
-    rate_x: float,
-    hazard_y: Callable[[np.ndarray], np.ndarray],
-    t: float,
-    cumulative_hazard_y: Callable[[np.ndarray], np.ndarray] | None = None,
+    rate_x: float, hazard_y: Callable, t: float, cumulative_hazard_y: Callable
 ) -> float:
-    """Residual inaccuracy rebuilt from the exponential rate and h_Y alone.
+    """-(1/2) int_t^inf rate e^(-rate (x - t)) h_Y(x) e^(-(H(x) - H(t))) dx, from h_Y and H alone.
 
-    -exp(rate t + H(t)) * int_t^inf (rate h_Y(x) / 2) exp(-rate x - H(x)) dx
-    with H the cumulative hazard of Y, by quadrature of h_Y unless given.
-    Both callables are evaluated on numpy arrays.  Matches
-    :func:`residual_inaccuracy` on the corresponding models.
+    This is :func:`residual_inaccuracy` against the law of (h_Y, H), so it runs in conditional
+    units out to +inf, split at both laws' quantiles, and raises :class:`DenominatorUnderflow`
+    where e^(-H(t)) is below the floor.  H is required; both callables take arrays.
     """
-    cum, upper = _hazard_forms(rate_x, hazard_y, t, cumulative_hazard_y)
-    integrand = lambda x: 0.5 * rate_x * hazard_y(x) * np.exp(-rate_x * x - cum(x))
-    res = integrate(integrand, t, upper)
-    return -math.exp(rate_x * t + float(cum(t))) * res.value
+    law = _HazardLaw(hazard_y, cumulative_hazard_y)
+    return residual_inaccuracy(ExponentialParams(rate_x), law, t).value
 
 
 def hazard_repr_relative(
-    rate_x: float,
-    hazard_y: Callable[[np.ndarray], np.ndarray],
-    t: float,
-    cumulative_hazard_y: Callable[[np.ndarray], np.ndarray] | None = None,
+    rate_x: float, hazard_y: Callable, t: float, cumulative_hazard_y: Callable
 ) -> float:
-    """Residual relative extropy from the exponential rate and h_Y alone.
+    """d_r(X, Y; t) = 2 xiJ_r(X, Y; t) - J_t(Y) + rate/4, from h_Y and H alone.
 
-    Twice the hazard-form inaccuracy, plus the hazard-form negative residual
-    extropy of Y, plus rate/4 (the negative residual extropy of X).
+    rate/4 = -J_t(X) is the exponential's closed form; both integrals run as in
+    :func:`hazard_repr_inaccuracy`.  A negative h_Y raises :class:`InvalidModel`.
     """
-    cum, upper = _hazard_forms(rate_x, hazard_y, t, cumulative_hazard_y)
-    inaccuracy = hazard_repr_inaccuracy(rate_x, hazard_y, t, cumulative_hazard_y=cum)
-    integrand = lambda x: 0.5 * hazard_y(x) ** 2 * np.exp(-2.0 * cum(x))
-    res = integrate(integrand, t, upper)
-    neg_extropy_y = math.exp(2.0 * float(cum(t))) * res.value
-    return 2.0 * inaccuracy + neg_extropy_y + rate_x / 4.0
+    law = _HazardLaw(hazard_y, cumulative_hazard_y)
+    inaccuracy = residual_inaccuracy(ExponentialParams(rate_x), law, t).value
+    return 2.0 * inaccuracy - residual_extropy(law, t).value + rate_x / 4.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Batched quadrature split at shared break points, plus a tail-truncation search.
+"""Batched quadrature split at shared break points.
 
 Every integral in the package runs through :func:`integrate`.  It integrates
 an elementwise integrand over broadcast limits, each interval cut at shared
@@ -9,9 +9,8 @@ the algorithm of ``scipy.integrate.tanhsinh`` ported operation for operation,
 so importing the package loads neither ``scipy.integrate`` nor
 ``scipy.optimize``; only pieces singular at their left end go to QUADPACK.
 Callers place the break points at the models' quantiles, so every piece runs
-on the models' own scale and an upper limit may be +inf.
-:func:`truncation_point` finds a finite upper limit for integrands whose law
-has no quantile.
+on the models' own scale and an upper limit may be +inf.  No code in the
+package calls :func:`truncation_point`.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ class QuadratureSpec:
 
     Every integral meets ``abs_tol`` or ``rel_tol``.  ``denominator_floor``
     is the epsilon below which conditional measures refuse to divide.
-    ``truncation_max`` caps the search for a finite upper limit on
-    heavy-tailed laws.
+    ``truncation_max`` caps :func:`truncation_point`'s search for a finite
+    upper limit on heavy-tailed laws.
     """
 
     abs_tol = 1e-9
@@ -60,6 +59,7 @@ class IntegralResult:
     subdivisions: int
 
 
+# never called by the package: the benchmark tracer (perfbench/tracer.py) binds it
 def truncation_point(
     survivals: Iterable[Callable[[float], float]],
     pdfs: Iterable[Callable[[np.ndarray], np.ndarray]],
@@ -72,7 +72,8 @@ def truncation_point(
     a probe grid.  Integrands built from products of the given densities then
     have tail mass below ``abs_tol`` (|fg|, f^2 and (f-g)^2 are all bounded by
     2 M times the larger survival).  Each ``pdf`` is probed on a whole array
-    of points at once; survivals are called on scalars.
+    of points at once; survivals are called on scalars.  No caller in the
+    package (integrals split at quantiles instead); kept for the tracer.
     """
     survivals = list(survivals)
     pdfs = list(pdfs)

@@ -1,11 +1,16 @@
-"""Independent oracles: brute-force quadrature, a from-scratch bandwidth solver
-and the families' closed-form hazards.
+"""Independent oracles: brute-force quadrature, a from-scratch bandwidth solver,
+the families' closed-form hazards and closed-form measures.
 
 Nothing here touches the package's quadrature or estimation code paths; the
 point is to pin expected values through a second, dissimilar route.
 """
 
+import math
+
 import numpy as np
+
+from extropy import ConstantReversedHazardParams
+from extropy.errors import InvalidParameter
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -139,3 +144,74 @@ def crh_hazards(a, b, x):
     """F(x) = exp(a (x - b)): h = a F / (1 - F) = a / expm1(a (b - x)), rh = a."""
     x = np.asarray(x, dtype=float)
     return a / np.expm1(a * (b - x)), np.full_like(x, a)
+
+
+# --- closed-form measures -----------------------------------------------------
+
+
+def exponential_extropy(rate: float) -> float:
+    """-rate/4; also the residual extropy at every t (memorylessness)."""
+    if rate <= 0:
+        raise InvalidParameter("rate must be positive")
+    return -rate / 4.0
+
+
+def exponential_inaccuracy(rate_x: float, rate_y: float) -> float:
+    """-r1 r2 / (2 (r1 + r2)), invariant under residual conditioning."""
+    if rate_x <= 0 or rate_y <= 0:
+        raise InvalidParameter("rates must be positive")
+    return -rate_x * rate_y / (2.0 * (rate_x + rate_y))
+
+
+def closed_form_relative_exponential(rate_x: float, rate_y: float) -> float:
+    """(1/4)(r1 + r2 - 4 r1 r2 / (r1 + r2)); equals (r1-r2)^2/(4(r1+r2))."""
+    if rate_x <= 0 or rate_y <= 0:
+        raise InvalidParameter("rates must be positive")
+    return 0.25 * (rate_x + rate_y - 4.0 * rate_x * rate_y / (rate_x + rate_y))
+
+
+def weibull_extropy(shape: float, scale: float) -> float:
+    """-(k/(2s)) Gamma(2 - 1/k) / 2^(2 - 1/k); finite only for shape > 1/2."""
+    if shape <= 0.5:
+        raise InvalidParameter("weibull extropy requires shape > 1/2")
+    return -(shape / (2.0 * scale)) * math.gamma(2.0 - 1.0 / shape) / 2.0 ** (2.0 - 1.0 / shape)
+
+
+def exponential_past_extropy(rate: float, t: float) -> float:
+    """-(r/4)(1 - e^{-2rt}) / (1 - e^{-rt})^2 for t > 0."""
+    if rate <= 0 or t <= 0:
+        raise InvalidParameter("rate and t must be positive")
+    num = -np.expm1(-2.0 * rate * t)
+    den = (-np.expm1(-rate * t)) ** 2
+    return float(-(rate / 4.0) * num / den)
+
+
+def crh_past_measures(
+    p_x: ConstantReversedHazardParams,
+    p_y: ConstantReversedHazardParams,
+    t: float,
+    include_atom: bool = False,
+) -> tuple[float, float, float, float]:
+    """Past measures of two constant-reversed-hazard laws at time t.
+
+    Returns (past extropy of X, past inaccuracy, past divergence f|g,
+    past relative).  The absolutely continuous convention integrates only the
+    densities; ``include_atom`` additionally folds the point masses at 0 into
+    the quadratic forms as squared conditional masses, which is what produces
+    the "1 +" bracket of the worked closed forms.
+    """
+    if not (0.0 < t <= min(p_x.b, p_y.b)):
+        raise InvalidParameter(f"t must lie in (0, min(b)] = (0, {min(p_x.b, p_y.b):g}]")
+    a, c = p_x.a, p_y.a
+
+    j_x = -(1.0 / (2.0 * math.exp(2.0 * a * t))) * (a / 2.0) * (math.exp(2.0 * a * t) - 1.0)
+    j_y = -(1.0 / (2.0 * math.exp(2.0 * c * t))) * (c / 2.0) * (math.exp(2.0 * c * t) - 1.0)
+    s = a + c
+    xi = -(1.0 / (2.0 * math.exp(s * t))) * (a * c / s) * (math.exp(s * t) - 1.0)
+    if include_atom:
+        j_x -= 0.5 * math.exp(-2.0 * a * t)
+        j_y -= 0.5 * math.exp(-2.0 * c * t)
+        xi -= 0.5 * math.exp(-s * t)
+    divergence = xi - j_x
+    relative = 2.0 * xi - j_x - j_y
+    return j_x, xi, divergence, relative

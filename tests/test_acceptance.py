@@ -39,9 +39,9 @@ from extropy import (
     residual_relative,
     sample_batch,
 )
-from extropy.distributions import closed_form_relative_exponential
 from conftest import random_params
 from oracles import (
+    closed_form_relative_exponential,
     efficient_sd_relative_exponential,
     efficient_variances_relative_exponential,
     rel_extropy_trap,

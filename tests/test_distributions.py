@@ -12,25 +12,28 @@ from extropy import (
     SeededSampler,
     UniformParams,
     WeibullParams,
-    crh_past_measures,
     extropy,
     extropy_inaccuracy,
     relative_extropy,
     sample,
     validate_model,
 )
-from extropy.distributions import (
-    closed_form_relative_exponential,
-    exponential_extropy,
-    exponential_inaccuracy,
-    exponential_past_extropy,
-    parse_family,
-    weibull_extropy,
-)
+from extropy.distributions import parse_family
 from extropy.dynamic import past_divergence, past_extropy, past_inaccuracy, past_relative
 from extropy.errors import InvalidParameter
 from extropy.quadrature import integrate
-from oracles import crh_hazards, exponential_hazards, uniform_hazards, weibull_hazards
+from oracles import (
+    closed_form_relative_exponential,
+    crh_hazards,
+    crh_past_measures,
+    exponential_extropy,
+    exponential_hazards,
+    exponential_inaccuracy,
+    exponential_past_extropy,
+    uniform_hazards,
+    weibull_extropy,
+    weibull_hazards,
+)
 
 rates = st.floats(min_value=0.3, max_value=4.0)
 shapes = st.floats(min_value=0.8, max_value=3.0)

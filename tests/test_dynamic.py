@@ -14,7 +14,6 @@ from extropy import (
     WeibullParams,
     bound_checks,
     constancy_detector,
-    crh_past_measures,
     dynamic_orderings,
     dynamic_profile,
     extropy,
@@ -34,9 +33,13 @@ from extropy import (
     residual_relative,
     sum_rules,
 )
-from extropy.distributions import closed_form_relative_exponential, exponential_inaccuracy
-from extropy.errors import DenominatorUnderflow, InsufficientGrid, InvalidParameter
-from oracles import residual_relative_trap
+from extropy.errors import DenominatorUnderflow, InsufficientGrid, InvalidModel, InvalidParameter
+from oracles import (
+    closed_form_relative_exponential,
+    crh_past_measures,
+    exponential_inaccuracy,
+    residual_relative_trap,
+)
 
 rates = st.floats(min_value=0.4, max_value=3.0)
 
@@ -230,9 +233,6 @@ def test_hazard_repr_inaccuracy_weibull_crosscheck(exp1, weib21):
         1.0, lambda x: 2.0 * x, 0.4, cumulative_hazard_y=lambda x: x * x
     )
     assert value == pytest.approx(residual_inaccuracy(exp1, weib21, 0.4).value, abs=1e-4)
-    # numeric cumulative hazard agrees with the exact one
-    value_numeric = hazard_repr_inaccuracy(1.0, lambda x: 2.0 * x, 0.4)
-    assert value_numeric == pytest.approx(value, abs=1e-8)
 
 
 def test_hazard_repr_inaccuracy_t_zero_is_static(exp1, exp2):
@@ -251,6 +251,36 @@ def test_hazard_repr_relative_constant_hazard():
 def test_hazard_repr_relative_weibull_crosscheck(exp1, weib21):
     value = hazard_repr_relative(1.0, lambda x: 2.0 * x, 0.4, cumulative_hazard_y=lambda x: x * x)
     assert value == pytest.approx(residual_relative(exp1, weib21, 0.4).value, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "y, hazard, cumulative, t",
+    [
+        (WeibullParams(2.0, 1.0), lambda x: 2.0 * x, lambda x: x * x, 1.5),
+        (WeibullParams(2.0, 1.0), lambda x: 2.0 * x, lambda x: x * x, 3.0),
+        (WeibullParams(2.0, 1.0), lambda x: 2.0 * x, lambda x: x * x, 4.0),
+        (ExponentialParams(2.0), lambda x: 2.0, lambda x: 2.0 * x, 0.4),
+    ],
+    ids=["weibull-t1.5", "weibull-t3", "weibull-t4", "exp2-t0.4"],
+)
+def test_hazard_repr_agrees_with_residual_measures_to_1e9(exp1, y, hazard, cumulative, t):
+    # exp(2 H(t)) is 6.6e7 at t = 3 for H = x^2, and tanh-sinh misjudges its error on an unsplit
+    # exponential tail: the hazard forms must run in conditional units, split on the laws' scale
+    relative = hazard_repr_relative(1.0, hazard, t, cumulative_hazard_y=cumulative)
+    inaccuracy = hazard_repr_inaccuracy(1.0, hazard, t, cumulative_hazard_y=cumulative)
+    assert abs(relative - residual_relative(exp1, y, t).value) <= 1e-9
+    assert abs(inaccuracy - residual_inaccuracy(exp1, y, t).value) <= 1e-9
+
+
+def test_hazard_repr_negative_hazard_is_invalid_model():
+    with pytest.raises(InvalidModel):
+        hazard_repr_relative(1.0, lambda x: -2.0, 0.5, cumulative_hazard_y=lambda x: 2.0 * x)
+
+
+def test_hazard_repr_underflowing_survival_raises():
+    # e^(-H(15)) = e^(-30) = 9.4e-14 is below the denominator floor of 1e-12
+    with pytest.raises(DenominatorUnderflow):
+        hazard_repr_relative(1.0, lambda x: 2.0, 15.0, cumulative_hazard_y=lambda x: 2.0 * x)
 
 
 # --- differential identities ----------------------------------------------------

@@ -16,15 +16,8 @@ from extropy import (
     QuadratureSpec,
     UniformParams,
     WeibullParams,
-    crh_past_measures,
     extropy,
     relative_extropy,
-)
-from extropy.distributions import (
-    closed_form_relative_exponential,
-    exponential_extropy,
-    exponential_inaccuracy,
-    weibull_extropy,
 )
 from extropy.dynamic import (
     past_divergence,
@@ -36,6 +29,13 @@ from extropy.dynamic import (
     residual_relative,
 )
 from extropy.errors import ExtropyError
+from oracles import (
+    closed_form_relative_exponential,
+    crh_past_measures,
+    exponential_extropy,
+    exponential_inaccuracy,
+    weibull_extropy,
+)
 
 
 def log_uniform(lo_exp, hi_exp):
