@@ -9,7 +9,9 @@ centres, so int fhat ghat is a finite double sum over the two samples
 two-sample statistic of Anderson, Hall & Titterington 1994).  By default it
 runs over the whole line, which makes the estimate invariant (up to
 rounding) under a common shift of both samples; a lower support bound (for
-nonnegative data) and boundary reflection are available as options.
+nonnegative data) and boundary reflection are available as options.  The
+module needs numpy alone: only a lower bound's normal cdf factor imports
+``scipy.special``, at the first Gram sum that has one.
 
 The Monte-Carlo harness draws each replication from its own PCG64 substream,
 so study rows are reproducible bit-for-bit and independent of scheduling.
@@ -23,8 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from scipy.special import ndtr
-
 from .distributions import SeededSampler, sample
 from .errors import DegenerateSample, InvalidModel, InvalidParameter, NoBracket
 from .models import DistributionModel
@@ -35,8 +35,8 @@ from .quadrature import integrate  # noqa: F401
 
 
 # never called by the package: the name stays bound because the benchmark tracer
-# (perfbench/tracer.py) rebinds estimation.brentq and fails without it; importing
-# scipy.optimize costs about 0.2 s (Intel Xeon), so it loads only on a call
+# (perfbench/tracer.py) rebinds estimation.brentq and fails without it; scipy
+# loads only on a call, so importing the module loads numpy alone
 def brentq(f, a, b, **kwargs):
     from scipy.optimize import brentq
 
@@ -71,8 +71,11 @@ _SJ_WINDOW = 10.5
 # scale, where the step is the error: half the 1e-14 the reference bandwidths of
 # the benchmark gate hold (perfbench/workloads.py); steps of a few ulps stall
 _SJ_STEP = 0.5e-14
-# ndtr(z) rounds to exactly 1.0 in double precision for every z >= 8.3
+# ndtr(z) rounds to exactly 1.0 in double precision for every z >= 8.3, so the
+# bounded Gram sums evaluate Phi only on the staircase of pairs below it: each
+# run of _PHI_ROWS rows takes its own column cut from its first (smallest) row
 _PHI_ONE = 8.3
+_PHI_ROWS = 32
 # relative rounding error allowed in each kernel sum: measured under 2 ulps
 # (samples x against x (1 + 1e-12), n = 30 to 3000), with a 32-fold margin
 _SUM_ROUNDING = 64.0 * np.finfo(float).eps
@@ -118,11 +121,15 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
     lower bound c the Phi factor is 1.  S is the mean over all (i, j).
     Terms farther apart than ``_KERNEL_WINDOW`` * tau are dropped.  When x
     and y are the same points at the same bandwidth, the strict upper half
-    is summed once and counted twice, plus the diagonal.
+    is summed once and counted twice, plus the diagonal.  Phi (scipy's
+    ``ndtr``, imported here so that sums without a bound load numpy alone)
+    is evaluated only where u_i + v_j < ``_PHI_ONE``.
     """
     tau = math.hypot(bx, by)
     symmetric = bx == by and (x is y or np.array_equal(x, y))
     if lower is not None:
+        from scipy.special import ndtr
+
         # (mu_ij - c) / s split into a row part and a column part
         u = (x - lower) * (by / (bx * tau))
         v = (y - lower) * (bx / (by * tau))
@@ -130,18 +137,21 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
     for start, stop, lo, hi in _blocks(x, y, _KERNEL_WINDOW * tau):
         if symmetric:
             lo = start  # the strict upper half; the window starts at or before it
-        one = lo  # the Phi factor is exactly 1.0 from column ``one`` on
-        if lower is not None:
-            # u and v increase along the sorted axes: u[start] + v is the
-            # smallest argument in each column of the block
-            one = lo + int(np.searchsorted(v[lo:hi], _PHI_ONE - u[start], side="left"))
         terms = np.subtract.outer(x[start:stop], y[lo:hi])
         np.square(terms, out=terms)
         terms *= -0.5 / (tau * tau)
         np.exp(terms, out=terms)
-        if one > lo:
-            phi = np.add.outer(u[start:stop], v[lo:one])
-            terms[:, : one - lo] *= ndtr(phi, out=phi)
+        if lower is not None:
+            # u and v increase along the sorted axes: u[first] + v is the smallest
+            # argument in each column of the rows from ``first``, and Phi is exactly
+            # 1.0 from column ``one`` on; a symmetric sum needs no column before ``first``
+            for first in range(start, stop, _PHI_ROWS):
+                left = first if symmetric else lo
+                one = left + int(np.searchsorted(v[left:hi], _PHI_ONE - u[first], side="left"))
+                if one > left:
+                    last = min(first + _PHI_ROWS, stop)
+                    phi = np.add.outer(u[first:last], v[left:one])
+                    terms[first - start : last - start, left - lo : one - lo] *= ndtr(phi, out=phi)
         if symmetric:
             # zero the lower half in place: a fresh block-sized copy costs page faults
             terms[np.tri(*terms.shape, dtype=bool)] = 0.0
@@ -245,35 +255,23 @@ def sample_batch(
     return SampleBatch(sample(params, n, sampler, substream=substream))
 
 
-def _psi4_terms(w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """w^2 - 6w + 3 into ``out``: phi^(4)(u) sqrt(2 pi) e^(w/2) at w = u^2."""
-    np.multiply(w, w, out=out)
-    np.multiply(w, 6.0, out=tmp)
-    out -= tmp
-    out += 3.0
+# the Sheather-Jones pair-term polynomials in e = -w/2, w = u^2, highest power
+# first: w^2 - 6w + 3 = phi^(4)(u) sqrt(2 pi) e^(w/2), w^3 - 15w^2 + 45w - 15
+# = phi^(6)(u) sqrt(2 pi) e^(w/2), and the psi4 slope w^3 - 10w^2 + 15w, which
+# at w = (d/g)^2 is g d/dg of (w^2 - 6w + 3) e^(-w/2), over e^(-w/2)
+_PSI4 = (4.0, 12.0, 3.0)
+_PSI6 = (-8.0, -60.0, -90.0, -15.0)
+_PSI4_SLOPE = (-8.0, -40.0, -30.0, 0.0)
 
 
-def _psi6_terms(w: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """w^3 - 15w^2 + 45w - 15 into ``out``: phi^(6)(u) sqrt(2 pi) e^(w/2) at w = u^2."""
-    np.multiply(w, w, out=out)
-    out *= w
-    np.multiply(w, 15.0, out=tmp)
-    tmp *= w
-    out -= tmp
-    np.multiply(w, 45.0, out=tmp)
-    out += tmp
-    out -= 15.0
-
-
-def _psi4_slope_terms(w: np.ndarray, out: np.ndarray) -> None:
-    """w^3 - 10w^2 + 15w into ``out``.
-
-    At w = (d/g)^2 it is g d/dg of (w^2 - 6w + 3) e^(-w/2), over e^(-w/2).
-    """
-    np.subtract(w, 10.0, out=out)
-    out *= w
-    out += 15.0
-    out *= w
+def _horner(coeffs: tuple[float, ...], e: np.ndarray, out: np.ndarray) -> None:
+    """The polynomial with ``coeffs``, highest power first, at ``e`` into ``out``."""
+    np.multiply(e, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= e
+    if coeffs[-1]:
+        out += coeffs[-1]
 
 
 def sheather_jones_bandwidth(s: SampleBatch) -> float:
@@ -288,10 +286,12 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     step that would leave the bracket, or not halve the step before it,
     bisects instead.  The solve stops at a step of at most ``_SJ_STEP`` and
     takes about 9 pair-sum passes, counting the two pilots and the two
-    bracket ends.  Each pass sums the pair terms of psi4 and of its slope
-    under one shared exponential, over the sorted blocks of
+    bracket ends.  Each pass runs over the sorted blocks of
     ``_upper_squares``, less pairs beyond ``_SJ_WINDOW`` pilot widths when
-    the blocks are rebuilt at each pass.
+    the blocks are rebuilt at each pass.  It scales each block's squared
+    differences once into the exponent e = -w/2, evaluates the psi4 (or psi6)
+    and slope polynomials in e by Horner's rule, and reduces each against
+    the one shared exp(e).
     """
     if s.n < 5:
         raise DegenerateSample(f"bandwidth selection needs n >= 5, got {s.n}")
@@ -311,36 +311,37 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     kept = list(_upper_squares(z, math.inf)) if pairs <= _SJ_KEEP_TERMS else None
     # every pass works in these, sized to the largest block: fresh block-sized
     # arrays at each pass cost page faults
-    w, expo, terms, slope_terms = np.empty((4, min(pairs, max(_BLOCK_TERMS, n))))
+    e, expo, terms = np.empty((3, min(pairs, max(_BLOCK_TERMS, n))))
 
-    def pair_sums(g: float, poly, slope: bool = False) -> tuple[float, float]:
-        """Sums over j > i of poly(w) e^(-w/2) and, with ``slope``, of
-        ``_psi4_slope_terms`` times e^(-w/2); w = ((z_j - z_i) / g)^2."""
+    def pair_sums(g: float, poly: tuple[float, ...], slope: bool = False) -> tuple[float, float]:
+        """Sums over j > i of poly(e) exp(e) and, with ``slope``, of
+        ``_PSI4_SLOPE``(e) exp(e); e = -((z_j - z_i) / g)^2 / 2.
+
+        Each sum is one einsum, numpy's own multiply-add loop: the last bits
+        of a BLAS dot change with its thread count.
+        """
         total = slope_total = 0.0
+        scale = -0.5 / (g * g)
         for dsq in kept if kept is not None else _upper_squares(z, _SJ_WINDOW * g):
             k = dsq.size
-            wk, ek, tk, sk = w[:k], expo[:k], terms[:k], slope_terms[:k]
-            np.divide(dsq, g * g, out=wk)
-            poly(wk, tk, ek)
+            ek, xk, tk = e[:k], expo[:k], terms[:k]
+            np.multiply(dsq, scale, out=ek)
+            np.exp(ek, out=xk)
+            _horner(poly, ek, tk)
+            total += float(np.einsum("i,i->", tk, xk))
             if slope:
-                _psi4_slope_terms(wk, sk)
-            np.multiply(wk, -0.5, out=ek)
-            np.exp(ek, out=ek)
-            tk *= ek
-            total += float(tk.sum())
-            if slope:
-                sk *= ek
-                slope_total += float(sk.sum())
+                _horner(_PSI4_SLOPE, ek, tk)
+                slope_total += float(np.einsum("i,i->", tk, xk))
         return total, slope_total
 
     def sd_functional(g: float, slope: bool = False) -> tuple[float, float]:
         """psi4 at g = N / (n (n - 1) g^5 sqrt(2 pi)) and, with ``slope``, g N'(g) / N."""
-        total, slope_total = pair_sums(g, _psi4_terms, slope)
+        total, slope_total = pair_sums(g, _PSI4, slope)
         total = 2.0 * total + 3.0 * n
         return total / (n * (n - 1) * g**5 * _SQRT_2PI), 2.0 * slope_total / total
 
     def td_functional(g: float) -> float:
-        total = 2.0 * pair_sums(g, _psi6_terms)[0] - 15.0 * n
+        total = 2.0 * pair_sums(g, _PSI6)[0] - 15.0 * n
         return -total / (n * (n - 1) * g**7 * _SQRT_2PI)
 
     a = 0.920 * 1.349 * scale_z * n ** (-1.0 / 7.0)

@@ -230,7 +230,9 @@ def integrate(
     lo, hi, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, *args)))
     shape = lo.shape
     lo, hi, args = lo.ravel(), hi.ravel(), [a.ravel() for a in args]
-    edges = np.unique([p for p in points if np.isfinite(p)])
+    # sorted, not np.unique: the merge below drops exact repeats, and unique's
+    # first call imports numpy.ma
+    edges = np.sort([p for p in points if np.isfinite(p)])
     edges = edges[np.concatenate(([True], ~_near(edges[1:], edges[:-1])))[: edges.size]]
     cuts = np.clip(np.concatenate(([-np.inf], edges, [np.inf]))[:, None], lo, hi)
     # a cut that close to a limit moves onto it, so no piece is a sliver

@@ -118,6 +118,25 @@ def sheather_jones_oracle(x):
     return float(np.exp(0.5 * (lo + hi)))
 
 
+def gram_oracle(x, y, bx, by, lower):
+    """int_lower^inf of the product of the mean Gaussian kernels on x and y, pair by pair.
+
+    Every pair, no window: the (i, j) term is the N(x_i, bx^2) and N(y_j, by^2)
+    densities' product integrated over [lower, inf), phi_tau(x_i - y_j)
+    Phi((mu_ij - lower) / s) with tau^2 = bx^2 + by^2, mu_ij = (x_i by^2 +
+    y_j bx^2) / tau^2 and s = bx by / tau; Phi from ``math.erfc``, the terms
+    summed with ``math.fsum``.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    tau2 = bx * bx + by * by
+    tau, s = math.sqrt(tau2), bx * by / math.sqrt(tau2)
+    gap = np.subtract.outer(x, y).ravel()
+    mu = ((x[:, None] * (by * by) + y[None, :] * (bx * bx)) / tau2).ravel()
+    density = (np.exp(-0.5 * gap * gap / tau2) / (SQRT_2PI * tau)).tolist()
+    z = ((lower - mu) / (s * math.sqrt(2.0))).tolist()
+    return math.fsum(f * 0.5 * math.erfc(t) for f, t in zip(density, z)) / (x.size * y.size)
+
+
 # --- closed-form hazards ------------------------------------------------------
 # Each returns (hazard, reversed hazard) at points strictly inside the support,
 # written from the family's formulas rather than as pdf/survival and pdf/cdf.

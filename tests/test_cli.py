@@ -415,17 +415,23 @@ def test_estimate_without_a_bandwidth_bracket_is_numerical_failure(tmp_path, cap
 _IMPORT_GUARD = """
 import sys
 from extropy.cli import main
-out, csv = sys.argv[1], sys.argv[2]
+out, csv = sys.argv[1:]
 assert main(["verify", "--family-x", "exp:rate=1", "--family-y", "weibull:shape=2,scale=1",
              "--out", out + "/verify"]) == 4
+print("loaded:", sorted(m for m in sys.modules if (m + ".").startswith(("scipy", "numpy.ma."))))
 assert main(["groups", csv, "--value-col", "value", "--group-col", "arm",
              "--out", out + "/groups"]) == 0
-print(sorted(m for m in sys.modules if m.startswith(("scipy.integrate", "scipy.optimize"))))
+assert main(["estimate", csv, "--value-col", "value", "--group-col", "arm",
+             "--out", out + "/estimate"]) == 0
+assert main(["measure", "relative", "--family-x", "exp:rate=1", "--family-y", "exp:rate=2",
+             "--out", out + "/measure"]) == 0
+print("loaded:", sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
-def test_verify_and_groups_load_neither_scipy_integrate_nor_optimize(tmp_path, two_group_csv):
-    # a fresh interpreter: this test process has long imported scipy.integrate
+def test_cli_commands_load_no_scipy(tmp_path, two_group_csv):
+    # a fresh interpreter: this test process has long imported scipy; verify
+    # must not load numpy.ma either (np.unique's first call imports it)
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path), two_group_csv],
@@ -433,4 +439,26 @@ def test_verify_and_groups_load_neither_scipy_integrate_nor_optimize(tmp_path, t
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    loaded = [line for line in done.stdout.splitlines() if line.startswith("loaded:")]
+    assert loaded == ["loaded: []", "loaded: []"]
+
+
+def test_groups_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # groups of 600: the Sheather-Jones sums reduce blocks of 2^16 pair terms,
+    # which a BLAS dot would split across its threads
+    rng = np.random.default_rng(20261019)
+    values = rng.lognormal(size=1200).tolist()
+    csv = tmp_path / "rows.csv"
+    csv.write_text("\n".join(["arm,value"] + [f"{'ab'[i % 2]},{v!r}" for i, v in enumerate(values)]),
+                   encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "extropy", "groups", str(csv), "--value-col", "value",
+             "--group-col", "arm", "--out", str(tmp_path / threads)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert done.returncode == 0, done.stderr
+    for name in ("report.json", "matrix.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()

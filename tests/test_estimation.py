@@ -30,6 +30,7 @@ from extropy.quadrature import QuadratureSpec, integrate
 from oracles import (
     efficient_sd_relative_exponential,
     efficient_variances_relative_exponential,
+    gram_oracle,
     sheather_jones_oracle,
     trapezoid,
 )
@@ -114,6 +115,21 @@ def test_kde_inner_needs_one_reflection_point_at_or_above_the_bound():
             a.inner(b, lower)
     # a reflected density vanishes below its boundary, so a lower bound adds nothing
     assert at0.inner(at0, -1.0) == at0.inner(at0, 0.0) == at0.inner(at0)
+
+
+@pytest.mark.parametrize("n", [20, 200, 1500])
+@pytest.mark.parametrize("kind, lower", [("exponential", 0.0), ("normal", -0.3)])
+def test_bounded_inner_matches_all_pairs_oracle(kind, lower, n):
+    # n = 20 is one run of Phi rows, 200 several, 1500 several row blocks; the
+    # bound is the support's end under exponential data and inside normal data,
+    # where the Phi arguments take both signs
+    rng = np.random.default_rng(n)
+    draw = rng.exponential if kind == "exponential" else rng.normal
+    fx = KdeModel(SampleBatch(draw(size=n)), 0.9 * n**-0.2)
+    fy = KdeModel(SampleBatch(1.5 * draw(size=n)), 1.3 * n**-0.2)
+    for f, g in ((fx, fx), (fx, fy)):
+        oracle = gram_oracle(f.sample.values, g.sample.values, f.bandwidth, g.bandwidth, lower)
+        assert f.inner(g, lower) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
 # --- Sheather-Jones bandwidth -------------------------------------------------

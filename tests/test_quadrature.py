@@ -28,6 +28,14 @@ def test_interior_break_points_handle_kinks():
     assert res.subdivisions == 3
 
 
+def test_repeated_and_ulp_apart_break_points_merge():
+    fn = lambda x: np.exp(-x)
+    once = integrate(fn, 0.0, 3.0, points=[1.0, 2.0])
+    repeated = integrate(fn, 0.0, 3.0, points=[2.0, 1.0, 2.0, 1.0, np.nextafter(1.0, 2.0)])
+    assert once.subdivisions == repeated.subdivisions == 3
+    assert repeated.value == once.value
+
+
 def test_broadcast_limits_keep_their_shape():
     lo = np.array([[0.0], [1.0]])
     hi = np.array([[0.5, 2.0, 3.0]])
