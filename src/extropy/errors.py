@@ -33,6 +33,10 @@ class DegenerateSample(ExtropyError):
     """A sample has zero spread (or is otherwise unusable for estimation)."""
 
 
+class NonFiniteResult(ExtropyError):
+    """A result came out NaN or infinite; no report carries such a value."""
+
+
 class NoBracket(ExtropyError):
     """The bandwidth equation has no sign change inside the search bracket."""
 

@@ -10,8 +10,8 @@ two-sample statistic of Anderson, Hall & Titterington 1994).  By default it
 runs over the whole line, which makes the estimate invariant (up to
 rounding) under a common shift of both samples; a lower support bound (for
 nonnegative data) and boundary reflection are available as options.  The
-module needs numpy alone: only a lower bound's normal cdf factor imports
-``scipy.special``, at the first Gram sum that has one.
+module needs numpy alone: a lower bound's normal cdf factor is the module's
+own :func:`_normal_cdf`.
 
 The Monte-Carlo harness draws each replication from its own PCG64 substream,
 so study rows are reproducible bit-for-bit and independent of scheduling.
@@ -64,6 +64,10 @@ _KERNEL_WINDOW = 8.0
 _BLOCK_TERMS = 1 << 16
 # pair terms the Sheather-Jones sums keep across one solve: 2^21 doubles, 16 MB
 _SJ_KEEP_TERMS = 1 << 21
+# a block of pair differences whose rows average fewer terms than this is built
+# by one index take, a longer one row by row: the take's index arrays cost more
+# memory traffic than the loop's calls save on long rows (at n = 800 the two tie)
+_SJ_GATHER_ROW = 400
 # u^6 exp(-u^2 / 2) is below 1e-18 of its peak for |u| > 10.5; the
 # Sheather-Jones sums drop pairs farther apart than that many pilot widths
 _SJ_WINDOW = 10.5
@@ -71,11 +75,59 @@ _SJ_WINDOW = 10.5
 # scale, where the step is the error: half the 1e-14 the reference bandwidths of
 # the benchmark gate hold (perfbench/workloads.py); steps of a few ulps stall
 _SJ_STEP = 0.5e-14
-# ndtr(z) rounds to exactly 1.0 in double precision for every z >= 8.3, so the
+# Phi(z) rounds to exactly 1.0 in double precision for every z >= 8.3, so the
 # bounded Gram sums evaluate Phi only on the staircase of pairs below it: each
 # run of _PHI_ROWS rows takes its own column cut from its first (smallest) row
 _PHI_ONE = 8.3
-_PHI_ROWS = 32
+_PHI_ROWS = 16
+# Phi(-t) exp(t^2 / 2) = erfcx(t / sqrt 2) / 2 for t >= 0 is _PHI_NUM(t) / _PHI_DEN(t)
+# for t <= _PHI_SPLIT, and _PHI_TAIL_NUM(s) / _PHI_TAIL_DEN(s) / t with s = 1 / t^2
+# above it, highest power first, each to a relative error of 1e-17: fits at 40
+# digits by scripts/derive_phi_coefficients.py, rounded to doubles.  Every
+# coefficient is positive, so Horner's rule adds no cancellation.
+_PHI_NUM = (
+    3.95255002770078e-06,
+    0.00010299494938783691,
+    0.001279822726927431,
+    0.009820919554377324,
+    0.0507263659367906,
+    0.1807253640733471,
+    0.4362771232069861,
+    0.6613069441689924,
+    0.5,
+)
+_PHI_DEN = (
+    9.90757346363322e-06,
+    0.00025817006858211915,
+    0.0032179467479760823,
+    0.024875581710090817,
+    0.1303400526321844,
+    0.4771168241899392,
+    1.2143695451178032,
+    2.0644672201898153,
+    2.120498449140852,
+    1.0,
+)
+_PHI_TAIL_NUM = (
+    96.41863265704114,
+    280.28080155066914,
+    111.45430316258206,
+    12.595167622793639,
+    0.39894228040143265,
+)
+_PHI_TAIL_DEN = (
+    627.2105835408548,
+    928.7914827961059,
+    308.94591092396064,
+    32.57140328701131,
+    1.0,
+)
+_PHI_SPLIT = 8.5
+# Phi(-t) underflows to 0 beyond t = 38.5; the clip keeps t - round(t) finite
+_PHI_CLIP = 40.0
+# points per pass of _normal_cdf: its temporaries, 64 KB each, stay in cache,
+# while a pass still amortizes the ~50 numpy calls it makes
+_PHI_CHUNK = 8192
 # relative rounding error allowed in each kernel sum: measured under 2 ulps
 # (samples x against x (1 + 1e-12), n = 30 to 3000), with a 32-fold margin
 _SUM_ROUNDING = 64.0 * np.finfo(float).eps
@@ -85,6 +137,62 @@ def gaussian_kernel(u):
     """Standard normal density (2 pi)^(-1/2) exp(-u^2 / 2)."""
     u = np.asarray(u, dtype=float)
     return np.exp(-0.5 * u * u) / _SQRT_2PI
+
+
+def _horner(coeffs: tuple[float, ...], e: np.ndarray, out: np.ndarray) -> None:
+    """The polynomial with ``coeffs``, highest power first, at ``e`` into ``out``."""
+    np.multiply(e, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= e
+    if coeffs[-1]:
+        out += coeffs[-1]
+
+
+def _normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal cdf of a 1-D array, within a few ulps, in numpy alone.
+
+    Phi(-t) = exp(-t^2 / 2) R(t) for t = |z|, and Phi(z) = 1 - Phi(-z) for
+    z > 0.  R is one rational function up to ``_PHI_SPLIT``, which every z > 0
+    needs, and another in 1 / t^2 beyond it, evaluated on the points of the far
+    left tail alone.  As in Cody (1969, Math. Comp. 23:631), exp(-t^2 / 2) is
+    exp(-h^2 / 2) exp(-(t - h)(t + h) / 2) with h = round(16 t) / 16, whose
+    square is exact, so the tail keeps its relative accuracy down to the
+    subnormals.  The work runs in chunks of ``_PHI_CHUNK`` points, whose
+    temporaries stay in cache.
+    """
+    out = np.empty(z.size)
+    for s in range(0, z.size, _PHI_CHUNK):
+        zs, q = z[s : s + _PHI_CHUNK], out[s : s + _PHI_CHUNK]
+        t = np.abs(zs)
+        np.minimum(t, _PHI_CLIP, out=t)
+        h = t * 16.0
+        np.rint(h, out=h)
+        h *= 0.0625
+        near = t - h
+        near *= t + h
+        near *= -0.5
+        np.exp(near, out=near)
+        h *= h
+        h *= -0.5
+        np.exp(h, out=h)
+        r = np.minimum(t, _PHI_SPLIT)
+        den = np.empty_like(r)
+        _horner(_PHI_DEN, r, den)
+        _horner(_PHI_NUM, r, q)
+        q /= den
+        far = np.flatnonzero(zs < -_PHI_SPLIT)
+        if far.size:
+            tf = t[far]
+            w = 1.0 / (tf * tf)
+            tail, den = np.empty_like(w), np.empty_like(w)
+            _horner(_PHI_TAIL_NUM, w, tail)
+            _horner(_PHI_TAIL_DEN, w, den)
+            q[far] = tail / den / tf
+        q *= near
+        q *= h  # last, where it may be subnormal
+        np.subtract(1.0, q, out=q, where=zs > 0.0)
+    return out
 
 
 def _blocks(rows: np.ndarray, cols: np.ndarray, reach: float):
@@ -104,10 +212,22 @@ def _blocks(rows: np.ndarray, cols: np.ndarray, reach: float):
 def _upper_squares(z: np.ndarray, reach: float):
     """Squared differences z_j - z_i, j > i, of sorted ``z`` by row block, within ``reach``.
 
-    Each row runs from column i + 1, so one block is the upper half in row-major order.
+    Row i of a block runs from column i + 1 to the block's window end, so one
+    block is the upper half in row-major order.  A block of short rows is one
+    index take; a block of long rows is filled row by row in place.
     """
     for start, stop, _, hi in _blocks(z, z, reach):
-        diffs = np.concatenate([z[i + 1 : hi] - z[i] for i in range(start, stop)])
+        lengths = np.arange(hi - start - 1, hi - stop - 1, -1)
+        ends = np.cumsum(lengths)
+        if ends[-1] < _SJ_GATHER_ROW * (stop - start):
+            # entry k of the block, in row i, is column k + i + 1 - (ends[i] - lengths[i])
+            shift = np.arange(start + 1, stop + 1) - (ends - lengths)
+            diffs = z[np.arange(ends[-1]) + np.repeat(shift, lengths)]
+            diffs -= np.repeat(z[start:stop], lengths)
+        else:
+            diffs = np.empty(ends[-1])
+            for i, end, length in zip(range(start, stop), ends, lengths):
+                np.subtract(z[i + 1 : hi], z[i], out=diffs[end - length : end])
         diffs *= diffs
         yield diffs
 
@@ -121,19 +241,18 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
     lower bound c the Phi factor is 1.  S is the mean over all (i, j).
     Terms farther apart than ``_KERNEL_WINDOW`` * tau are dropped.  When x
     and y are the same points at the same bandwidth, the strict upper half
-    is summed once and counted twice, plus the diagonal.  Phi (scipy's
-    ``ndtr``, imported here so that sums without a bound load numpy alone)
-    is evaluated only where u_i + v_j < ``_PHI_ONE``.
+    is summed once and counted twice, plus the diagonal.  Phi
+    (:func:`_normal_cdf`) is evaluated only where u_i + v_j < ``_PHI_ONE``,
+    in one call per row block.
     """
     tau = math.hypot(bx, by)
     symmetric = bx == by and (x is y or np.array_equal(x, y))
     if lower is not None:
-        from scipy.special import ndtr
-
         # (mu_ij - c) / s split into a row part and a column part
         u = (x - lower) * (by / (bx * tau))
         v = (y - lower) * (bx / (by * tau))
     total = 0.0
+    diagonal = 0.0 if lower is not None else float(x.size)
     for start, stop, lo, hi in _blocks(x, y, _KERNEL_WINDOW * tau):
         if symmetric:
             lo = start  # the strict upper half; the window starts at or before it
@@ -145,19 +264,28 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
             # u and v increase along the sorted axes: u[first] + v is the smallest
             # argument in each column of the rows from ``first``, and Phi is exactly
             # 1.0 from column ``one`` on; a symmetric sum needs no column before ``first``
+            tiles, args = [], []
             for first in range(start, stop, _PHI_ROWS):
                 left = first if symmetric else lo
                 one = left + int(np.searchsorted(v[left:hi], _PHI_ONE - u[first], side="left"))
                 if one > left:
                     last = min(first + _PHI_ROWS, stop)
-                    phi = np.add.outer(u[first:last], v[left:one])
-                    terms[first - start : last - start, left - lo : one - lo] *= ndtr(phi, out=phi)
+                    tiles.append(terms[first - start : last - start, left - lo : one - lo])
+                    args.append(np.add.outer(u[first:last], v[left:one]).ravel())
+            if symmetric:
+                args.append(u[start:stop] + v[start:stop])  # the block's diagonal, last
+            phi = _normal_cdf(np.concatenate(args)) if args else None
+            at = 0
+            for tile in tiles:
+                tile *= phi[at : at + tile.size].reshape(tile.shape)
+                at += tile.size
+            if symmetric:
+                diagonal += float(phi[at:].sum())
         if symmetric:
             # zero the lower half in place: a fresh block-sized copy costs page faults
             terms[np.tri(*terms.shape, dtype=bool)] = 0.0
         total += float(terms.sum())
     if symmetric:
-        diagonal = float(ndtr(u + v).sum()) if lower is not None else float(x.size)
         total = 2.0 * total + diagonal
     return total / (x.size * y.size * _SQRT_2PI * tau)
 
@@ -264,16 +392,6 @@ _PSI6 = (-8.0, -60.0, -90.0, -15.0)
 _PSI4_SLOPE = (-8.0, -40.0, -30.0, 0.0)
 
 
-def _horner(coeffs: tuple[float, ...], e: np.ndarray, out: np.ndarray) -> None:
-    """The polynomial with ``coeffs``, highest power first, at ``e`` into ``out``."""
-    np.multiply(e, coeffs[0], out=out)
-    for c in coeffs[1:-1]:
-        out += c
-        out *= e
-    if coeffs[-1]:
-        out += coeffs[-1]
-
-
 def sheather_jones_bandwidth(s: SampleBatch) -> float:
     """Solve-the-equation plug-in bandwidth for a Gaussian kernel.
 
@@ -297,9 +415,15 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
         raise DegenerateSample(f"bandwidth selection needs n >= 5, got {s.n}")
     vals = s.values
     n = s.n
-    sd = float(vals.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(vals.std(ddof=1))
     if sd == 0.0:
         raise DegenerateSample("sample has zero variance")
+    if not math.isfinite(sd):
+        raise DegenerateSample(
+            f"sample spread overflows: the variance of observations in "
+            f"[{vals[0]:.3e}, {vals[-1]:.3e}] exceeds the largest double (spreads up to about 1e154 fit)"
+        )
     q75, q25 = np.percentile(vals, [75.0, 25.0])
     iqr = float(q75 - q25)
     scale_z = min(1.0, iqr / (1.349 * sd)) if iqr > 0 else 1.0

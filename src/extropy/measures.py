@@ -82,7 +82,9 @@ def _windowed(
     integrated over it alone; on disjoint supports it is 0 with the warning
     "disjoint_supports".  A form whose integral diverges at a left end the
     window reaches (see ``DistributionModel.lo_exponent``) raises
-    :class:`InvalidParameter` before integrating.  Under
+    :class:`InvalidParameter` before integrating; otherwise the power of its
+    most singular product tells :func:`integrate` how a piece unbounded at its
+    left end grows.  Under
     ``atom_convention="paper"`` the past window adds the form of the atoms'
     conditional masses to the integral.  An array ``t`` gives arrays of
     values in one batched integral; a scalar ``t`` (or none) gives a float.
@@ -119,6 +121,8 @@ def _windowed(
                 f"{measure_id} of {', '.join(inputs)} diverges: its integrand behaves "
                 f"like (x - {edge:g})^{power:g} where the window starts"
             )
+    # where the integrand is unbounded at a left end, its most singular product leads
+    power = min(models[i].lo_exponent + models[j].lo_exponent for i, j in products)
 
     pf, pg = models[0].pdf, models[-1].pdf
     if form == "extropy":
@@ -135,7 +139,9 @@ def _windowed(
         def integrand(x, a, b):
             return pointwise(pf(x) / a, pg(x) / b)
 
-    res = integrate(integrand, lo, hi, points=break_points(models), args=(masses[0], masses[-1]))
+    res = integrate(
+        integrand, lo, hi, points=break_points(models), args=(masses[0], masses[-1]), power=power
+    )
     paper = window == "past" and atom_convention == "paper"
     atoms = [m.atom_at_lo / s if paper else 0.0 for m, s in zip(models, masses)]
     value = coef * (res.value + pointwise(atoms[0], atoms[-1]))
@@ -244,7 +250,9 @@ def perturbation_approx(pq: PerturbationQuery, derivative: str = "theta") -> tup
 
     lo = min(m.support[0] for m in ref)
     hi = max(m.support[1] for m in ref)
-    res = integrate(dsq, lo, hi, points=points)
+    # a squared difference of densities that grow like x^p at a left end grows like x^(2p)
+    power = 2.0 * min(m.lo_exponent for m in ref)
+    res = integrate(dsq, lo, hi, points=points, power=power)
     approx = 0.5 * pq.delta_theta**2 * res.value
     return approx, exact
 

@@ -114,7 +114,7 @@ def validate_model(d: DistributionModel) -> None:
     """
     lo, hi = d.support
     points = break_points([d])
-    res = integrate(d.pdf, lo, hi, points=points)
+    res = integrate(d.pdf, lo, hi, points=points, power=d.lo_exponent)
     total = res.value + d.atom_at_lo
     if abs(total - 1.0) > 100 * max(QuadratureSpec.abs_tol, res.abs_error) + 1e-9:
         raise InvalidModel(f"{d.label}: pdf + atom integrates to {total!r}, not 1")

@@ -6,8 +6,9 @@ break points, and all pieces of all elements go to one batched run of the
 double-exponential (tanh-sinh) rule of Takahasi & Mori (1974) with the error
 estimate of Bailey, Jeyabalan & Li (2005).  The rule is :func:`_tanhsinh`,
 the algorithm of ``scipy.integrate.tanhsinh`` ported operation for operation,
-so importing the package loads neither ``scipy.integrate`` nor
-``scipy.optimize``; only pieces singular at their left end go to QUADPACK.
+so the package needs numpy alone.  A piece singular at its left end, where
+the integrand grows like (x - a)^p with the p its caller states, is
+integrated in s = ((x - a) / (b - a))^(p + 1), in which it is bounded.
 Callers place the break points at the models' quantiles, so every piece runs
 on the models' own scale and an upper limit may be +inf.  No code in the
 package calls :func:`truncation_point`.
@@ -16,7 +17,6 @@ package calls :func:`truncation_point`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -26,8 +26,6 @@ from .errors import QuadratureFailure
 
 __all__ = ["QuadratureSpec", "IntegralResult", "integrate", "truncation_point"]
 
-# Subdivision cap of the QUADPACK fallback for pieces singular at their left end.
-_QUADPACK_LIMIT = 200
 _EPS = np.finfo(float).eps
 
 
@@ -215,6 +213,7 @@ def integrate(
     hi,
     points: Sequence[float] = (),
     args: Sequence = (),
+    power: float | None = None,
 ) -> IntegralResult:
     """Integrate the elementwise ``fn(x, *args)`` over [lo, hi] for every element.
 
@@ -223,8 +222,11 @@ def integrate(
     cut at the finite ``points`` inside it, and all pieces are integrated in
     one batched run of :func:`_tanhsinh`.  Cuts within 8 ulps of a limit or
     of each other merge.  A piece whose integrand is non-finite at its left
-    end goes to QUADPACK instead: tanh-sinh cannot resolve x^p near -1 there.
-    Raises :class:`QuadratureFailure` for the first element with a piece that
+    end a, where it grows like (x - a)^``power``, goes to a second batched
+    run in s = ((x - a) / (b - a))^(power + 1) (s = (x - a)^(power + 1) for
+    b = +inf), in which the integrand is bounded: tanh-sinh cannot resolve
+    x^p near -1 in x.  Such a piece without a ``power`` above -1 raises
+    :class:`QuadratureFailure`, as does the first element with a piece that
     did not converge and a summed error above max(abs_tol, rel_tol |value|).
     """
     lo, hi, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, *args)))
@@ -252,15 +254,24 @@ def integrate(
             fn, a[regular], b[regular], [arg[regular] for arg in args]
         )
     if singular.any():
-        from scipy.integrate import IntegrationWarning, quad
+        if power is None or not power > -1.0:
+            i = np.flatnonzero(singular)[0]
+            raise QuadratureFailure(
+                f"integrand is not finite at {a[i]:g}, the left end of [{a[i]:g}, {b[i]:g}], "
+                f"and its power there is {power}, not above -1"
+            )
+        q = 1.0 / (power + 1.0)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            for i in np.flatnonzero(singular):
-                piece = lambda x, i=i: float(fn(np.float64(x), *(arg[i] for arg in args)))
-                out = quad(piece, a[i], b[i], epsabs=QuadratureSpec.abs_tol,
-                           epsrel=QuadratureSpec.rel_tol, limit=_QUADPACK_LIMIT, full_output=1)
-                value[i], error[i], converged[i] = out[0], out[1], len(out) < 4
+        def substituted(s, left, width, *rest):
+            return (width * q) * s ** (q - 1.0) * fn(left + width * s**q, *rest)
+
+        left, right = a[singular], b[singular]
+        bounded = np.isfinite(right)
+        width = np.where(bounded, right - left, 1.0)
+        value[singular], error[singular], converged[singular] = _tanhsinh(
+            substituted, np.zeros(left.size), np.where(bounded, 1.0, np.inf),
+            [left, width, *(arg[singular] for arg in args)],
+        )
 
     total = np.bincount(element, weights=value, minlength=lo.size)
     abs_error = np.bincount(element, weights=error, minlength=lo.size)
@@ -270,8 +281,8 @@ def integrate(
     if bad.size:
         i = bad[0]
         raise QuadratureFailure(
-            f"error estimate {abs_error[i]:.3e} above tolerance {tolerance[i]:.3e} "
-            f"on [{lo[i]:g}, {hi[i]:g}]"
+            f"integral {total[i]:.6g} on [{lo[i]:g}, {hi[i]:g}] has error estimate "
+            f"{abs_error[i]:.3e}, above tolerance {tolerance[i]:.3e}"
         )
     if not shape:
         return IntegralResult(float(total[0]), float(abs_error[0]), int(a.size))

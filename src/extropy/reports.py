@@ -9,11 +9,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .errors import NonFiniteResult
 from .estimation import McStudyRow
 from .grouping import DivergenceMatrix
 
@@ -44,15 +46,42 @@ def _jsonable(obj):
     return obj
 
 
+def _non_finite(obj, path: str):
+    """The path and value of the first NaN or infinite float in ``obj``, else None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}", v) for k, v in sorted(obj.items()))
+    elif isinstance(obj, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite(value, key)
+        if found:
+            return found
+    return None
+
+
 def report_json_bytes(command: str, inputs: dict, results: dict) -> bytes:
-    """Canonical JSON document: sorted keys, fixed separators, trailing newline."""
+    """Canonical JSON document: sorted keys, fixed separators, trailing newline.
+
+    A NaN or infinite value has no JSON form: it raises :class:`NonFiniteResult`.
+    """
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": _jsonable(inputs),
         "results": _jsonable(results),
     }
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    try:
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        found = _non_finite(payload, "report")
+        if found is None:
+            raise
+        raise NonFiniteResult(f"{command}: {found[0]} is {found[1]}, which no report can carry") from None
+    return (text + "\n").encode("utf-8")
 
 
 def write_report(path: str | Path, command: str, inputs: dict, results: dict) -> Path:

@@ -397,6 +397,36 @@ def test_estimate_refuses_to_reflect_data_below_the_bound(tmp_path, capsys):
     assert not (tmp_path / "on" / "report.json").exists()
 
 
+def test_overflowing_measure_is_numerical_failure(tmp_path, capsys):
+    # f^2 overflows at 0: the report once read "value": -Infinity with exit 0
+    code = run(["measure", "extropy", "--family-x", "exp:1e160", "--out", str(tmp_path)])
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_non_finite_result_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    def infinite(form, window, models, t=None, atom_convention="ac"):
+        return measures.MeasureReport("extropy", -np.inf, abs_error=np.inf, inputs=("x",))
+
+    monkeypatch.setattr(measures, "_windowed", infinite)
+    code = run(["measure", "extropy", "--family-x", "exp:1", "--out", str(tmp_path)])
+    assert code == 3
+    assert "report.results.abs_error is inf" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_estimate_overflowing_spread_is_numerical_failure(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    rows = ["arm,value"] + [f"{arm},{1e155 * v!r}" for arm in "ab" for v in rng.exponential(size=50).tolist()]
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code = run(["estimate", str(path), "--value-col", "value", "--group-col", "arm",
+                "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "spread overflows" in capsys.readouterr().err
+
+
 def test_estimate_without_a_bandwidth_bracket_is_numerical_failure(tmp_path, capsys):
     # a tight cluster and one outlier: the bandwidth equation of arm a has no
     # sign change in its bracket
@@ -425,13 +455,19 @@ assert main(["estimate", csv, "--value-col", "value", "--group-col", "arm",
              "--out", out + "/estimate"]) == 0
 assert main(["measure", "relative", "--family-x", "exp:rate=1", "--family-y", "exp:rate=2",
              "--out", out + "/measure"]) == 0
+assert main(["simulate", "--family-x", "exp:rate=1", "--family-y", "exp:rate=2", "--n", "20",
+             "--reps", "3", "--out", out + "/simulate"]) == 0
+assert main(["verify", "--family-x", "weibull:shape=0.7,scale=2", "--family-y", "exp:rate=2",
+             "--out", out + "/singular"]) in (0, 4)
 print("loaded:", sorted(m for m in sys.modules if m.startswith("scipy")))
 """
 
 
 def test_cli_commands_load_no_scipy(tmp_path, two_group_csv):
     # a fresh interpreter: this test process has long imported scipy; verify
-    # must not load numpy.ma either (np.unique's first call imports it)
+    # must not load numpy.ma either (np.unique's first call imports it).
+    # simulate takes Phi under its lower bound, and verify on a Weibull shape
+    # below 1 integrates pieces singular at 0: numpy serves both
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path), two_group_csv],

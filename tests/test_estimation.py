@@ -2,11 +2,13 @@ import functools
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from extropy import (
     ExponentialParams,
@@ -132,7 +134,73 @@ def test_bounded_inner_matches_all_pairs_oracle(kind, lower, n):
         assert f.inner(g, lower) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
+# --- the normal cdf of the bounded Gram sums -----------------------------------
+
+
+def _ulps(value, exact):
+    """|value - exact| in units of the spacing of doubles at ``exact`` (subnormals: 4.9e-324)."""
+    tiny = np.finfo(float).smallest_subnormal
+    return np.abs(value - exact) / np.spacing(np.maximum(np.abs(exact), tiny))
+
+
+def _exact_ncdf(z):
+    mpmath.mp.dps = 30
+    return np.array([float(mpmath.ncdf(v)) for v in np.atleast_1d(z).tolist()])
+
+
+def test_normal_cdf_within_two_ulps_of_ndtr_above_zero():
+    # every bounded estimate on data at or above its bound takes Phi at z >= 0,
+    # where scipy's ndtr is itself within an ulp
+    z = np.linspace(0.0, estimation._PHI_ONE, 400_001)
+    assert _ulps(estimation._normal_cdf(z), ndtr(z)).max() <= 2.0
+
+
+def test_normal_cdf_within_a_few_ulps_of_the_exact_value():
+    # below zero the reference is mpmath: ndtr rounds z / sqrt 2 before its
+    # exp(-x^2), which costs it up to some 2,000 ulps near z = -35, and it
+    # returns 0 below z = -37.7, where Phi is still subnormal
+    z = np.concatenate([np.linspace(-38.5, estimation._PHI_ONE, 20_001), [-37.9, -38.4, 0.0]])
+    assert _ulps(estimation._normal_cdf(z), _exact_ncdf(z)).max() <= 8.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=-39.0, max_value=9.0))
+def test_normal_cdf_sweep_within_a_few_ulps(z):
+    assert _ulps(estimation._normal_cdf(np.array([z])), _exact_ncdf(z))[0] <= 8.0
+
+
+def test_normal_cdf_saturates_exactly():
+    # one at and above _PHI_ONE, which the Gram sums' staircase relies on; zero
+    # below the subnormals; a NaN stays NaN
+    high = np.concatenate([np.linspace(estimation._PHI_ONE, 50.0, 10_001), [1e300, np.inf]])
+    assert np.all(estimation._normal_cdf(high) == 1.0)
+    low = np.array([-38.6, -40.0, -1e300, -np.inf])
+    assert np.all(estimation._normal_cdf(low) == 0.0)
+    assert np.isnan(estimation._normal_cdf(np.array([np.nan]))[0])
+    # chunk boundaries change nothing
+    z = np.linspace(-39.0, 9.0, 3 * estimation._PHI_CHUNK + 5)
+    pieces = np.concatenate([estimation._normal_cdf(z[:7]), estimation._normal_cdf(z[7:])])
+    assert np.array_equal(estimation._normal_cdf(z), pieces)
+
+
 # --- Sheather-Jones bandwidth -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, reach",
+    [(5, math.inf), (50, math.inf), (300, math.inf), (900, 1.5), (2100, 0.3), (2100, 4.0)],
+)
+def test_sj_pair_blocks_match_a_row_by_row_build(n, reach):
+    # n = 300 spans two row blocks; 900 and 2100 are long-row blocks, and a
+    # finite reach is the window of a pass above _SJ_KEEP_TERMS
+    z = np.sort(np.random.default_rng(n).lognormal(size=n))
+    blocks = list(estimation._upper_squares(z, reach))
+    reference = []
+    for start, stop, _, hi in estimation._blocks(z, z, reach):
+        diffs = np.concatenate([z[i + 1 : hi] - z[i] for i in range(start, stop)])
+        reference.append(diffs * diffs)
+    assert len(blocks) == len(reference) >= (2 if n >= 300 else 1)
+    assert all(np.array_equal(b, r) for b, r in zip(blocks, reference))
 
 
 @pytest.fixture(params=["kept", "rebuilt"])
@@ -214,6 +282,14 @@ def test_sj_degenerate_inputs():
         sheather_jones_bandwidth(SampleBatch(np.array([1.0, 1.0, 1.0, 1.0, 1.0])))
     with pytest.raises(DegenerateSample):
         sheather_jones_bandwidth(SampleBatch(np.array([1.0, 2.0, 3.0])))
+
+
+def test_overflowing_spread_raises_degenerate_sample():
+    # the variance of a spread of 1e155 overflows; it used to reach a division by zero
+    rng = np.random.default_rng(2)
+    x, y = 1e155 * rng.exponential(size=200), 5e154 * rng.exponential(size=200)
+    with pytest.raises(DegenerateSample, match="spread overflows"):
+        estimate_relative_extropy(SampleBatch(x), SampleBatch(y))
 
 
 def test_sj_without_sign_change_raises_no_bracket(sj_blocks):

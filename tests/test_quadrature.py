@@ -52,11 +52,33 @@ def test_empty_interval_is_zero():
     assert res.value == 0.0 and res.subdivisions == 0
 
 
-def test_left_end_singularity_goes_to_quadpack():
-    # tanh-sinh alone returns 49.99996 here and reports convergence
-    res = integrate(lambda x: x**-0.98, 0.0, 1.0)
+def test_left_end_singularity_is_integrated_in_its_power():
+    # tanh-sinh alone returns 49.99996 here and reports convergence; in
+    # s = x^0.02 the integrand is the constant 50
+    res = integrate(lambda x: x**-0.98, 0.0, 1.0, power=-0.98)
     tol = max(QuadratureSpec.abs_tol, QuadratureSpec.rel_tol * 50.0)
     assert res.value == pytest.approx(50.0, abs=tol)
+
+
+def test_left_end_singularity_on_a_half_line():
+    # s = sqrt(x) over [0, inf): int x^-1/2 e^-x = sqrt(pi)
+    res = integrate(lambda x: np.exp(-x) / np.sqrt(x), 0.0, np.inf, power=-0.5)
+    assert res.value == pytest.approx(np.sqrt(np.pi), abs=QuadratureSpec.abs_tol)
+
+
+def test_left_end_singularity_needs_its_power():
+    for power in (None, -1.0):
+        with pytest.raises(QuadratureFailure, match="not finite at 0"):
+            integrate(lambda x: x**-0.5, 0.0, 1.0, power=power)
+
+
+@pytest.mark.parametrize("shape, scale", [(0.7, 2.0), (0.9, 2.0)])
+def test_weibull_extropy_with_an_unbounded_density(shape, scale):
+    # f ~ x^(shape - 1) at 0, so f^2 is singular at the left end of the first piece
+    exact = weibull_extropy(shape, scale)
+    value = extropy(WeibullParams(shape, scale)).value
+    tol = max(QuadratureSpec.abs_tol, QuadratureSpec.rel_tol * abs(exact))
+    assert value == pytest.approx(exact, abs=tol)
 
 
 def test_weibull_extropy_near_half_shape():
