@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from extropy import QuantileGroupSpec, load_csv, pairwise_matrix
+from extropy import load_csv, pairwise_matrix
 from extropy.reports import write_heatmap, write_matrix_csv, write_report
 
 
@@ -42,8 +42,7 @@ def main() -> None:
     synthesize(csv_path, args.rows, args.seed)
 
     probs = tuple(float(p) for p in args.quantiles.split(","))
-    spec = QuantileGroupSpec(group_column="income", cut_probabilities=probs)
-    ds = load_csv(str(csv_path), "spending", quantile_spec=spec)
+    ds = load_csv(str(csv_path), "spending", "income", cut_probabilities=probs)
     matrix = pairwise_matrix(ds)
 
     write_matrix_csv(out / "matrix.csv", matrix)

@@ -44,7 +44,7 @@ from .estimation import (
     sample_batch,
     sheather_jones_bandwidth,
 )
-from .grouping import DivergenceMatrix, GroupedDataset, QuantileGroupSpec, load_csv, pairwise_matrix
+from .grouping import DivergenceMatrix, GroupedDataset, load_csv, pairwise_matrix
 from .measures import (
     OrderingVerdict,
     PerturbationQuery,

@@ -2,9 +2,10 @@
 
 Subcommands map onto the library layers: ``measure`` (closed-form/quadrature
 measures between named families, optionally at a time t), ``estimate`` (two
-samples -> relative-extropy estimate), ``simulate`` (Monte-Carlo bias/MSE
-table), ``groups`` (CSV -> pairwise divergence matrix + heatmap), ``verify``
-(identity/ODE/bound suites on a model pair).
+samples -> relative-extropy estimate, the one pair of a two-group
+``pairwise_matrix``), ``simulate`` (Monte-Carlo bias/MSE table), ``groups``
+(CSV -> pairwise divergence matrix + heatmap), ``verify`` (identity/ODE/bound
+suites on a model pair).
 
 Exit codes: 0 success, 2 input error, 3 numerical failure, 4 a verify-suite
 hypothesis was declared but does not hold empirically.
@@ -21,14 +22,8 @@ import numpy as np
 from . import dynamic, measures
 from .distributions import parse_family
 from .errors import ExtropyError, InsufficientGrid, InvalidParameter
-from .estimation import (
-    McStudyConfig,
-    SampleBatch,
-    estimate_relative_extropy,
-    mc_bias_mse,
-    sheather_jones_bandwidth,
-)
-from .grouping import QuantileGroupSpec, load_csv, load_sample, pairwise_matrix
+from .estimation import McStudyConfig, mc_bias_mse
+from .grouping import GroupedDataset, load_csv, load_sample, pairwise_matrix
 from .quadrature import QuadratureSpec
 from .reports import write_heatmap, write_matrix_csv, write_report, write_study_csv
 
@@ -149,28 +144,27 @@ def cmd_measure(args) -> int:
     return 0
 
 
-def _batches_from_args(args) -> tuple[tuple[str, SampleBatch], tuple[str, SampleBatch]]:
+def _pair_from_args(args) -> GroupedDataset:
+    """The two groups of one CSV's group column, or of two CSVs labelled by their paths."""
     if len(args.csv) == 2:
-        x, y = args.csv
-        return (x, load_sample(x, args.value_col)), (y, load_sample(y, args.value_col))
+        if args.group_col is not None:
+            raise InvalidParameter("--group-col takes one CSV; two CSVs are labelled by their paths")
+        groups = tuple((path, load_sample(path, args.value_col)) for path in args.csv)
+        return GroupedDataset(groups=groups, dropped_rows=0)
     if len(args.csv) == 1:
         if not args.group_col:
             raise InvalidParameter("one CSV needs --group-col with exactly two groups")
-        ds = load_csv(args.csv[0], args.value_col, group_column=args.group_col)
+        ds = load_csv(args.csv[0], args.value_col, args.group_col)
         if len(ds.groups) != 2:
             raise InvalidParameter(f"expected exactly 2 groups, found {len(ds.groups)}")
-        return ds.groups[0], ds.groups[1]
+        return ds
     raise InvalidParameter("estimate takes one or two CSV paths")
 
 
 def cmd_estimate(args) -> int:
-    (label_x, sx), (label_y, sy) = _batches_from_args(args)
-    bx = sheather_jones_bandwidth(sx)
-    by = sheather_jones_bandwidth(sy)
-    value = estimate_relative_extropy(
-        sx, sy, bandwidth_x=bx, bandwidth_y=by,
-        boundary_reflect=args.boundary_reflect == "on",
-    )
+    ds = _pair_from_args(args)
+    matrix = pairwise_matrix(ds, boundary_reflect=args.boundary_reflect == "on")
+    value = float(matrix.values[0, 1])
     out = _outdir(args)
     write_report(
         out / "report.json",
@@ -182,9 +176,9 @@ def cmd_estimate(args) -> int:
             "boundary_reflect": args.boundary_reflect,
         },
         {
-            "groups": [label_x, label_y],
-            "n": [sx.n, sy.n],
-            "bandwidths": [bx, by],
+            "groups": list(ds.labels),
+            "n": [batch.n for _, batch in ds.groups],
+            "bandwidths": list(matrix.bandwidths),
             "relative_extropy": value,
         },
     )
@@ -243,13 +237,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_groups(args) -> int:
-    quantiles = None
-    if args.quantiles is not None:
-        probs = tuple(_numbers(args.quantiles, "--quantiles", float))
-        quantiles = QuantileGroupSpec(group_column=args.group_col, cut_probabilities=probs)
-        ds = load_csv(args.csv, args.value_col, quantile_spec=quantiles)
-    else:
-        ds = load_csv(args.csv, args.value_col, group_column=args.group_col)
+    probs = None if args.quantiles is None else tuple(_numbers(args.quantiles, "--quantiles", float))
+    ds = load_csv(args.csv, args.value_col, args.group_col, cut_probabilities=probs)
     matrix = pairwise_matrix(ds, boundary_reflect=args.boundary_reflect == "on")
     out = _outdir(args)
     emitted = []

@@ -9,12 +9,16 @@ centres, so int fhat ghat is a finite double sum over the two samples
 two-sample statistic of Anderson, Hall & Titterington 1994).  By default it
 runs over the whole line, which makes the estimate invariant (up to
 rounding) under a common shift of both samples; a lower support bound (for
-nonnegative data) and boundary reflection are available as options.  The
-module needs numpy alone: a lower bound's normal cdf factor is the module's
-own :func:`_normal_cdf`.
+nonnegative data) and boundary reflection are available as options.
+``estimate_relative_extropy`` selects both bandwidths itself;
+``estimate_pairwise_relative_extropy`` takes them given, for any number of
+samples.  The module needs numpy alone: a lower bound's normal cdf factor is
+the module's own :func:`_normal_cdf`, and the bandwidth's quartiles are read
+off the sorted sample (:func:`_sorted_quantile`).
 
 The Monte-Carlo harness draws each replication from its own PCG64 substream,
-so study rows are reproducible bit-for-bit and independent of scheduling.
+so study rows are reproducible bit-for-bit and independent of scheduling; a
+replication fails only with a package error.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import SeededSampler, sample
-from .errors import DegenerateSample, InvalidModel, InvalidParameter, NoBracket
+from .errors import DegenerateSample, ExtropyError, InvalidModel, InvalidParameter, NoBracket
 from .models import DistributionModel
 
 # not called in this module: the name stays bound because the benchmark
@@ -383,6 +387,21 @@ def sample_batch(
     return SampleBatch(sample(params, n, sampler, substream=substream))
 
 
+def _sorted_quantile(vals: np.ndarray, p: float) -> float:
+    """``np.quantile(vals, p)`` of sorted ``vals`` bit for bit, for 0 <= p < 1.
+
+    numpy's linear method: virtual index (n - 1) p, its floor i and weight
+    gamma, then a + (b - a) gamma, or b - (b - a)(1 - gamma) when gamma >= 0.5.
+    ``np.quantile`` itself would import numpy.ma (0.8 MB) on its first call.
+    """
+    at = (vals.size - 1) * p
+    i = math.floor(at)
+    gamma = at - i
+    a, b = float(vals[i]), float(vals[i + 1])
+    diff = b - a
+    return a + diff * gamma if gamma < 0.5 else b - diff * (1.0 - gamma)
+
+
 # the Sheather-Jones pair-term polynomials in e = -w/2, w = u^2, highest power
 # first: w^2 - 6w + 3 = phi^(4)(u) sqrt(2 pi) e^(w/2), w^3 - 15w^2 + 45w - 15
 # = phi^(6)(u) sqrt(2 pi) e^(w/2), and the psi4 slope w^3 - 10w^2 + 15w, which
@@ -424,8 +443,7 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
             f"sample spread overflows: the variance of observations in "
             f"[{vals[0]:.3e}, {vals[-1]:.3e}] exceeds the largest double (spreads up to about 1e154 fit)"
         )
-    q75, q25 = np.percentile(vals, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    iqr = _sorted_quantile(vals, 0.75) - _sorted_quantile(vals, 0.25)
     scale_z = min(1.0, iqr / (1.349 * sd)) if iqr > 0 else 1.0
 
     z = vals / sd
@@ -557,8 +575,6 @@ def estimate_relative_extropy(
     sx: SampleBatch,
     sy: SampleBatch,
     *,
-    bandwidth_x: float | None = None,
-    bandwidth_y: float | None = None,
     support_lower: float | None = None,
     boundary_reflect: bool = False,
 ) -> float:
@@ -567,12 +583,12 @@ def estimate_relative_extropy(
     (1/2) int (fhat - ghat)^2 in closed form over the whole line, which is
     translation invariant up to rounding.  ``support_lower`` clips the
     integral (and anchors reflection) at a known support boundary such as 0.
-    Bandwidths default to Sheather-Jones.
+    Bandwidths are Sheather-Jones; :func:`estimate_pairwise_relative_extropy`
+    takes given ones.
     """
-    bx = sheather_jones_bandwidth(sx) if bandwidth_x is None else bandwidth_x
-    by = sheather_jones_bandwidth(sy) if bandwidth_y is None else bandwidth_y
+    bandwidths = (sheather_jones_bandwidth(sx), sheather_jones_bandwidth(sy))
     values = estimate_pairwise_relative_extropy(
-        (sx, sy), (bx, by), support_lower=support_lower, boundary_reflect=boundary_reflect
+        (sx, sy), bandwidths, support_lower=support_lower, boundary_reflect=boundary_reflect
     )
     return float(values[0, 1])
 
@@ -629,9 +645,10 @@ def mc_bias_mse(cfg: McStudyConfig) -> McStudyRow:
     """Run the replications of one study row; deterministic given the seed.
 
     Replication i draws both samples from substream (seed, i), so rows can be
-    recomputed independently and in any order.  Individual estimator failures
-    are tolerated up to 1% of reps and recorded in the row; above that the
-    study fails with every failed replication in the message.
+    recomputed independently and in any order.  Estimator failures (an
+    :class:`ExtropyError`) are tolerated up to 1% of reps and recorded in the
+    row; above that the study fails with every failed replication in the
+    message.  Any other exception propagates.
     """
     sampler = SeededSampler(cfg.seed)
     estimates: list[float] = []
@@ -649,7 +666,7 @@ def mc_bias_mse(cfg: McStudyConfig) -> McStudyRow:
                     boundary_reflect=cfg.boundary_reflect,
                 )
             )
-        except Exception as exc:  # noqa: BLE001 - per-replication failure policy
+        except ExtropyError as exc:  # a programming error propagates
             failed.append((rep, repr(exc)))
     if len(failed) > 0.01 * cfg.reps:
         listed = "; ".join(f"#{rep}: {err}" for rep, err in failed)

@@ -1,10 +1,12 @@
 """CSV ingestion, quantile grouping, and pairwise divergence matrices.
 
-Groups come either from the distinct values of a label column or from
-quantile cuts of a numeric column.  Quantiles use linear interpolation of the
-empirical cdf (numpy's default); a value equal to a cut belongs to the lower
-interval, so labels read "[lo,q1]", "(q1,q2]", ..., "(qk,hi]" and membership
-partitions the retained rows.
+``load_csv`` forms groups from one column: its distinct labels, or, given
+cut probabilities, quantile bands of its numeric values.  Quantiles use
+linear interpolation of the empirical cdf (numpy's default); a value equal to
+a cut belongs to the lower interval, so labels read "[lo,q1]", "(q1,q2]",
+..., "(qk,hi]" and membership partitions the retained rows.
+``pairwise_matrix`` selects each group's Sheather-Jones bandwidth, naming
+the group in any selection error, and estimates every pair.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .errors import CsvParseError, InvalidParameter, MissingColumn, TooFewObserv
 from .estimation import SampleBatch, estimate_pairwise_relative_extropy, sheather_jones_bandwidth
 
 __all__ = [
-    "QuantileGroupSpec",
     "GroupedDataset",
     "DivergenceMatrix",
     "load_csv",
@@ -31,28 +32,10 @@ MIN_GROUP_SIZE = 5
 
 
 @dataclass(frozen=True)
-class QuantileGroupSpec:
-    """Quantile cuts of ``group_column`` used to partition rows into bands."""
-
-    group_column: str
-    cut_probabilities: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8)
-
-    def __post_init__(self):
-        ps = self.cut_probabilities
-        if not ps or any(not (0.0 < p < 1.0) for p in ps):
-            raise InvalidParameter("cut probabilities must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(ps, ps[1:])):
-            raise InvalidParameter("cut probabilities must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class GroupedDataset:
-    """Labeled sample groups plus provenance of how they were formed."""
+    """Labeled sample groups and the count of rows dropped for missing cells."""
 
     groups: tuple[tuple[str, SampleBatch], ...]
-    source: str
-    value_column: str
-    group_by: str
     dropped_rows: int
 
     def __post_init__(self):
@@ -141,22 +124,25 @@ def load_sample(path: str, value_column: str) -> SampleBatch:
 def load_csv(
     path: str,
     value_column: str,
-    group_column: str | None = None,
-    quantile_spec: QuantileGroupSpec | None = None,
+    group_column: str,
+    cut_probabilities: tuple[float, ...] | None = None,
     filters: dict[str, str] | None = None,
 ) -> GroupedDataset:
     """Read a header CSV and form sample groups.
 
     Rows with missing values in the selected columns are dropped and counted.
-    Exactly one of ``group_column`` (distinct labels) or ``quantile_spec``
-    (quantile bands of a numeric column) selects the grouping.
+    Groups are the distinct labels of ``group_column``, or, given
+    ``cut_probabilities`` (strictly increasing, inside (0, 1)), the quantile
+    bands of its numeric values.
     """
-    if (group_column is None) == (quantile_spec is None):
-        raise InvalidParameter("exactly one of group_column or quantile_spec is required")
+    ps = cut_probabilities
+    if ps is not None:
+        if not ps or any(not (0.0 < p < 1.0) for p in ps):
+            raise InvalidParameter("cut probabilities must lie strictly inside (0, 1)")
+        if any(b <= a for a, b in zip(ps, ps[1:])):
+            raise InvalidParameter("cut probabilities must be strictly increasing")
     filters = filters or {}
-
-    group_by = group_column if group_column is not None else quantile_spec.group_column
-    rows = _read_rows(path, [value_column, *filters, group_by])
+    rows = _read_rows(path, [value_column, *filters, group_column])
 
     dropped = 0
     values: list[float] = []
@@ -166,7 +152,7 @@ def load_csv(
         if any((row.get(c) or "").strip() != v for c, v in filters.items()):
             continue
         raw_value = (row.get(value_column) or "").strip()
-        raw_key = (row.get(group_by) or "").strip()
+        raw_key = (row.get(group_column) or "").strip()
         if not raw_value or not raw_key:
             dropped += 1
             continue
@@ -174,14 +160,14 @@ def load_csv(
         keys.append(raw_key)
         key_lines.append(idx)
 
-    if quantile_spec is None:
+    if ps is None:
         buckets: dict[str, list[float]] = {}
         for key, value in zip(keys, values):
             buckets.setdefault(key, []).append(value)
         ordered = sorted(buckets)
     else:
-        arr = np.asarray([_finite(line, group_by, key) for line, key in zip(key_lines, keys)])
-        cuts = np.quantile(arr, quantile_spec.cut_probabilities)
+        arr = np.asarray([_finite(line, group_column, key) for line, key in zip(key_lines, keys)])
+        cuts = np.quantile(arr, ps)
         edges = [float(arr.min()), *map(float, cuts), float(arr.max())]
         labels = _quantile_labels(edges)
         # membership: first band closed, then (q_{i-1}, q_i]; searchsorted with
@@ -194,24 +180,17 @@ def load_csv(
 
     return GroupedDataset(
         groups=tuple((label, _group(label, buckets[label])) for label in ordered),
-        source=path,
-        value_column=value_column,
-        group_by=group_by,
         dropped_rows=dropped,
     )
 
 
-def pairwise_matrix(
-    ds: GroupedDataset,
-    *,
-    support_lower: float | None = None,
-    boundary_reflect: bool = False,
-) -> DivergenceMatrix:
+def pairwise_matrix(ds: GroupedDataset, *, boundary_reflect: bool = False) -> DivergenceMatrix:
     """Relative-extropy estimate for every unordered pair of groups.
 
-    Each group's bandwidth is selected once, and its int fhat^2 computed
-    once, then both are reused across its pairs; the matrix is mirrored with
-    an exactly zero diagonal.
+    Each group's Sheather-Jones bandwidth is selected once, and its
+    int fhat^2 computed once, then both are reused across its pairs; an
+    error in a selection names its group.  The matrix is mirrored with an
+    exactly zero diagonal.
     """
     bandwidths = []
     for label, batch in ds.groups:
@@ -220,9 +199,6 @@ def pairwise_matrix(
         except Exception as exc:
             raise type(exc)(f"group {label!r}: {exc}") from exc
     values = estimate_pairwise_relative_extropy(
-        [batch for _, batch in ds.groups],
-        bandwidths,
-        support_lower=support_lower,
-        boundary_reflect=boundary_reflect,
+        [batch for _, batch in ds.groups], bandwidths, boundary_reflect=boundary_reflect
     )
     return DivergenceMatrix(labels=ds.labels, values=values, bandwidths=tuple(bandwidths))

@@ -196,6 +196,23 @@ def test_estimate_two_files_rejects_input_as_one_csv_does(tmp_path, capsys, x_ce
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("second, flags, message", [
+    ("x.csv", [], "duplicate group labels"),
+    ("y.csv", ["--group-col", "arm"], "--group-col takes one CSV"),
+], ids=["same-file-twice", "group-col"])
+def test_estimate_two_files_input_errors(tmp_path, capsys, second, flags, message):
+    # both once exited 0: the same file gave an estimate of 0, and the ignored
+    # --group-col was echoed in report.json
+    for name in ("x.csv", "y.csv"):
+        cells = [f"{0.1 * k + 0.05:.2f}" for k in range(20)]
+        (tmp_path / name).write_text("\n".join(["value", *cells]) + "\n", encoding="utf-8")
+    code = run(["estimate", str(tmp_path / "x.csv"), str(tmp_path / second),
+                "--value-col", "value", *flags, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_measure_gf_direction_labeled(tmp_path):
     code = run(["measure", "divergence-gf", "--family-x", "exp:rate=1",
                 "--family-y", "exp:rate=2", "--out", str(tmp_path)])
@@ -439,7 +456,8 @@ def test_estimate_without_a_bandwidth_bracket_is_numerical_failure(tmp_path, cap
     code = run(["estimate", str(path), "--value-col", "value", "--group-col", "arm",
                 "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "no sign change" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "group 'a': " in err and "no sign change" in err
 
 
 _IMPORT_GUARD = """
@@ -459,15 +477,16 @@ assert main(["simulate", "--family-x", "exp:rate=1", "--family-y", "exp:rate=2",
              "--reps", "3", "--out", out + "/simulate"]) == 0
 assert main(["verify", "--family-x", "weibull:shape=0.7,scale=2", "--family-y", "exp:rate=2",
              "--out", out + "/singular"]) in (0, 4)
-print("loaded:", sorted(m for m in sys.modules if m.startswith("scipy")))
+print("loaded:", sorted(m for m in sys.modules if (m + ".").startswith(("scipy", "numpy.ma."))))
 """
 
 
 def test_cli_commands_load_no_scipy(tmp_path, two_group_csv):
-    # a fresh interpreter: this test process has long imported scipy; verify
-    # must not load numpy.ma either (np.unique's first call imports it).
-    # simulate takes Phi under its lower bound, and verify on a Weibull shape
-    # below 1 integrates pieces singular at 0: numpy serves both
+    # a fresh interpreter: this test process has long imported scipy.  No
+    # command here loads numpy.ma either (np.unique's first call imports it,
+    # as np.percentile once did in the bandwidth of estimate, groups and
+    # simulate).  simulate takes Phi under its lower bound, and verify on a
+    # Weibull shape below 1 integrates pieces singular at 0: numpy serves both
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path), two_group_csv],

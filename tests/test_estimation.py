@@ -18,6 +18,7 @@ from extropy import (
     SeededSampler,
     UniformParams,
     WeibullParams,
+    estimate_pairwise_relative_extropy,
     estimate_relative_extropy,
     gaussian_kernel,
     mc_bias_mse,
@@ -284,6 +285,34 @@ def test_sj_degenerate_inputs():
         sheather_jones_bandwidth(SampleBatch(np.array([1.0, 2.0, 3.0])))
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_sj_quartiles_match_numpy_percentile():
+    # the quartiles are read off the sorted sample with np.percentile's arithmetic
+    rng = np.random.default_rng(5)
+    for n in range(5, 3001):
+        vals = np.sort(rng.normal(size=n) * 10.0 ** int(rng.integers(-6, 7)))
+        quartiles = [estimation._sorted_quantile(vals, p) for p in (0.75, 0.25)]
+        assert _bits(quartiles) == _bits(np.percentile(vals, [75.0, 25.0])), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.integers(-3, 3).map(float),  # ties
+        st.floats(-1e150, 1e150),
+        st.floats(0.9e150, 1e150),  # a spread near 1e150 far from 0
+    ),
+    min_size=5, max_size=80,
+))
+def test_sj_quartiles_sweep_match_numpy_percentile(values):
+    vals = np.sort(np.asarray(values))
+    quartiles = [estimation._sorted_quantile(vals, p) for p in (0.75, 0.25)]
+    assert _bits(quartiles) == _bits(np.percentile(vals, [75.0, 25.0]))
+
+
 def test_overflowing_spread_raises_degenerate_sample():
     # the variance of a spread of 1e155 overflows; it used to reach a division by zero
     rng = np.random.default_rng(2)
@@ -370,7 +399,7 @@ def test_estimate_two_point_closed_form():
     xx = 1.0 / (2.0 * math.sqrt(math.pi) * bx)
     yy = 1.0 / (2.0 * math.sqrt(math.pi) * by)
     exact = 0.5 * (xx + yy - 2.0 * cross)
-    value = estimate_relative_extropy(sx, sy, bandwidth_x=bx, bandwidth_y=by)
+    value = estimate_pairwise_relative_extropy((sx, sy), (bx, by))[0, 1]
     assert abs(value - exact) <= 1e-14
 
     # on [c, inf): each product of two kernels is a Gaussian of mean mu and sd s,
@@ -381,7 +410,7 @@ def test_estimate_two_point_closed_form():
         + yy * _phi((delta - c) / (by / math.sqrt(2.0)))
         - 2.0 * cross * _phi((mu - c) / s)
     )
-    value_c = estimate_relative_extropy(sx, sy, bandwidth_x=bx, bandwidth_y=by, support_lower=c)
+    value_c = estimate_pairwise_relative_extropy((sx, sy), (bx, by), support_lower=c)[0, 1]
     assert abs(value_c - exact_c) <= 1e-14
 
 
@@ -410,10 +439,9 @@ def test_estimate_matches_quadrature(n, support_lower, boundary_reflect):
     sx = exp_batch(1.0, n, 1000 + n)
     sy = exp_batch(2.0, n, 2000 + n)
     bx, by = (0.9 * float(s.values.std(ddof=1)) * n ** (-0.2) for s in (sx, sy))
-    value = estimate_relative_extropy(
-        sx, sy, bandwidth_x=bx, bandwidth_y=by,
-        support_lower=support_lower, boundary_reflect=boundary_reflect,
-    )
+    value = estimate_pairwise_relative_extropy(
+        (sx, sy), (bx, by), support_lower=support_lower, boundary_reflect=boundary_reflect
+    )[0, 1]
     reference = _quadrature_estimate(sx, sy, bx, by, support_lower, boundary_reflect)
     assert abs(value - reference) <= 1e-12
 
@@ -424,15 +452,14 @@ def test_pairwise_matrix_reuses_self_terms_exactly(boundary_reflect):
     # still equal the two-sample estimate at the same bandwidths
     groups = [("a", exp_batch(1.0, 120, 31)), ("b", exp_batch(2.0, 90, 32)),
               ("c", exp_batch(0.5, 150, 33)), ("d", exp_batch(1.0, 60, 34))]
-    ds = GroupedDataset(groups=tuple(groups), source="<memory>", value_column="v",
-                        group_by="g", dropped_rows=0)
+    ds = GroupedDataset(groups=tuple(groups), dropped_rows=0)
     matrix = pairwise_matrix(ds, boundary_reflect=boundary_reflect)
     for i, j in itertools.combinations(range(len(groups)), 2):
-        pair = estimate_relative_extropy(
-            groups[i][1], groups[j][1],
-            bandwidth_x=matrix.bandwidths[i], bandwidth_y=matrix.bandwidths[j],
+        pair = estimate_pairwise_relative_extropy(
+            (groups[i][1], groups[j][1]),
+            (matrix.bandwidths[i], matrix.bandwidths[j]),
             boundary_reflect=boundary_reflect,
-        )
+        )[0, 1]
         assert abs(matrix.values[i, j] - pair) <= 1e-15
 
 
@@ -555,19 +582,21 @@ def test_mc_study_failure_policy(monkeypatch):
         mc_bias_mse(_cfg(reps=5))
 
 
+def fail_on(reps, error=DegenerateSample):
+    """An estimator that raises ``error`` on the calls numbered in ``reps``, else 0.1."""
+    counter = itertools.count()
+
+    def estimate(*a, **k):
+        rep = next(counter)
+        if rep in reps:
+            raise error(f"forced {rep}")
+        return 0.1
+
+    return estimate
+
+
 def test_mc_study_records_failed_replications(monkeypatch):
     import extropy.estimation as est
-
-    def fail_on(reps):
-        counter = itertools.count()
-
-        def estimate(*a, **k):
-            rep = next(counter)
-            if rep in reps:
-                raise DegenerateSample(f"forced {rep}")
-            return 0.1
-
-        return estimate
 
     # one failure in 100 replications is tolerated and recorded with its index
     monkeypatch.setattr(est, "estimate_relative_extropy", fail_on({42}))
@@ -584,6 +613,16 @@ def test_mc_study_records_failed_replications(monkeypatch):
     assert "2 of 5 replications failed" in message
     assert "#1: DegenerateSample('forced 1')" in message
     assert "#3: DegenerateSample('forced 3')" in message
+
+
+def test_mc_study_propagates_a_programming_error(monkeypatch):
+    # only a package error is a failed replication: a TypeError in 1 of 100
+    # replications was once recorded as one, and above 1% reported as DegenerateSample
+    import extropy.estimation as est
+
+    monkeypatch.setattr(est, "estimate_relative_extropy", fail_on({42}, TypeError))
+    with pytest.raises(TypeError, match="forced 42"):
+        mc_bias_mse(_cfg(n=10, reps=100))
 
 
 def test_mc_consistency_trend():

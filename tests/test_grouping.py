@@ -4,7 +4,6 @@ import pytest
 from extropy import (
     DivergenceMatrix,
     ExponentialParams,
-    QuantileGroupSpec,
     SampleBatch,
     SeededSampler,
     load_csv,
@@ -41,8 +40,7 @@ def test_group_by_label_column(customers_csv):
 
 
 def test_quantile_grouping_labels_and_partition(customers_csv):
-    spec = QuantileGroupSpec(group_column="income")
-    ds = load_csv(customers_csv, "spending", quantile_spec=spec)
+    ds = load_csv(customers_csv, "spending", "income", cut_probabilities=(0.2, 0.4, 0.6, 0.8))
     assert len(ds.groups) == 5
     assert ds.labels[0].startswith("[") and ds.labels[0].endswith("]")
     for label in ds.labels[1:]:
@@ -54,8 +52,7 @@ def test_quantile_edges_use_linear_interpolation(tmp_path):
     values = list(range(1, 101))
     rows = ["x,y"] + [f"{v},{v * 2}" for v in values]
     path = write_csv(tmp_path / "grid.csv", rows)
-    spec = QuantileGroupSpec(group_column="x", cut_probabilities=(0.5,))
-    ds = load_csv(path, "y", quantile_spec=spec)
+    ds = load_csv(path, "y", "x", cut_probabilities=(0.5,))
     median = float(np.quantile(np.array(values, dtype=float), 0.5))
     assert ds.labels == (f"[1,{median:g}]", f"({median:g},100]")
 
@@ -64,8 +61,7 @@ def test_quantile_tie_goes_to_lower_interval(tmp_path):
     # quantile 0.5 of 1..11 is exactly 6; the row with x=6 must join the lower band
     rows = ["x,y"] + [f"{v},{v}.5" for v in range(1, 12)]
     path = write_csv(tmp_path / "tie.csv", rows)
-    spec = QuantileGroupSpec(group_column="x", cut_probabilities=(0.5,))
-    ds = load_csv(path, "y", quantile_spec=spec)
+    ds = load_csv(path, "y", "x", cut_probabilities=(0.5,))
     assert ds.groups[0][1].n == 6  # 1..6 inclusive
     assert ds.groups[1][1].n == 5
 
@@ -107,20 +103,17 @@ def test_load_csv_errors(tmp_path):
     with pytest.raises(TooFewObservations):
         load_csv(path, "v", group_column="g")
 
-    with pytest.raises(InvalidParameter):
-        load_csv(path, "v")  # neither grouping selector
-
-    with pytest.raises(InvalidParameter):
-        QuantileGroupSpec(group_column="x", cut_probabilities=(0.4, 0.2))
+    with pytest.raises(InvalidParameter, match="strictly increasing"):
+        load_csv(path, "v", "g", cut_probabilities=(0.4, 0.2))
+    with pytest.raises(InvalidParameter, match="strictly inside"):
+        load_csv(path, "v", "g", cut_probabilities=(0.5, 1.0))
 
 
 # --- pairwise matrix ------------------------------------------------------------
 
 
 def _dataset(groups):
-    return GroupedDataset(
-        groups=tuple(groups), source="<mem>", value_column="v", group_by="g", dropped_rows=0
-    )
+    return GroupedDataset(groups=tuple(groups), dropped_rows=0)
 
 
 def test_matrix_identical_groups_zero():
@@ -204,7 +197,6 @@ def test_quantile_key_parse_error_reports_file_line(tmp_path):
     # a filtered-out bad row must not shift reported line numbers
     rows = ["x,y,keep", "1,1,no", "zzz,2,yes", "3,3,yes"]
     path = write_csv(tmp_path / "lines.csv", rows)
-    spec = QuantileGroupSpec(group_column="x", cut_probabilities=(0.5,))
     with pytest.raises(CsvParseError) as err:
-        load_csv(path, "y", quantile_spec=spec, filters={"keep": "yes"})
+        load_csv(path, "y", "x", cut_probabilities=(0.5,), filters={"keep": "yes"})
     assert err.value.row == 3 and err.value.column == "x"
