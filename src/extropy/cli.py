@@ -5,7 +5,10 @@ measures between named families, optionally at a time t), ``estimate`` (two
 samples -> relative-extropy estimate, the one pair of a two-group
 ``pairwise_matrix``), ``simulate`` (Monte-Carlo bias/MSE table), ``groups``
 (CSV -> pairwise divergence matrix + heatmap), ``verify`` (identity/ODE/bound
-suites on a model pair).
+suites on a model pair).  Each command writes all of its files to ``--out``:
+``report.json``, plus ``study.csv`` for ``simulate`` and ``matrix.csv`` and
+``heatmap.svg`` for ``groups``.  Family specs are read by
+:func:`~extropy.distributions.parse_family`.
 
 Exit codes: 0 success, 2 input error, 3 numerical failure, 4 a verify-suite
 hypothesis was declared but does not hold empirically.
@@ -71,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--seed", type=int, default=20260810)
     p.add_argument("--boundary-reflect", choices=("on", "off"), default="off")
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("groups", help="pairwise divergence matrix over CSV groups")
@@ -81,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantiles", default=None, help="e.g. 0.2,0.4,0.6,0.8 to band a numeric column")
     p.add_argument("--boundary-reflect", choices=("on", "off"), default="off")
     p.add_argument("--out", default=".")
-    p.add_argument("--format", choices=("json", "csv", "svg", "all"), default="all")
     p.set_defaults(func=cmd_groups)
 
     p = sub.add_parser("verify", help="run identity/ODE/bound suites on a model pair")
@@ -204,8 +205,7 @@ def cmd_simulate(args) -> int:
         )
         rows.append(mc_bias_mse(cfg))
     out = _outdir(args)
-    if args.format == "csv":
-        write_study_csv(out / "study.csv", rows)
+    write_study_csv(out / "study.csv", rows)
     write_report(
         out / "report.json",
         "simulate",
@@ -241,11 +241,7 @@ def cmd_groups(args) -> int:
     ds = load_csv(args.csv, args.value_col, args.group_col, cut_probabilities=probs)
     matrix = pairwise_matrix(ds, boundary_reflect=args.boundary_reflect == "on")
     out = _outdir(args)
-    emitted = []
-    if args.format in ("csv", "all"):
-        emitted.append(str(write_matrix_csv(out / "matrix.csv", matrix)))
-    if args.format in ("svg", "all"):
-        emitted.append(str(write_heatmap(out / "heatmap.svg", matrix)))
+    written = (write_matrix_csv(out / "matrix.csv", matrix), write_heatmap(out / "heatmap.svg", matrix))
     write_report(
         out / "report.json",
         "groups",
@@ -265,7 +261,7 @@ def cmd_groups(args) -> int:
         },
     )
     print(f"{len(matrix.labels)} groups; matrix max = {matrix.values.max():.6g}")
-    for path in emitted:
+    for path in written:
         print(f"wrote {path}")
     return 0
 

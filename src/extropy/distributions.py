@@ -1,7 +1,8 @@
 """Parametric families with exact evaluators and seeded sampling.
 
 Each family is a frozen dataclass of its parameters that subclasses
-:class:`~extropy.models.DistributionModel`: the parameter set is the model.
+:class:`~extropy.models.DistributionModel`: the parameter set is the model,
+and :func:`parse_family` reads a spec's parameters off its float fields.
 
 Four families cover all analyses: exponential, Weibull (shape/scale
 convention, pdf ``(k/s)(x/s)^(k-1) exp(-(x/s)^k)``), uniform, and the
@@ -17,7 +18,7 @@ reproducible independently of scheduling order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -228,66 +229,51 @@ def sample(params: DistributionModel, n: int, sampler: SeededSampler, *, substre
     return np.asarray(params.quantile(gen.random(n)), dtype=float)
 
 
-_FAMILY_ALIASES = {
-    "exp": "exponential",
-    "exponential": "exponential",
-    "weib": "weibull",
-    "weibull": "weibull",
-    "unif": "uniform",
-    "uniform": "uniform",
-    "crh": "crh",
+_FAMILIES = {
+    "exp": ExponentialParams,
+    "exponential": ExponentialParams,
+    "weib": WeibullParams,
+    "weibull": WeibullParams,
+    "unif": UniformParams,
+    "uniform": UniformParams,
+    "crh": ConstantReversedHazardParams,
 }
-
-_FAMILY_FIELDS = {
-    "exponential": ("rate",),
-    "weibull": ("shape", "scale"),
-    "uniform": ("lo", "hi"),
-    "crh": ("a", "b"),
-}
+_FLAGS = {"true": True, "yes": True, "on": True, "1": True, "false": False, "no": False, "off": False, "0": False}
 
 
 def parse_family(text: str) -> DistributionModel:
     """Parse 'name:key=value,...' or 'name:v1,v2' into a parameter set.
 
-    Accepted names: exp/exponential, weib/weibull, unif/uniform, crh.
-    crh takes an optional third flag ``atom=true``.
+    Accepted names: exp/exponential, weib/weibull, unif/uniform, crh.  A
+    family's parameters are the float fields of its class, in order; crh also
+    takes ``atom=`` true/false, yes/no, on/off or 1/0 for ``include_atom``.
     """
     name, _, rest = text.partition(":")
-    family = _FAMILY_ALIASES.get(name.strip().lower())
-    if family is None:
+    cls = _FAMILIES.get(name.strip().lower())
+    if cls is None:
         raise InvalidParameter(f"unknown family {name!r} in {text!r}")
-    fields = _FAMILY_FIELDS[family]
-    kwargs: dict[str, float] = {}
-    include_atom = False
+    floats = [f.name for f in fields(cls) if f.type == "float"]
     parts = [p for p in rest.split(",") if p.strip()]
-    if not parts:
-        raise InvalidParameter(f"no parameters given in {text!r}")
-    positional = all("=" not in p for p in parts)
-    try:
-        if positional:
-            if len(parts) > len(fields):
-                raise InvalidParameter(f"too many parameters for {family} in {text!r}")
-            for key, part in zip(fields, parts):
-                kwargs[key] = float(part)
+    keyed = sum("=" in p for p in parts)
+    if 0 < keyed < len(parts):
+        raise InvalidParameter(f"positional and key=value parameters mixed in {text!r}")
+    if not keyed and len(parts) > len(floats):
+        raise InvalidParameter(f"too many parameters in {text!r}")
+    kwargs: dict[str, float | bool] = {}
+    for key, value in (p.partition("=")[::2] for p in parts) if keyed else zip(floats, parts):
+        key, value = key.strip().lower(), value.strip().lower()
+        if key == "atom" and cls is ConstantReversedHazardParams:
+            if value not in _FLAGS:
+                raise InvalidParameter(f"atom takes true/false, yes/no, on/off or 1/0, got {value!r} in {text!r}")
+            kwargs["include_atom"] = _FLAGS[value]
+        elif key not in floats:
+            raise InvalidParameter(f"unknown parameter {key!r} in {text!r}")
         else:
-            for part in parts:
-                key, _, value = part.partition("=")
-                key = key.strip().lower()
-                if family == "crh" and key == "atom":
-                    include_atom = value.strip().lower() in ("1", "true", "yes", "on")
-                    continue
-                if key not in fields:
-                    raise InvalidParameter(f"unknown parameter {key!r} for {family}")
+            try:
                 kwargs[key] = float(value)
-    except ValueError as exc:
-        raise InvalidParameter(f"bad numeric value in {text!r}: {exc}") from exc
-    missing = [f for f in fields if f not in kwargs]
+            except ValueError:
+                raise InvalidParameter(f"bad numeric value {value!r} for {key} in {text!r}") from None
+    missing = [f for f in floats if f not in kwargs]
     if missing:
-        raise InvalidParameter(f"missing parameters {missing} for {family} in {text!r}")
-    if family == "exponential":
-        return ExponentialParams(**kwargs)
-    if family == "weibull":
-        return WeibullParams(**kwargs)
-    if family == "uniform":
-        return UniformParams(**kwargs)
-    return ConstantReversedHazardParams(include_atom=include_atom, **kwargs)
+        raise InvalidParameter(f"missing parameters {missing} in {text!r}")
+    return cls(**kwargs)

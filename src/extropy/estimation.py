@@ -388,12 +388,14 @@ def sample_batch(
 
 
 def _sorted_quantile(vals: np.ndarray, p: float) -> float:
-    """``np.quantile(vals, p)`` of sorted ``vals`` bit for bit, for 0 <= p < 1.
+    """``np.quantile(vals, p)`` of sorted, nonempty ``vals`` bit for bit, for 0 <= p < 1.
 
     numpy's linear method: virtual index (n - 1) p, its floor i and weight
     gamma, then a + (b - a) gamma, or b - (b - a)(1 - gamma) when gamma >= 0.5.
     ``np.quantile`` itself would import numpy.ma (0.8 MB) on its first call.
     """
+    if vals.size == 1:
+        return float(vals[0])
     at = (vals.size - 1) * p
     i = math.floor(at)
     gamma = at - i

@@ -2,11 +2,13 @@
 
 ``load_csv`` forms groups from one column: its distinct labels, or, given
 cut probabilities, quantile bands of its numeric values.  Quantiles use
-linear interpolation of the empirical cdf (numpy's default); a value equal to
-a cut belongs to the lower interval, so labels read "[lo,q1]", "(q1,q2]",
-..., "(qk,hi]" and membership partitions the retained rows.
-``pairwise_matrix`` selects each group's Sheather-Jones bandwidth, naming
-the group in any selection error, and estimates every pair.
+linear interpolation of the empirical cdf, read off the sorted column with
+numpy's arithmetic (``np.quantile`` bit for bit, without importing
+``numpy.ma``); a value equal to a cut belongs to the lower interval, so
+labels read "[lo,q1]", "(q1,q2]", ..., "(qk,hi]" and membership partitions
+the retained rows.  ``pairwise_matrix`` selects each group's Sheather-Jones
+bandwidth, naming the group in a selection's package error (any other
+exception propagates as raised), and estimates every pair.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CsvParseError, InvalidParameter, MissingColumn, TooFewObservations
-from .estimation import SampleBatch, estimate_pairwise_relative_extropy, sheather_jones_bandwidth
+from .errors import CsvParseError, ExtropyError, InvalidParameter, MissingColumn, TooFewObservations
+from .estimation import SampleBatch, _sorted_quantile, estimate_pairwise_relative_extropy, sheather_jones_bandwidth
 
 __all__ = [
     "GroupedDataset",
@@ -126,7 +128,6 @@ def load_csv(
     value_column: str,
     group_column: str,
     cut_probabilities: tuple[float, ...] | None = None,
-    filters: dict[str, str] | None = None,
 ) -> GroupedDataset:
     """Read a header CSV and form sample groups.
 
@@ -141,16 +142,13 @@ def load_csv(
             raise InvalidParameter("cut probabilities must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(ps, ps[1:])):
             raise InvalidParameter("cut probabilities must be strictly increasing")
-    filters = filters or {}
-    rows = _read_rows(path, [value_column, *filters, group_column])
+    rows = _read_rows(path, [value_column, group_column])
 
     dropped = 0
     values: list[float] = []
     keys: list[str] = []
     key_lines: list[int] = []
     for idx, row in enumerate(rows, start=2):  # header is line 1
-        if any((row.get(c) or "").strip() != v for c, v in filters.items()):
-            continue
         raw_value = (row.get(value_column) or "").strip()
         raw_key = (row.get(group_column) or "").strip()
         if not raw_value or not raw_key:
@@ -160,15 +158,20 @@ def load_csv(
         keys.append(raw_key)
         key_lines.append(idx)
 
+    if not keys:
+        raise TooFewObservations("<dataset>", 0, 2)
     if ps is None:
         buckets: dict[str, list[float]] = {}
         for key, value in zip(keys, values):
             buckets.setdefault(key, []).append(value)
         ordered = sorted(buckets)
     else:
-        arr = np.asarray([_finite(line, group_column, key) for line, key in zip(key_lines, keys)])
-        cuts = np.quantile(arr, ps)
-        edges = [float(arr.min()), *map(float, cuts), float(arr.max())]
+        # + 0.0 reads a key of -0 as 0: np.quantile's partition and np.sort
+        # may order -0 and 0 differently, which would flip a zero cut's sign
+        arr = np.asarray([_finite(line, group_column, key) for line, key in zip(key_lines, keys)]) + 0.0
+        ascending = np.sort(arr)
+        cuts = np.array([_sorted_quantile(ascending, p) for p in ps])
+        edges = [float(ascending[0]), *map(float, cuts), float(ascending[-1])]
         labels = _quantile_labels(edges)
         # membership: first band closed, then (q_{i-1}, q_i]; searchsorted with
         # side="left" sends ties on a cut to the lower band
@@ -196,7 +199,7 @@ def pairwise_matrix(ds: GroupedDataset, *, boundary_reflect: bool = False) -> Di
     for label, batch in ds.groups:
         try:
             bandwidths.append(sheather_jones_bandwidth(batch))
-        except Exception as exc:
+        except ExtropyError as exc:  # any other exception propagates as raised
             raise type(exc)(f"group {label!r}: {exc}") from exc
     values = estimate_pairwise_relative_extropy(
         [batch for _, batch in ds.groups], bandwidths, boundary_reflect=boundary_reflect

@@ -124,6 +124,7 @@ _CELL = 84
 _MARGIN_LEFT = 120
 _MARGIN_TOP = 60
 _DARK = (24, 48, 96)  # ramp endpoint at the matrix maximum
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _ramp_color(value: float, maximum: float) -> str:
@@ -136,8 +137,9 @@ def _ramp_color(value: float, maximum: float) -> str:
 
 
 def heatmap_svg(matrix: DivergenceMatrix, title: str = "pairwise relative extropy") -> str:
-    """Standalone SVG heatmap with labeled axes and values printed in cells."""
+    """Standalone SVG heatmap with labeled axes and values printed in cells; text is XML-escaped."""
     k = len(matrix.labels)
+    labels = [label.translate(_XML_TEXT) for label in matrix.labels]
     width = _MARGIN_LEFT + k * _CELL + 20
     height = _MARGIN_TOP + k * _CELL + 20
     vmax = float(matrix.values.max())
@@ -146,15 +148,16 @@ def heatmap_svg(matrix: DivergenceMatrix, title: str = "pairwise relative extrop
         f'viewBox="0 0 {width} {height}">',
         f"<!-- color ramp: linear, white at 0 to rgb{_DARK} at the matrix maximum "
         f"({vmax:.6g}); values printed in each cell -->",
-        f'<text x="{_MARGIN_LEFT}" y="24" font-family="sans-serif" font-size="16">{title}</text>',
+        f'<text x="{_MARGIN_LEFT}" y="24" font-family="sans-serif" font-size="16">'
+        f"{title.translate(_XML_TEXT)}</text>",
     ]
-    for j, label in enumerate(matrix.labels):
+    for j, label in enumerate(labels):
         x = _MARGIN_LEFT + j * _CELL + _CELL // 2
         parts.append(
             f'<text x="{x}" y="{_MARGIN_TOP - 8}" font-family="sans-serif" font-size="11" '
             f'text-anchor="middle">{label}</text>'
         )
-    for i, label in enumerate(matrix.labels):
+    for i, label in enumerate(labels):
         y = _MARGIN_TOP + i * _CELL + _CELL // 2 + 4
         parts.append(
             f'<text x="{_MARGIN_LEFT - 8}" y="{y}" font-family="sans-serif" font-size="11" '

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -222,14 +223,30 @@ def test_measure_gf_direction_labeled(tmp_path):
     assert abs(report["results"]["value"] - 1 / 6) < 1e-8
 
 
-def test_groups_format_selects_outputs(two_group_csv, tmp_path):
-    out = tmp_path / "fmt"
-    code = run(["groups", two_group_csv, "--value-col", "value", "--group-col", "arm",
-                "--format", "csv", "--out", str(out)])
-    assert code == 0
-    assert (out / "matrix.csv").exists()
-    assert not (out / "heatmap.svg").exists()
-    assert (out / "report.json").exists()
+def test_groups_heatmap_escapes_its_labels(tmp_path):
+    # the labels were written unescaped: "a&b" and "<c>" made an SVG no XML parser reads
+    rng = np.random.default_rng(3)
+    rows = ["arm,value"] + [f"{arm},{v!r}" for arm in ("a&b", "<c>") for v in rng.normal(size=30).tolist()]
+    path = tmp_path / "marks.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["groups", str(path), "--value-col", "value", "--group-col", "arm", "--out", str(out)]) == 0
+    texts = [t.text for t in ElementTree.parse(out / "heatmap.svg").iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[:5] == ["pairwise relative extropy", "<c>", "a&b", "<c>", "a&b"]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("crh:a=1,b=2,atom=ture", "atom takes true/false"),  # once parsed as a law without the atom
+    ("exp:1,rate=2", "positional and key=value parameters mixed"),
+    ("exp:rate=1,foo=2", "unknown parameter 'foo'"),
+], ids=["atom-value", "mixed", "unknown-key"])
+def test_family_spec_errors_name_their_cause(tmp_path, capsys, spec, message):
+    # a key or layout error was reported as a "bad numeric value"
+    code = run(["measure", "extropy", "--family-x", spec, "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "bad numeric" not in err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("fx, fy, last", [
@@ -390,7 +407,7 @@ def test_simulate_cuts_off_at_the_left_end_of_the_support_hull(tmp_path, fx, fy,
     # the estimates were cut off at 0 whatever the families' support
     out = tmp_path / "sim"
     code = run(["simulate", "--family-x", fx, "--family-y", fy, "--n", "20", "--reps", "10",
-                "--seed", "3", "--format", "json", "--out", str(out)])
+                "--seed", "3", "--out", str(out)])
     assert code == 0
     report = json.loads((out / "report.json").read_text())["results"]
     px, py = parse_family(fx), parse_family(fy)
@@ -469,6 +486,8 @@ assert main(["verify", "--family-x", "exp:rate=1", "--family-y", "weibull:shape=
 print("loaded:", sorted(m for m in sys.modules if (m + ".").startswith(("scipy", "numpy.ma."))))
 assert main(["groups", csv, "--value-col", "value", "--group-col", "arm",
              "--out", out + "/groups"]) == 0
+assert main(["groups", csv, "--value-col", "value", "--group-col", "value", "--quantiles", "0.5",
+             "--out", out + "/quantiles"]) == 0
 assert main(["estimate", csv, "--value-col", "value", "--group-col", "arm",
              "--out", out + "/estimate"]) == 0
 assert main(["measure", "relative", "--family-x", "exp:rate=1", "--family-y", "exp:rate=2",
@@ -485,8 +504,9 @@ def test_cli_commands_load_no_scipy(tmp_path, two_group_csv):
     # a fresh interpreter: this test process has long imported scipy.  No
     # command here loads numpy.ma either (np.unique's first call imports it,
     # as np.percentile once did in the bandwidth of estimate, groups and
-    # simulate).  simulate takes Phi under its lower bound, and verify on a
-    # Weibull shape below 1 integrates pieces singular at 0: numpy serves both
+    # simulate, and np.quantile in the cuts of groups --quantiles).  simulate
+    # takes Phi under its lower bound, and verify on a Weibull shape below 1
+    # integrates pieces singular at 0: numpy serves both
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path), two_group_csv],

@@ -281,6 +281,10 @@ def test_parse_family_forms():
     assert parse_family("weib:1.5,2") == WeibullParams(1.5, 2.0)
     assert parse_family("uniform:lo=0,hi=1") == UniformParams(0.0, 1.0)
     assert parse_family("crh:a=1,b=2,atom=true") == ConstantReversedHazardParams(1.0, 2.0, True)
-    for bad in ("gauss:1", "exp:", "exp:rate=x", "weibull:shape=1", "exp:rate=1,foo=2"):
+    for flag, atom in (("yes", True), ("On", True), ("1", True), ("false", False), ("no", False), ("0", False)):
+        assert parse_family(f"crh:b=2,a=1,atom={flag}") == ConstantReversedHazardParams(1.0, 2.0, atom)
+    assert parse_family("crh:1,2") == ConstantReversedHazardParams(1.0, 2.0, False)
+    for bad in ("gauss:1", "exp:", "exp:rate=x", "weibull:shape=1", "exp:rate=1,foo=2",
+                "crh:a=1,b=2,atom=ture", "crh:1,2,true", "exp:1,rate=2", "exp:rate=1,atom=true"):
         with pytest.raises(InvalidParameter):
             parse_family(bad)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extropy import (
     DivergenceMatrix,
@@ -10,7 +12,9 @@ from extropy import (
     pairwise_matrix,
     sample_batch,
 )
+from extropy import grouping
 from extropy.errors import CsvParseError, InvalidParameter, MissingColumn, TooFewObservations
+from extropy.estimation import _sorted_quantile
 from extropy.grouping import GroupedDataset
 from extropy.reports import matrix_csv_text
 
@@ -75,15 +79,6 @@ def test_missing_values_dropped_and_counted(tmp_path):
     assert dict((l, b.n) for l, b in ds.groups) == {"a": 5, "b": 5}
 
 
-def test_filters_subset_rows(tmp_path):
-    rows = ["g,v,keep"] + [f"a,{i},yes" for i in range(5)] + [f"a,{i},no" for i in range(9)] + [
-        f"b,{i},yes" for i in range(5)
-    ]
-    path = write_csv(tmp_path / "filter.csv", rows)
-    ds = load_csv(path, "v", group_column="g", filters={"keep": "yes"})
-    assert dict((l, b.n) for l, b in ds.groups) == {"a": 5, "b": 5}
-
-
 def test_load_csv_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(str(tmp_path / "absent.csv"), "v", group_column="g")
@@ -107,6 +102,12 @@ def test_load_csv_errors(tmp_path):
         load_csv(path, "v", "g", cut_probabilities=(0.4, 0.2))
     with pytest.raises(InvalidParameter, match="strictly inside"):
         load_csv(path, "v", "g", cut_probabilities=(0.5, 1.0))
+
+    for rows in (["g,v"], ["g,v", "1,1"]):  # no rows once raised an IndexError
+        path = write_csv(tmp_path / "tiny.csv", rows)
+        for cuts in (None, (0.5,)):
+            with pytest.raises(TooFewObservations):
+                load_csv(path, "v", "g", cut_probabilities=cuts)
 
 
 # --- pairwise matrix ------------------------------------------------------------
@@ -194,9 +195,59 @@ def test_heatmap_cells_and_ramp():
 
 
 def test_quantile_key_parse_error_reports_file_line(tmp_path):
-    # a filtered-out bad row must not shift reported line numbers
-    rows = ["x,y,keep", "1,1,no", "zzz,2,yes", "3,3,yes"]
+    # a dropped row (its value cell is missing) must not shift reported line numbers
+    rows = ["x,y", "1,", "zzz,2", "3,3"]
     path = write_csv(tmp_path / "lines.csv", rows)
     with pytest.raises(CsvParseError) as err:
-        load_csv(path, "y", "x", cut_probabilities=(0.5,), filters={"keep": "yes"})
+        load_csv(path, "y", "x", cut_probabilities=(0.5,))
     assert err.value.row == 3 and err.value.column == "x"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e150, 1e150)), min_size=1, max_size=80),
+    st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=6, unique=True),
+)
+def test_quantile_cuts_match_numpy_quantile(keys, ps):
+    # load_csv reads its cuts off the sorted key column, where a key of -0 is
+    # read as 0; np.quantile would import numpy.ma
+    ps = sorted(ps)
+    arr = np.asarray(keys) + 0.0
+    cuts = [_sorted_quantile(np.sort(arr), p) for p in ps]
+    assert np.array(cuts).tobytes() == np.quantile(arr, ps).tobytes()
+
+
+def test_quantile_bands_match_numpy_quantile(tmp_path):
+    # integer keys put ties on the cuts; the bands are those np.quantile's cuts give
+    rng = np.random.default_rng(7)
+    keys = rng.integers(0, 40, 600).astype(float)
+    path = write_csv(tmp_path / "ties.csv", ["x,y"] + [f"{k:g},{i}" for i, k in enumerate(keys)])
+    for ps in ((0.1, 0.3, 0.6), (0.25, 0.5, 0.75), (1 / 3, 2 / 3)):
+        band = np.searchsorted(np.quantile(keys, ps), keys, side="left")
+        ds = load_csv(path, "y", "x", cut_probabilities=ps)
+        assert [b.n for _, b in ds.groups] == np.bincount(band).tolist()
+    # a key of -0 is 0, so no edge reads "-0" whichever zero numpy would have picked
+    keys = [*range(-10, 0), "0", "0", "0", *["-0"] * 6, "0", *range(1, 11)]
+    path = write_csv(tmp_path / "zeros.csv", ["x,y"] + [f"{k},{i}" for i, k in enumerate(keys)])
+    assert load_csv(path, "y", "x", cut_probabilities=(0.5,)).labels == ("[-10,0]", "(0,10]")
+
+
+def test_matrix_propagates_an_error_that_is_not_the_packages(monkeypatch):
+    # only a package error is relabelled with its group: one whose constructor
+    # takes other arguments (numpy's _ArrayMemoryError(shape, dtype)) came out a TypeError
+    class ShapeError(MemoryError):
+        def __init__(self, shape, dtype):
+            super().__init__(f"cannot allocate {shape} of {dtype}")
+
+    raised = ShapeError((1 << 40,), "float64")
+
+    def fail(batch):
+        raise raised
+
+    monkeypatch.setattr(grouping, "sheather_jones_bandwidth", fail)
+    s = SeededSampler(4)
+    ds = _dataset([("a", sample_batch(ExponentialParams(1.0), 50, s, substream=0)),
+                   ("b", sample_batch(ExponentialParams(2.0), 50, s, substream=1))])
+    with pytest.raises(ShapeError) as err:
+        pairwise_matrix(ds)
+    assert err.value is raised
