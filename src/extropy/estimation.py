@@ -66,8 +66,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _KERNEL_WINDOW = 8.0
 # kernel terms evaluated at once, which bounds the working memory at every n
 _BLOCK_TERMS = 1 << 16
-# pair terms the Sheather-Jones sums keep across one solve: 2^21 doubles, 16 MB
-_SJ_KEEP_TERMS = 1 << 21
+# pair terms the Sheather-Jones sums keep across one solve: all, while they fit
+# one block (n <= 362); else each pass rebuilds its windowed blocks (~2.5 MB)
+_SJ_KEEP_TERMS = _BLOCK_TERMS
 # a block of pair differences whose rows average fewer terms than this is built
 # by one index take, a longer one row by row: the take's index arrays cost more
 # memory traffic than the loop's calls save on long rows (at n = 800 the two tie)
@@ -426,8 +427,9 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     bisects instead.  The solve stops at a step of at most ``_SJ_STEP`` and
     takes about 9 pair-sum passes, counting the two pilots and the two
     bracket ends.  Each pass runs over the sorted blocks of
-    ``_upper_squares``, less pairs beyond ``_SJ_WINDOW`` pilot widths when
-    the blocks are rebuilt at each pass.  It scales each block's squared
+    ``_upper_squares``: kept for the whole solve while the pairs fit
+    ``_SJ_KEEP_TERMS``, else rebuilt at each pass less pairs beyond
+    ``_SJ_WINDOW`` pilot widths.  It scales each block's squared
     differences once into the exponent e = -w/2, evaluates the psi4 (or psi6)
     and slope polynomials in e by Horner's rule, and reduces each against
     the one shared exp(e).
@@ -450,8 +452,8 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
 
     z = vals / sd
     pairs = n * (n - 1) // 2
-    # one solve makes some 9 passes over the pairs: below the cap the blocks are
-    # kept for all of them, above it each pass rebuilds them in its window
+    # one solve makes some 9 passes over the pairs: while they fit one block the
+    # blocks are kept for all of them, else each pass rebuilds them in its window
     kept = list(_upper_squares(z, math.inf)) if pairs <= _SJ_KEEP_TERMS else None
     # every pass works in these, sized to the largest block: fresh block-sized
     # arrays at each pass cost page faults

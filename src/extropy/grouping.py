@@ -1,6 +1,7 @@
 """CSV ingestion, quantile grouping, and pairwise divergence matrices.
 
-``load_csv`` forms groups from one column: its distinct labels, or, given
+``load_csv`` streams the rows of a header CSV, holding only the cells it
+parses, and forms groups from one column: its distinct labels, or, given
 cut probabilities, quantile bands of its numeric values.  Quantiles use
 linear interpolation of the empirical cdf, read off the sorted column with
 numpy's arithmetic (``np.quantile`` bit for bit, without importing
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -86,15 +88,15 @@ def _quantile_labels(edges: list[float]) -> list[str]:
     return labels
 
 
-def _read_rows(path: str, columns: list[str]) -> list[dict[str, str]]:
-    """The rows of a header CSV that has every one of ``columns``."""
+def _read_rows(path: str, columns: list[str]) -> Iterator[dict[str, str]]:
+    """The rows of a header CSV that has every one of ``columns``, one at a time."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in columns:
             if col not in header:
                 raise MissingColumn(f"column {col!r} not in header {header} of {path}")
-        return list(reader)
+        yield from reader
 
 
 def _finite(line: int, column: str, cell: str) -> float:

@@ -1,11 +1,12 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
@@ -192,8 +193,9 @@ def test_normal_cdf_saturates_exactly():
     [(5, math.inf), (50, math.inf), (300, math.inf), (900, 1.5), (2100, 0.3), (2100, 4.0)],
 )
 def test_sj_pair_blocks_match_a_row_by_row_build(n, reach):
-    # n = 300 spans two row blocks; 900 and 2100 are long-row blocks, and a
-    # finite reach is the window of a pass above _SJ_KEEP_TERMS
+    # n = 300 spans two row blocks, as the blocks a solve keeps (n <= 362) may;
+    # 900 and 2100 are long-row blocks, and a finite reach is the window of a
+    # pass that rebuilds its blocks
     z = np.sort(np.random.default_rng(n).lognormal(size=n))
     blocks = list(estimation._upper_squares(z, reach))
     reference = []
@@ -206,9 +208,9 @@ def test_sj_pair_blocks_match_a_row_by_row_build(n, reach):
 
 @pytest.fixture(params=["kept", "rebuilt"])
 def sj_blocks(request, monkeypatch):
-    """SJ with its pair blocks kept for the whole solve, or rebuilt per evaluation."""
-    if request.param == "rebuilt":
-        monkeypatch.setattr(estimation, "_SJ_KEEP_TERMS", 0)
+    """SJ with its pair blocks kept for the whole solve, or rebuilt per evaluation,
+    at every n of the tests (by default only n <= 362 keeps them)."""
+    monkeypatch.setattr(estimation, "_SJ_KEEP_TERMS", 1 << 22 if request.param == "kept" else 0)
 
 
 def test_sj_scale_equivariance(sj_blocks):
@@ -253,17 +255,36 @@ def test_sj_matches_oracle_to_rounding(sj_blocks, kind, n):
     assert sheather_jones_bandwidth(SampleBatch(x)) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
-def test_sj_rebuilt_blocks_match_kept(monkeypatch):
+@pytest.mark.parametrize("n", [300, 1600])
+def test_sj_rebuilt_blocks_match_kept(monkeypatch, n):
+    # by default n = 300 keeps its blocks and n = 1600 rebuilds them; each is
+    # compared with the other path
+    keeps = n * (n - 1) // 2 <= estimation._SJ_KEEP_TERMS
+    assert keeps == (n == 300)
     rng = np.random.default_rng(31)
     samples = [
-        rng.normal(size=300),
-        rng.standard_cauchy(size=300),  # the window drops the far tail pairs
-        np.concatenate([rng.normal(size=150), rng.normal(40.0, 1.0, size=150)]),
+        rng.normal(size=n),
+        rng.standard_cauchy(size=n),  # the window drops the far tail pairs
+        np.concatenate([rng.normal(size=n // 2), rng.normal(40.0, 1.0, size=n // 2)]),
     ]
-    kept = [sheather_jones_bandwidth(SampleBatch(x)) for x in samples]
-    monkeypatch.setattr(estimation, "_SJ_KEEP_TERMS", 0)
-    for x, h in zip(samples, kept):
+    default = [sheather_jones_bandwidth(SampleBatch(x)) for x in samples]
+    monkeypatch.setattr(estimation, "_SJ_KEEP_TERMS", 0 if keeps else 1 << 22)
+    for x, h in zip(samples, default):
         assert sheather_jones_bandwidth(SampleBatch(x)) == pytest.approx(h, rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [400, 1000, 1600, 2000, 3200])
+def test_sj_working_memory_is_bounded(n):
+    # a solve keeps its pair blocks only while they fit one block of
+    # _BLOCK_TERMS, so its traced peak is about 2.5 MB at every n
+    batch = SampleBatch(np.random.default_rng(n).normal(size=n))
+    tracemalloc.start()
+    try:
+        sheather_jones_bandwidth(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20, peak
 
 
 def test_sj_rate_with_sample_size():
@@ -307,10 +328,15 @@ def test_sj_quartiles_match_numpy_percentile():
     ),
     min_size=5, max_size=80,
 ))
+# np.sort leaves this sample's zeros as 0, -0, -0, -0, -0, so the 0.75 quartile
+# read off the sorted sample is -0.0, where np.percentile's partition gives 0.0
+@example([-1.0] * 5 + [0.0, -0.0, -0.0, -0.0, -0.0, 1.0])
 def test_sj_quartiles_sweep_match_numpy_percentile(values):
+    # + 0.0 reads -0.0 as 0.0: the sign of a zero quartile follows how numpy's
+    # partition orders -0.0 and 0.0, and the bandwidth only tests IQR > 0
     vals = np.sort(np.asarray(values))
-    quartiles = [estimation._sorted_quantile(vals, p) for p in (0.75, 0.25)]
-    assert _bits(quartiles) == _bits(np.percentile(vals, [75.0, 25.0]))
+    quartiles = [estimation._sorted_quantile(vals, p) + 0.0 for p in (0.75, 0.25)]
+    assert _bits(quartiles) == _bits(np.percentile(vals, [75.0, 25.0]) + 0.0)
 
 
 def test_overflowing_spread_raises_degenerate_sample():

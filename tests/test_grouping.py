@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,25 @@ def test_missing_values_dropped_and_counted(tmp_path):
     ds = load_csv(path, "v", group_column="g")
     assert ds.dropped_rows == 2
     assert dict((l, b.n) for l, b in ds.groups) == {"a": 5, "b": 5}
+
+
+@pytest.mark.parametrize("load", ["load_csv", "load_sample"])
+def test_csv_rows_are_streamed(tmp_path, load):
+    # 8,000 rows in the form of the benchmark's customer CSV: the rows stream
+    # from the reader, so a list of 8,000 row dicts (about 3.2 MB) is never held
+    rng = np.random.default_rng(8)
+    rows = [f"{i:.2f},{s:.3f}" for i, s in zip(rng.uniform(15.0, 137.0, 8000), rng.normal(50.0, 11.0, 8000))]
+    path = write_csv(tmp_path / "customers.csv", ["income,spending", *rows])
+    tracemalloc.start()
+    try:
+        if load == "load_csv":
+            load_csv(path, "spending", "income", cut_probabilities=(0.1, 0.3, 0.6))
+        else:
+            grouping.load_sample(path, "spending")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
 
 
 def test_load_csv_errors(tmp_path):
