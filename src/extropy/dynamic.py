@@ -39,7 +39,7 @@ import numpy as np
 from . import measures
 from .distributions import ExponentialParams
 from .errors import InsufficientGrid, InvalidModel, InvalidParameter
-from .measures import _windowed
+from .measures import _FLIP, _IDENTITY_TOL, _equivalent, _relation, _windowed
 from .models import DistributionModel, MeasureReport
 from .quadrature import QuadratureSpec, integrate  # noqa: F401 (perfbench/tracer.py rebinds integrate)
 
@@ -88,7 +88,7 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class DynamicVerdict:
-    """Outcome of a grid-based identity, bound or constancy check."""
+    """Outcome of a grid-based identity or bound check."""
 
     kind: str
     holds: bool
@@ -199,7 +199,8 @@ def hazard_repr_inaccuracy(
 
     This is :func:`residual_inaccuracy` against the law of (h_Y, H), so it runs in conditional
     units out to +inf, split at both laws' quantiles, and raises :class:`DenominatorUnderflow`
-    where e^(-H(t)) is below the floor.  H is required; both callables take arrays.
+    where e^(-H(t)) is below the floor and :class:`InvalidModel` where h_Y is negative.  H is
+    required; both callables take arrays.
     """
     law = _HazardLaw(hazard_y, cumulative_hazard_y)
     return residual_inaccuracy(ExponentialParams(rate_x), law, t).value
@@ -211,7 +212,7 @@ def hazard_repr_relative(
     """d_r(X, Y; t) = 2 xiJ_r(X, Y; t) - J_t(Y) + rate/4, from h_Y and H alone.
 
     rate/4 = -J_t(X) is the exponential's closed form; both integrals run as in
-    :func:`hazard_repr_inaccuracy`.  A negative h_Y raises :class:`InvalidModel`.
+    :func:`hazard_repr_inaccuracy`.
     """
     law = _HazardLaw(hazard_y, cumulative_hazard_y)
     inaccuracy = residual_inaccuracy(ExponentialParams(rate_x), law, t).value
@@ -229,6 +230,9 @@ Series = tuple[float, ...]
 _ODE_TOL = 1e-3
 # Tolerance of the hazard-rate bounds and of their equality case.
 _BOUND_TOL = 1e-6
+# Tolerance of the decompositions, whose right sides weight up to five
+# separately integrated dynamic measures by survivals and cdfs.
+_DECOMPOSITION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -352,16 +356,30 @@ def dynamic_profile(
     )
 
 
-def _identity(kind: str, rows, tol: float, note: str = "") -> DynamicVerdict:
-    """Verdict on rows (t, lhs, rhs) whose sides should agree to within tol."""
+def _verdict(
+    kind: str, rows, tol: float, side: str = "=", premise: bool | None = None, note: str = ""
+) -> DynamicVerdict:
+    """Verdict on rows (t, lhs, rhs) that should satisfy lhs ``side`` rhs to within tol.
+
+    A row's residual is |lhs - rhs| for "=", and how far it falls on the wrong
+    side for ">=" and "<="; with no rows it is 0.  The check holds when the
+    largest residual is within tol and the premise, recorded as
+    ``hypothesis_met``, is not False.
+    """
     rows = tuple(rows)
-    max_resid = max(abs(lhs - rhs) for _, lhs, rhs in rows)
+    residual = {
+        "=": lambda lhs, rhs: abs(lhs - rhs),
+        ">=": lambda lhs, rhs: max(rhs - lhs, 0.0),
+        "<=": lambda lhs, rhs: max(lhs - rhs, 0.0),
+    }[side]
+    worst = max((residual(lhs, rhs) for _, lhs, rhs in rows), default=0.0)
     return DynamicVerdict(
         kind=kind,
-        holds=max_resid <= tol,
-        max_abs_residual=max_resid,
+        holds=worst <= tol and premise is not False,
+        max_abs_residual=worst,
         tolerance=tol,
         per_point=rows,
+        hypothesis_met=premise,
         note=note,
     )
 
@@ -370,13 +388,12 @@ def sum_rules(p: DynamicProfile) -> DynamicVerdict:
     """Check J(f|g,t) + J(g|f,t) = d(f,g,t) on the grid, residual rows then past.
 
     Rows are (t, J(f|g,t) + J(g|f,t), d(f,g,t)); the past rows follow the
-    profile's atom convention.  The tolerance is 10 abs_tol, as for the
-    static identities.
+    profile's atom convention.  The tolerance is ``_IDENTITY_TOL``, as for
+    the static identities.
     """
-    tol = 10.0 * QuadratureSpec.abs_tol
     rows = [(t, fg + gf, d) for t, fg, gf, d in zip(p.points, p.jr_fg, p.jr_gf, p.d_r)]
     rows += [(t, fg + gf, d) for t, fg, gf, d in zip(p.points, p.jp_fg, p.jp_gf, p.d_p)]
-    return _identity("sum_rules", rows, tol)
+    return _verdict("sum_rules", rows, _IDENTITY_TOL)
 
 
 def ode_check_relative(p: DynamicProfile, form: str = "corrected") -> DynamicVerdict:
@@ -394,7 +411,7 @@ def ode_check_relative(p: DynamicProfile, form: str = "corrected") -> DynamicVer
     ):
         last = hx - hy if form == "corrected" else hx + hy
         rows.append((t, d_prime - d_r * (hx + hy), (hy - hx) * (jtx - jty) - 0.5 * last**2))
-    return _identity("ode_residual", rows, _ODE_TOL, note=f"form={form}")
+    return _verdict("ode_residual", rows, _ODE_TOL, note=f"form={form}")
 
 
 def ode_check_divergence(p: DynamicProfile) -> DynamicVerdict:
@@ -403,7 +420,7 @@ def ode_check_divergence(p: DynamicProfile) -> DynamicVerdict:
         (t, lhs, (hx + hy) * j_r + (hy - hx) * (hx / 2.0 + jtx))
         for t, lhs, j_r, hx, hy, jtx in zip(p.points, p.jr_fg_prime, p.jr_fg, p.hx, p.hy, p.jtx)
     ]
-    return _identity("ode_divergence", rows, _ODE_TOL)
+    return _verdict("ode_divergence", rows, _ODE_TOL)
 
 
 def _nonincreasing(values: Sequence[float], slack: float = 1e-9) -> bool:
@@ -424,56 +441,29 @@ def bound_checks(p: DynamicProfile) -> list[DynamicVerdict]:
     failed premise is reported in ``hypothesis_met``, never raised.
     """
     ts, d_r, d_prime, hx, hy = p.points, p.d_r, p.d_r_prime, p.hx, p.hy
-    tol = _BOUND_TOL
-    verdicts = []
-
     # (i) d_r >= ((h_X - h_Y)/(h_X + h_Y)) (J_t(X) - J_t(Y)) when d_r is nondecreasing
-    nondecreasing = _nondecreasing(d_r) and all(dp >= -tol for dp in d_prime)
-    rows = [
-        (t, d_r[i], ((hx[i] - hy[i]) / (hx[i] + hy[i])) * (p.jtx[i] - p.jty[i]))
-        for i, t in enumerate(ts)
+    nondecreasing = _nondecreasing(d_r) and all(dp >= -_BOUND_TOL for dp in d_prime)
+    lower = [
+        (t, d, ((a - b) / (a + b)) * (ex - ey))
+        for t, d, a, b, ex, ey in zip(ts, d_r, hx, hy, p.jtx, p.jty)
     ]
-    ok = all(lhs >= rhs - tol for _, lhs, rhs in rows)
-    worst = max(max(rhs - lhs, 0.0) for _, lhs, rhs in rows)
-    verdicts.append(
-        DynamicVerdict(
-            kind="bound_lower",
-            holds=ok and nondecreasing,
-            max_abs_residual=worst,
-            tolerance=tol,
-            per_point=tuple(rows),
-            hypothesis_met=nondecreasing,
-            note="hypothesis: d_r nondecreasing on the grid",
-        )
-    )
-
     # (ii) d/dt log d_r <= h_X + h_Y under a one-sided hazard ordering + DFR member
     ordered = all(a >= b for a, b in zip(hx, hy)) or all(b >= a for a, b in zip(hx, hy))
     dfr = _nonincreasing(hx) or _nonincreasing(hy)
-    hypothesis = ordered and dfr
-    rows = [
-        (t, d_prime[i] / d_r[i], hx[i] + hy[i])
-        for i, t in enumerate(ts)
-        if d_r[i] > QuadratureSpec.denominator_floor
+    log_derivative = [
+        (t, dp / d, a + b)
+        for t, d, dp, a, b in zip(ts, d_r, d_prime, hx, hy)
+        if d > QuadratureSpec.denominator_floor
     ]
-    ok = all(lhs <= rhs + tol for _, lhs, rhs in rows) if rows else True
-    worst = max((max(lhs - rhs, 0.0) for _, lhs, rhs in rows), default=0.0)
-    verdicts.append(
-        DynamicVerdict(
-            kind="bound_log_derivative",
-            holds=ok and hypothesis,
-            max_abs_residual=worst,
-            tolerance=tol,
-            per_point=tuple(rows),
-            hypothesis_met=hypothesis,
-            note="hypothesis: one-sided hazard ordering and a DFR member",
-        )
-    )
-
     # (iii) equality case: d/dt log d_r = h_X + h_Y iff d_r = 1/(S_F S_G)
-    rows = [(t, d_r[i] * p.sfx[i] * p.sfy[i], 1.0) for i, t in enumerate(ts)]
-    verdicts.append(_identity("bound_equality", rows, tol, note="equality case d_r = 1/(S_F S_G)"))
-    return verdicts
+    equality = [(t, d * sf * sg, 1.0) for t, d, sf, sg in zip(ts, d_r, p.sfx, p.sfy)]
+    return [
+        _verdict("bound_lower", lower, _BOUND_TOL, ">=", nondecreasing,
+                 "hypothesis: d_r nondecreasing on the grid"),
+        _verdict("bound_log_derivative", log_derivative, _BOUND_TOL, "<=", ordered and dfr,
+                 "hypothesis: one-sided hazard ordering and a DFR member"),
+        _verdict("bound_equality", equality, _BOUND_TOL, note="equality case d_r = 1/(S_F S_G)"),
+    ]
 
 
 def constancy_detector(values: Sequence[tuple[float, float]], tol: float) -> bool:
@@ -506,56 +496,26 @@ class DynamicOrderings:
     pex_ped_equivalent: bool
 
 
-def _pointwise_relation(a: Sequence[float], b: Sequence[float], resolution: float) -> str:
-    if all(x >= y - resolution for x, y in zip(a, b)) and any(
-        x > y + resolution for x, y in zip(a, b)
-    ):
-        return ">"
-    if all(x <= y + resolution for x, y in zip(a, b)) and any(
-        x < y - resolution for x, y in zip(a, b)
-    ):
-        return "<"
-    if all(abs(x - y) <= resolution for x, y in zip(a, b)):
-        return "="
-    return "crossing"
-
-
 def dynamic_orderings(p: DynamicProfile) -> DynamicOrderings:
     """Evaluate hr/rh/rex/red/pex/ped orderings pointwise on the grid.
 
     The past orderings read the density-only past series (``past_ac``).
     """
-    resolution = 100.0 * QuadratureSpec.abs_tol
     jpx, jpy, jp_fg, jp_gf = p.past_ac
-
-    # X <=_hr Y iff h_X >= h_Y pointwise; relation string compares X to Y
-    flip = {"<": ">", ">": "<", "=": "=", "crossing": "crossing"}
-
-    def equivalent(ext_x, ext_y, div_fg, div_gf):
-        # J_t(X) <= J_t(Y)  <=>  J(f|g,t) >= J(g|f,t), pointwise where resolvable
-        for ex_gap, dv_gap in zip(
-            (x - y for x, y in zip(ext_x, ext_y)), (a - b for a, b in zip(div_fg, div_gf))
-        ):
-            if abs(ex_gap) <= resolution or abs(dv_gap) <= resolution:
-                continue
-            if (ex_gap < 0) != (dv_gap > 0):
-                return False
-        return True
-
     return DynamicOrderings(
         points=p.points,
-        hr=flip[_pointwise_relation(p.hx, p.hy, resolution)],
-        rh=flip[_pointwise_relation(p.lx, p.ly, resolution)],
-        rex=_pointwise_relation(p.jtx, p.jty, resolution),
-        red=_pointwise_relation(p.jr_fg, p.jr_gf, resolution),
-        pex=_pointwise_relation(jpx, jpy, resolution),
-        ped=_pointwise_relation(jp_fg, jp_gf, resolution),
-        rex_red_equivalent=equivalent(p.jtx, p.jty, p.jr_fg, p.jr_gf),
-        pex_ped_equivalent=equivalent(jpx, jpy, jp_fg, jp_gf),
+        hr=_FLIP[_relation(p.hx, p.hy)],
+        rh=_FLIP[_relation(p.lx, p.ly)],
+        rex=_relation(p.jtx, p.jty),
+        red=_relation(p.jr_fg, p.jr_gf),
+        pex=_relation(jpx, jpy),
+        ped=_relation(jp_fg, jp_gf),
+        rex_red_equivalent=_equivalent(p.jtx, p.jty, p.jr_fg, p.jr_gf),
+        pex_ped_equivalent=_equivalent(jpx, jpy, jp_fg, jp_gf),
     )
 
 
-def global_decompositions(p: DynamicProfile, tol: float | None = None) -> DynamicVerdict:
+def global_decompositions(p: DynamicProfile) -> DynamicVerdict:
     """Check the three decompositions of static measures into past/residual parts.
 
     (a) xiJ = F G xiJ_p + S_F S_G xiJ_r
@@ -567,9 +527,8 @@ def global_decompositions(p: DynamicProfile, tol: float | None = None) -> Dynami
     three rows (a), (b), (c) per point.  The weighted third term of (b) is
     what the proof's expansion yields; the unweighted variant
     (J_t(X) - J(_tX)) is also evaluated and its largest residual recorded in
-    ``note`` for comparison.
+    ``note`` for comparison.  The tolerance is fixed at 1e-6.
     """
-    tol = 10.0 * QuadratureSpec.abs_tol if tol is None else tol
     rows, unweighted = [], 0.0
     for k, t in enumerate(p.decomposition_points):
         i = p.points.index(t)
@@ -585,6 +544,6 @@ def global_decompositions(p: DynamicProfile, tol: float | None = None) -> Dynami
         rhs_b_unweighted = sf_t * sg_t * jr_fg + f_t * g_t * jp_fg + (sg_t - sf_t) * (jtx - jpx)
         rows += [(t, p.xi, rhs_a), (t, p.j_fg, rhs_b), (t, p.d, rhs_c)]
         unweighted = max(unweighted, abs(p.j_fg - rhs_b_unweighted))
-    return _identity(
-        "decomposition", rows, tol, note=f"unweighted-(b)-residual={unweighted:.3e}"
+    return _verdict(
+        "decomposition", rows, _DECOMPOSITION_TOL, note=f"unweighted-(b)-residual={unweighted:.3e}"
     )

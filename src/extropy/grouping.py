@@ -88,15 +88,20 @@ def _quantile_labels(edges: list[float]) -> list[str]:
     return labels
 
 
-def _read_rows(path: str, columns: list[str]) -> Iterator[dict[str, str]]:
-    """The rows of a header CSV that has every one of ``columns``, one at a time."""
+def _read_rows(path: str, columns: list[str]) -> Iterator[tuple[int, dict[str, str]]]:
+    """The rows of a header CSV that has every one of ``columns``, one at a time.
+
+    Each row comes with the file line its record ends on, so a cell quoted
+    across lines does not shift the line numbers of the rows after it.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in columns:
             if col not in header:
                 raise MissingColumn(f"column {col!r} not in header {header} of {path}")
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
 
 
 def _finite(line: int, column: str, cell: str) -> float:
@@ -118,7 +123,7 @@ def _group(label: str, members: list[float]) -> SampleBatch:
 def load_sample(path: str, value_column: str) -> SampleBatch:
     """A column of a header CSV as one group labeled by its path, under ``load_csv``'s rules."""
     values = []
-    for line, row in enumerate(_read_rows(path, [value_column]), start=2):  # header is line 1
+    for line, row in _read_rows(path, [value_column]):
         cell = (row.get(value_column) or "").strip()
         if cell:
             values.append(_finite(line, value_column, cell))
@@ -144,21 +149,18 @@ def load_csv(
             raise InvalidParameter("cut probabilities must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(ps, ps[1:])):
             raise InvalidParameter("cut probabilities must be strictly increasing")
-    rows = _read_rows(path, [value_column, group_column])
 
     dropped = 0
     values: list[float] = []
-    keys: list[str] = []
-    key_lines: list[int] = []
-    for idx, row in enumerate(rows, start=2):  # header is line 1
+    keys: list[str | float] = []
+    for line, row in _read_rows(path, [value_column, group_column]):
         raw_value = (row.get(value_column) or "").strip()
         raw_key = (row.get(group_column) or "").strip()
         if not raw_value or not raw_key:
             dropped += 1
             continue
-        values.append(_finite(idx, value_column, raw_value))
-        keys.append(raw_key)
-        key_lines.append(idx)
+        values.append(_finite(line, value_column, raw_value))
+        keys.append(raw_key if ps is None else _finite(line, group_column, raw_key))
 
     if not keys:
         raise TooFewObservations("<dataset>", 0, 2)
@@ -170,7 +172,7 @@ def load_csv(
     else:
         # + 0.0 reads a key of -0 as 0: np.quantile's partition and np.sort
         # may order -0 and 0 differently, which would flip a zero cut's sign
-        arr = np.asarray([_finite(line, group_column, key) for line, key in zip(key_lines, keys)]) + 0.0
+        arr = np.asarray(keys) + 0.0
         ascending = np.sort(arr)
         cuts = np.array([_sorted_quantile(ascending, p) for p in ps])
         edges = [float(ascending[0]), *map(float, cuts), float(ascending[-1])]

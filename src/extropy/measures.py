@@ -84,10 +84,11 @@ def _windowed(
     window reaches (see ``DistributionModel.lo_exponent``) raises
     :class:`InvalidParameter` before integrating; otherwise the power of its
     most singular product tells :func:`integrate` how a piece unbounded at its
-    left end grows.  Under
-    ``atom_convention="paper"`` the past window adds the form of the atoms'
-    conditional masses to the integral.  An array ``t`` gives arrays of
-    values in one batched integral; a scalar ``t`` (or none) gives a float.
+    left end grows.  A conditional density that evaluates negative raises
+    :class:`InvalidModel`.  Under ``atom_convention="paper"`` the past window
+    adds the form of the atoms' conditional masses to the integral.  An array
+    ``t`` gives arrays of values in one batched integral; a scalar ``t`` (or
+    none) gives a float.
     """
     if atom_convention not in ("ac", "paper"):
         raise InvalidParameter(f"atom_convention must be 'ac' or 'paper', got {atom_convention!r}")
@@ -124,24 +125,17 @@ def _windowed(
     # where the integrand is unbounded at a left end, its most singular product leads
     power = min(models[i].lo_exponent + models[j].lo_exponent for i, j in products)
 
-    pf, pg = models[0].pdf, models[-1].pdf
-    if form == "extropy":
-        label = models[0].label
-
-        def integrand(x, a, b):
-            u = pf(x) / a
+    def integrand(x, *masses):
+        # each model's conditional density, once; a negative one is refused, since
+        # a squared or product form would otherwise hide the defect
+        us = [m.pdf(x) / a for m, a in zip(models, masses)]
+        for m, u in zip(models, us):
             i = np.argmin(u)
             if u.flat[i] < 0.0:
-                raise InvalidModel(f"{label}: pdf({x.flat[i]:g}) = {u.flat[i]:g} is negative")
-            return u * u
-    else:
+                raise InvalidModel(f"{m.label}: pdf({x.flat[i]:g}) = {u.flat[i]:g} is negative")
+        return pointwise(us[0], us[-1])
 
-        def integrand(x, a, b):
-            return pointwise(pf(x) / a, pg(x) / b)
-
-    res = integrate(
-        integrand, lo, hi, points=break_points(models), args=(masses[0], masses[-1]), power=power
-    )
+    res = integrate(integrand, lo, hi, points=break_points(models), args=masses, power=power)
     paper = window == "past" and atom_convention == "paper"
     atoms = [m.atom_at_lo / s if paper else 0.0 for m, s in zip(models, masses)]
     value = coef * (res.value + pointwise(atoms[0], atoms[-1]))
@@ -272,36 +266,57 @@ class OrderingVerdict:
     implications: tuple[str, ...]
 
 
-def _relation(a: float, b: float, resolution: float) -> str:
-    if a > b + resolution:
+# A relation read the other way round: X <= Y in hazard order means h_X >= h_Y.
+_FLIP = {"<": ">", ">": "<", "=": "=", "crossing": "crossing"}
+# Tolerance of an identity between measures that are integrated separately.
+_IDENTITY_TOL = 10.0 * QuadratureSpec.abs_tol
+# The smallest gap an ordering resolves.
+_RESOLUTION = 100.0 * QuadratureSpec.abs_tol
+
+
+def _relation(a: Sequence[float], b: Sequence[float]) -> str:
+    """How series a compares with b, point by point, to within ``_RESOLUTION``.
+
+    ">" (or "<") when a >= b (a <= b) everywhere and strictly somewhere, "="
+    when they agree everywhere, else "crossing"; one-point series compare
+    static measures.
+    """
+    r = _RESOLUTION
+    if all(x >= y - r for x, y in zip(a, b)) and any(x > y + r for x, y in zip(a, b)):
         return ">"
-    if a < b - resolution:
+    if all(x <= y + r for x, y in zip(a, b)) and any(x < y - r for x, y in zip(a, b)):
         return "<"
-    return "="
+    if all(abs(x - y) <= r for x, y in zip(a, b)):
+        return "="
+    return "crossing"
+
+
+def _equivalent(ext_x, ext_y, div_fg, div_gf) -> bool:
+    """J(X) <= J(Y) iff J(f|g) >= J(g|f), at every point where both gaps are resolvable."""
+    r = _RESOLUTION
+    gaps = ((x - y, a - b) for x, y, a, b in zip(ext_x, ext_y, div_fg, div_gf))
+    return all((ex < 0) == (dv > 0) for ex, dv in gaps if not (abs(ex) <= r or abs(dv) <= r))
 
 
 def compare_static_ordering(dX: DistributionModel, dY: DistributionModel) -> OrderingVerdict:
     """Evaluate the extropy and divergence orderings and their equivalence.
 
     The equivalence rests on J(f|g) - J(g|f) = J(Y) - J(X); ``identity_gap``
-    is the numerical residual of that identity and ``consistent`` additionally
-    requires the two orderings to point the expected (opposite) ways whenever
-    the gap between the compared quantities is resolvable.
+    is the numerical residual of that identity, and ``consistent`` requires it
+    within ``_IDENTITY_TOL`` and the two orderings to point opposite ways
+    wherever both gaps exceed ``_RESOLUTION``.  The relations and the
+    equivalence are those of :func:`extropy.dynamic.dynamic_orderings`, on
+    one-point series.
     """
     jx = extropy(dX).value
     jy = extropy(dY).value
     fg = extropy_divergence(dX, dY).value
     gf = extropy_divergence(dY, dX).value
-    resolution = 100.0 * QuadratureSpec.abs_tol
     gap = (fg - gf) - (jy - jx)
 
-    ex_rel = _relation(jx, jy, resolution)
-    ed_rel = _relation(fg, gf, resolution)
-    # X <_ex Y (J(X) < J(Y)) holds iff X >_ed Y (J(f|g) > J(g|f))
-    expected_ed = {"<": ">", ">": "<", "=": "="}[ex_rel]
-    consistent = abs(gap) <= 10.0 * QuadratureSpec.abs_tol and (
-        ed_rel == expected_ed or "=" in (ex_rel, ed_rel)
-    )
+    ex_rel = _relation((jx,), (jy,))
+    ed_rel = _relation((fg,), (gf,))
+    consistent = abs(gap) <= _IDENTITY_TOL and _equivalent((jx,), (jy,), (fg,), (gf,))
 
     implications = []
     if ex_rel == "<":  # X <_ex Y  =>  J(f|g) > 0

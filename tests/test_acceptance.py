@@ -165,7 +165,7 @@ def test_criterion_5_decomposition_suite(exp1, exp2, weib21, weib_15_2):
     for mx, my in pairs:
         profile = dynamic_profile(mx, my, TimeGrid(ts))
         assert profile.decomposition_points == ts
-        worst = max(worst, global_decompositions(profile, tol=1e-6).max_abs_residual)
+        worst = max(worst, global_decompositions(profile).max_abs_residual)
     ok = worst <= 1e-6
     record(5, ok, f"3 pairs x 5 times, worst residual {worst:.2e}")
 

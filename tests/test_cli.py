@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -168,6 +169,18 @@ def test_verify_hypothesis_not_met(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["results"]["all_identities_hold"]
     assert report["results"]["hypothesis_not_met"]
+
+
+@pytest.mark.parametrize("fy", ["exp:rate=1", "exp:rate=2"])
+def test_verify_bound_residuals_are_never_negative_zero(tmp_path, fy):
+    # a one-sided residual is max(rhs - lhs, 0): written as -(lhs - rhs) it gives
+    # -0.0 for the lower bound of two equal laws
+    out = tmp_path / "v"
+    assert run(["verify", "--family-x", "exp:rate=1", "--family-y", fy, "--out", str(out)]) == 0
+    bounds = json.loads((out / "report.json").read_text())["results"]["bounds"]
+    assert len(bounds) == 3
+    for bound in bounds:
+        assert math.copysign(1.0, bound["max_abs_residual"]) == 1.0, bound
 
 
 def test_estimate_two_files(tmp_path):

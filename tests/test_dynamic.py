@@ -277,6 +277,13 @@ def test_hazard_repr_negative_hazard_is_invalid_model():
         hazard_repr_relative(1.0, lambda x: -2.0, 0.5, cumulative_hazard_y=lambda x: 2.0 * x)
 
 
+def test_hazard_repr_inaccuracy_negative_density_is_invalid_model():
+    # h_Y(x) = x - 1 is negative below 1, so the law's density is too; the
+    # product form once integrated it to -0.0618 without a word
+    with pytest.raises(InvalidModel, match="is negative"):
+        hazard_repr_inaccuracy(1.0, lambda x: x - 1.0, 0.5, lambda x: x**2 / 2.0 - x)
+
+
 def test_hazard_repr_underflowing_survival_raises():
     # e^(-H(15)) = e^(-30) = 9.4e-14 is below the denominator floor of 1e-12
     with pytest.raises(DenominatorUnderflow):
@@ -452,6 +459,7 @@ def test_decomposition_degenerate_extropy_split(exp1):
     assert lhs == pytest.approx(rhs, abs=1e-9)
     verdict = global_decompositions(dynamic_profile(exp1, exp1, TimeGrid((t,))))
     assert verdict.holds
+    assert verdict.max_abs_residual <= 10 * QuadratureSpec.abs_tol  # far inside the fixed 1e-6
 
 
 def test_decompositions_exponential_tight(exp1, exp2):
@@ -466,7 +474,7 @@ def test_decompositions_exponential_tight(exp1, exp2):
 
 def test_decompositions_mixed_pairs(exp1, weib_15_2):
     profile = dynamic_profile(weib_15_2, exp1, TimeGrid((0.4, 1.0, 1.6)))
-    verdict = global_decompositions(profile, tol=1e-6)
+    verdict = global_decompositions(profile)
     assert len(verdict.per_point) == 9
     assert verdict.holds
     assert verdict.max_abs_residual <= 1e-6

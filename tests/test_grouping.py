@@ -224,6 +224,21 @@ def test_quantile_key_parse_error_reports_file_line(tmp_path):
     assert err.value.row == 3 and err.value.column == "x"
 
 
+def test_parse_errors_report_file_line_after_a_multiline_cell(tmp_path):
+    # the second record's quoted note spans file lines 3-4, so the bad row is on line 10
+    rows = ["g,v,note", "1,1,x", '2,2,"two', 'lines"'] + [f"{i},{i},x" for i in range(3, 8)]
+    path = write_csv(tmp_path / "note.csv", rows + ["b,bad,x", "9,9,x"])
+    loads = (lambda: grouping.load_sample(path, "v"), lambda: load_csv(path, "v", "g"))
+    for load in loads:
+        with pytest.raises(CsvParseError) as err:
+            load()
+        assert err.value.row == 10 and err.value.column == "v"
+    path = write_csv(tmp_path / "key.csv", rows + ["bad,1,x", "9,9,x"])
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, "v", "g", cut_probabilities=(0.5,))
+    assert err.value.row == 10 and err.value.column == "g"
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e150, 1e150)), min_size=1, max_size=80),
