@@ -1,24 +1,19 @@
 """Derive the coefficients of the package's normal cdf (``estimation._normal_cdf``).
 
-For t >= 0, Phi(-t) = exp(-t^2 / 2) R(t) with R(t) = erfcx(t / sqrt 2) / 2; R
-is smooth, positive and falls like 1 / (t sqrt(2 pi)).  In the form of Cody
-(1969, Math. Comp. 23:631) the package evaluates R on two fixed ranges:
+For z >= 0, 1 - Phi(z) = exp(-z^2 / 2) R(z) with R(z) = erfcx(z / sqrt 2) / 2;
+R is smooth, positive and falls like 1 / (z sqrt(2 pi)).  The package
+evaluates R as one rational function of degree 8 / 9 in z on [0, 8.5]
+(``_PHI_NUM`` / ``_PHI_DEN``); Phi(z) rounds to 1 from z = 8.3 on, and the
+package takes Phi at z >= 0 alone, so no other range is needed.
 
-* t <= 8.5 as a rational function of degree 8 / 9 in t (``_PHI_NUM`` /
-  ``_PHI_DEN``); Phi(z) rounds to 1 from z = 8.3 on, so every z > 0 needs
-  this range alone;
-* t > 8.5, where Phi(-t) < 1e-17, as G(1 / t^2) / t with G(s) = t R(t) a
-  rational function of degree 4 / 4 in s = 1 / t^2 (``_PHI_TAIL_NUM`` /
-  ``_PHI_TAIL_DEN``); G(0) = 1 / sqrt(2 pi).
-
-Each is fitted to the relative error by linearized least squares, P - f Q = 0
+R is fitted to the relative error by linearized least squares, P - f Q = 0
 weighted by 1 / (f Q_previous) and reweighted toward the minimax error
 (Lawson), at 40 significant digits with mpmath.  The script rounds the
-coefficients to doubles, checks R from the rounded forms against mpmath and
-against ``scipy.special.erfcx`` (where installed) on a dense grid of [0, 40]
-(Phi(-t) underflows to 0 beyond t = 38.5), and prints the four coefficient
-tuples in the form ``estimation.py`` holds them, highest power first.
-Nothing is downloaded; it runs in about 20 s:
+coefficients to doubles, checks R from the rounded form against mpmath and
+against ``scipy.special.erfcx`` (where installed) on a dense grid of [0, 8.5],
+and prints the two coefficient tuples in the form ``estimation.py`` holds
+them, highest power first; the output is Python.  Nothing is downloaded; it
+runs in a few seconds:
 
     python scripts/derive_phi_coefficients.py
 """
@@ -30,21 +25,12 @@ import numpy as np
 
 mp.mp.dps = 40
 
-SPLIT = 8.5
-CLIP = 40.0
+HI = 8.5
 
 
 def r_exact(t: mp.mpf) -> mp.mpf:
     """R(t) = Phi(-t) exp(t^2 / 2) = erfcx(t / sqrt 2) / 2."""
     return mp.erfc(t / mp.sqrt(2)) / 2 * mp.exp(t * t / 2)
-
-
-def g_exact(s: mp.mpf) -> mp.mpf:
-    """G(s) = t R(t) at t = 1 / sqrt(s)."""
-    if s == 0:
-        return 1 / mp.sqrt(2 * mp.pi)
-    t = 1 / mp.sqrt(s)
-    return t * r_exact(t)
 
 
 def fit(f, lo: float, hi: float, num: int, den: int, nodes: int, rounds: int = 20):
@@ -86,20 +72,14 @@ def horner(coeffs: list[float], x: np.ndarray) -> np.ndarray:
 
 
 def main() -> None:
-    main_err, num, den = fit(r_exact, 0.0, SPLIT, 8, 9, nodes=120)
-    tail_err, tail_num, tail_den = fit(g_exact, 0.0, 1.0 / SPLIT**2, 4, 4, nodes=60)
-    print(f"# fits at 40 digits, max relative error on the nodes: t <= {SPLIT}: "
-          f"{mp.nstr(main_err, 3)}; t > {SPLIT}: {mp.nstr(tail_err, 3)}")
+    err, num, den = fit(r_exact, 0.0, HI, 8, 9, nodes=120)
+    print(f"# fit at 40 digits, max relative error on the nodes of [0, {HI}]: {mp.nstr(err, 3)}")
 
-    t = np.linspace(0.0, CLIP, 8001)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = 1.0 / (t * t)
-        rounded = np.where(
-            t <= SPLIT, horner(num, t) / horner(den, t), horner(tail_num, s) / horner(tail_den, s) / t
-        )
+    t = np.linspace(0.0, HI, 8001)
+    rounded = horner(num, t) / horner(den, t)
     exact = np.array([float(r_exact(mp.mpf(v))) for v in t])
     print(f"# R from the rounded coefficients, in doubles: max relative error "
-          f"{np.max(np.abs(rounded / exact - 1)):.3e} against mpmath on {t.size} points of [0, {CLIP:g}]")
+          f"{np.max(np.abs(rounded / exact - 1)):.3e} against mpmath on {t.size} points of [0, {HI:g}]")
     try:
         from scipy.special import erfcx
     except ImportError:
@@ -108,8 +88,7 @@ def main() -> None:
         # t / sqrt 2 rounds once, which moves erfcx by about an ulp (its log-slope is near -1)
         gap = np.max(np.abs(0.5 * erfcx(t / np.sqrt(2.0)) / rounded - 1))
         print(f"# against scipy.special.erfcx(t / sqrt 2) / 2: max relative gap {gap:.3e}")
-    for name, coeffs in (("_PHI_NUM", num), ("_PHI_DEN", den),
-                         ("_PHI_TAIL_NUM", tail_num), ("_PHI_TAIL_DEN", tail_den)):
+    for name, coeffs in (("_PHI_NUM", num), ("_PHI_DEN", den)):
         print(f"{name} = (")
         for c in coeffs[::-1]:
             print(f"    {c!r},")

@@ -214,6 +214,10 @@ class SeededSampler:
 
     seed: int
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidParameter(f"seed must be >= 0, got {self.seed}")
+
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
 

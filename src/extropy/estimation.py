@@ -8,8 +8,8 @@ centres, so int fhat ghat is a finite double sum over the two samples
 (Wand & Jones 1995, *Kernel Smoothing*; the estimate is half the L2
 two-sample statistic of Anderson, Hall & Titterington 1994).  By default it
 runs over the whole line, which makes the estimate invariant (up to
-rounding) under a common shift of both samples; a lower support bound (for
-nonnegative data) and boundary reflection are available as options.
+rounding) under a common shift of both samples; a lower support bound (at
+or below every observation) and boundary reflection are available as options.
 ``estimate_relative_extropy`` selects both bandwidths itself;
 ``estimate_pairwise_relative_extropy`` takes them given, for any number of
 samples.  The module needs numpy alone: a lower bound's normal cdf factor is
@@ -85,11 +85,10 @@ _SJ_STEP = 0.5e-14
 # run of _PHI_ROWS rows takes its own column cut from its first (smallest) row
 _PHI_ONE = 8.3
 _PHI_ROWS = 16
-# Phi(-t) exp(t^2 / 2) = erfcx(t / sqrt 2) / 2 for t >= 0 is _PHI_NUM(t) / _PHI_DEN(t)
-# for t <= _PHI_SPLIT, and _PHI_TAIL_NUM(s) / _PHI_TAIL_DEN(s) / t with s = 1 / t^2
-# above it, highest power first, each to a relative error of 1e-17: fits at 40
-# digits by scripts/derive_phi_coefficients.py, rounded to doubles.  Every
-# coefficient is positive, so Horner's rule adds no cancellation.
+# 1 - Phi(z) = exp(-z^2 / 2) R(z) for z >= 0, and R(z) = erfcx(z / sqrt 2) / 2 is
+# _PHI_NUM(z) / _PHI_DEN(z) on [0, 8.5], highest power first, to a relative error of
+# 1e-17: a fit at 40 digits by scripts/derive_phi_coefficients.py, rounded to doubles.
+# Every coefficient is positive, so Horner's rule adds no cancellation.
 _PHI_NUM = (
     3.95255002770078e-06,
     0.00010299494938783691,
@@ -113,25 +112,8 @@ _PHI_DEN = (
     2.120498449140852,
     1.0,
 )
-_PHI_TAIL_NUM = (
-    96.41863265704114,
-    280.28080155066914,
-    111.45430316258206,
-    12.595167622793639,
-    0.39894228040143265,
-)
-_PHI_TAIL_DEN = (
-    627.2105835408548,
-    928.7914827961059,
-    308.94591092396064,
-    32.57140328701131,
-    1.0,
-)
-_PHI_SPLIT = 8.5
-# Phi(-t) underflows to 0 beyond t = 38.5; the clip keeps t - round(t) finite
-_PHI_CLIP = 40.0
 # points per pass of _normal_cdf: its temporaries, 64 KB each, stay in cache,
-# while a pass still amortizes the ~50 numpy calls it makes
+# while a pass still amortizes the ~40 numpy calls it makes
 _PHI_CHUNK = 8192
 # relative rounding error allowed in each kernel sum: measured under 2 ulps
 # (samples x against x (1 + 1e-12), n = 30 to 3000), with a 32-fold margin
@@ -155,48 +137,24 @@ def _horner(coeffs: tuple[float, ...], e: np.ndarray, out: np.ndarray) -> None:
 
 
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    """Standard normal cdf of a 1-D array, within a few ulps, in numpy alone.
+    """Standard normal cdf of a 1-D array of z >= 0 (or NaN), within a few ulps.
 
-    Phi(-t) = exp(-t^2 / 2) R(t) for t = |z|, and Phi(z) = 1 - Phi(-z) for
-    z > 0.  R is one rational function up to ``_PHI_SPLIT``, which every z > 0
-    needs, and another in 1 / t^2 beyond it, evaluated on the points of the far
-    left tail alone.  As in Cody (1969, Math. Comp. 23:631), exp(-t^2 / 2) is
-    exp(-h^2 / 2) exp(-(t - h)(t + h) / 2) with h = round(16 t) / 16, whose
-    square is exact, so the tail keeps its relative accuracy down to the
-    subnormals.  The work runs in chunks of ``_PHI_CHUNK`` points, whose
-    temporaries stay in cache.
+    Phi(z) = 1 - exp(-r^2 / 2) R(r) with r = min(z, ``_PHI_ONE``): the subtracted
+    term is below 1/2 and needs only absolute accuracy, so one exp serves.  The
+    work runs in chunks of ``_PHI_CHUNK`` points, whose temporaries stay in cache.
     """
     out = np.empty(z.size)
     for s in range(0, z.size, _PHI_CHUNK):
-        zs, q = z[s : s + _PHI_CHUNK], out[s : s + _PHI_CHUNK]
-        t = np.abs(zs)
-        np.minimum(t, _PHI_CLIP, out=t)
-        h = t * 16.0
-        np.rint(h, out=h)
-        h *= 0.0625
-        near = t - h
-        near *= t + h
-        near *= -0.5
-        np.exp(near, out=near)
-        h *= h
-        h *= -0.5
-        np.exp(h, out=h)
-        r = np.minimum(t, _PHI_SPLIT)
+        r, q = np.minimum(z[s : s + _PHI_CHUNK], _PHI_ONE), out[s : s + _PHI_CHUNK]
         den = np.empty_like(r)
         _horner(_PHI_DEN, r, den)
         _horner(_PHI_NUM, r, q)
         q /= den
-        far = np.flatnonzero(zs < -_PHI_SPLIT)
-        if far.size:
-            tf = t[far]
-            w = 1.0 / (tf * tf)
-            tail, den = np.empty_like(w), np.empty_like(w)
-            _horner(_PHI_TAIL_NUM, w, tail)
-            _horner(_PHI_TAIL_DEN, w, den)
-            q[far] = tail / den / tf
-        q *= near
-        q *= h  # last, where it may be subnormal
-        np.subtract(1.0, q, out=q, where=zs > 0.0)
+        r *= r
+        r *= -0.5
+        np.exp(r, out=r)
+        q *= r
+        np.subtract(1.0, q, out=q)
     return out
 
 
@@ -361,23 +319,30 @@ class KdeModel:
     def inner(self, other: "KdeModel", lower: float | None = None) -> float:
         """int fhat ghat over [lower, inf) in closed form (the line for ``None``).
 
-        Two densities reflected at the same c vanish below it, and their
-        product over [c, inf) unfolds onto the whole line:
+        Both samples must lie at or above the bound, or the reflection point
+        of a reflected pair, else :class:`InvalidParameter`: every argument of
+        Phi is then >= 0.  Two densities reflected at the same c vanish below
+        it, and their product over [c, inf) unfolds onto the whole line:
         int_c^inf f_r g_r = int f g + int f(t) g(2c - t) dt, the plain kernel
         sums over (x, y) and over (x, 2c - y) with no Phi factor.  Other
-        combinations (different reflection points, a bound above c) have no
-        caller and are refused.
+        combinations (different reflection points, a bound above c) are refused.
         """
         x, y = self.sample.values, other.sample.values
         bx, by = self.bandwidth, other.bandwidth
         c = self.reflect_at
-        if c is None and other.reflect_at is None:
-            return _gram_sum(x, y, bx, by, lower)
-        if c != other.reflect_at or (lower is not None and lower > c):
+        if c != other.reflect_at or (c is not None and lower is not None and lower > c):
             raise InvalidParameter(
                 f"inner product needs one reflection point at or above the bound; "
                 f"got reflect_at {c} and {other.reflect_at}, lower {lower}"
             )
+        anchor, low = (lower if c is None else c), min(x[0], y[0])
+        if anchor is not None and not low >= anchor:
+            raise InvalidParameter(
+                f"{'lower bound' if c is None else 'boundary reflection'} at {anchor:g} needs "
+                f"data at or above it; smallest observation is {low:g}"
+            )
+        if c is None:
+            return _gram_sum(x, y, bx, by, lower)
         return _gram_sum(x, y, bx, by, None) + _gram_sum(x, (2.0 * c - y)[::-1], bx, by, None)
 
 
@@ -541,23 +506,19 @@ def estimate_pairwise_relative_extropy(
     Entry (i, j) is (1/2) int (fhat_i - fhat_j)^2 = (1/2)(int fhat_i^2 +
     int fhat_j^2 - 2 int fhat_i fhat_j), each integral in closed form (see
     ``KdeModel.inner``) over the whole line, or over [support_lower, inf).
-    Reflection anchors at ``support_lower`` (0 when it is ``None``) and
-    needs every observation at or above it, else :class:`InvalidParameter`
-    (folding would silently move the mass below it).  Each
-    sample's int fhat^2 is computed once and reused across its pairs; the
-    matrix is symmetric with a zero diagonal.  An entry within the rounding
-    bound of its three sums, ``_SUM_ROUNDING`` relative to each, is 0.0; one
-    below minus that bound raises :class:`InvalidModel`.
+    Reflection anchors at ``support_lower`` (0 when it is ``None``).  Data
+    below the bound, and a bandwidth count other than the sample count, raise
+    :class:`InvalidParameter`.  Each sample's int fhat^2 is computed once and
+    reused across its pairs; the matrix is symmetric with a zero diagonal.  An
+    entry within the rounding bound of its three sums, ``_SUM_ROUNDING``
+    relative to each, is 0.0; one below minus that bound raises
+    :class:`InvalidModel`.
     """
+    if len(batches) != len(bandwidths):
+        raise InvalidParameter(f"got {len(batches)} samples but {len(bandwidths)} bandwidths")
     reflect_at = None
     if boundary_reflect:
         reflect_at = 0.0 if support_lower is None else support_lower
-        low = min(float(batch.values.min()) for batch in batches)
-        if low < reflect_at:
-            raise InvalidParameter(
-                f"boundary reflection at {reflect_at:g} needs data at or above it; "
-                f"smallest observation is {low:g}"
-            )
     kdes = [KdeModel(batch, b, reflect_at) for batch, b in zip(batches, bandwidths)]
     norms = [m.inner(m, support_lower) for m in kdes]
     k = len(kdes)
@@ -606,8 +567,9 @@ class McStudyConfig:
     """One row of a bias/MSE study: families, sample size, replications.
 
     ``support_lower`` defaults to the left end of the hull of the two
-    families' supports, where the estimates are cut off (and reflected);
-    set ``None`` for the translation-invariant estimator over the whole line.
+    families' supports, where the estimates are cut off (and reflected); a
+    bound above that end would fall inside the draws and is refused
+    (:class:`InvalidParameter`).  ``None`` runs over the whole line.
     """
 
     family_x: DistributionModel
@@ -620,9 +582,13 @@ class McStudyConfig:
     boundary_reflect: bool = False
 
     def __post_init__(self):
+        hull = min(self.family_x.support[0], self.family_y.support[0])
         if self.support_lower is _SUPPORT_HULL:
-            lower = min(self.family_x.support[0], self.family_y.support[0])
-            object.__setattr__(self, "support_lower", lower)
+            object.__setattr__(self, "support_lower", hull)
+        elif self.support_lower is not None and not self.support_lower <= hull:
+            raise InvalidParameter(
+                f"support_lower {self.support_lower:g} is above the support hull's left end {hull:g}"
+            )
         if self.reps < 2:
             raise InvalidParameter(f"reps must be >= 2, got {self.reps}")
         if self.n < 10:

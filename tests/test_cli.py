@@ -444,6 +444,15 @@ def test_estimate_refuses_to_reflect_data_below_the_bound(tmp_path, capsys):
     assert not (tmp_path / "on" / "report.json").exists()
 
 
+def test_negative_seed_is_an_input_error(tmp_path, capsys):
+    # numpy's SeedSequence rejects it: simulate once exited 1 with a traceback
+    code = run(["simulate", "--family-x", "exp:1", "--family-y", "exp:2", "--n", "20",
+                "--reps", "2", "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_overflowing_measure_is_numerical_failure(tmp_path, capsys):
     # f^2 overflows at 0: the report once read "value": -Infinity with exit 0
     code = run(["measure", "extropy", "--family-x", "exp:1e160", "--out", str(tmp_path)])

@@ -125,15 +125,67 @@ def test_kde_inner_needs_one_reflection_point_at_or_above_the_bound():
 @pytest.mark.parametrize("kind, lower", [("exponential", 0.0), ("normal", -0.3)])
 def test_bounded_inner_matches_all_pairs_oracle(kind, lower, n):
     # n = 20 is one run of Phi rows, 200 several, 1500 several row blocks; the
-    # bound is the support's end under exponential data and inside normal data,
-    # where the Phi arguments take both signs
+    # bound is the support's end under exponential data, and normal data are
+    # moved so that their pair's smallest observation is the bound, where the
+    # Phi arguments start at 0
     rng = np.random.default_rng(n)
     draw = rng.exponential if kind == "exponential" else rng.normal
-    fx = KdeModel(SampleBatch(draw(size=n)), 0.9 * n**-0.2)
-    fy = KdeModel(SampleBatch(1.5 * draw(size=n)), 1.3 * n**-0.2)
+    x, y = draw(size=n), 1.5 * draw(size=n)
+    if kind == "normal":
+        low = min(x.min(), y.min())
+        x, y = lower + (x - low), lower + (y - low)
+        assert min(x.min(), y.min()) == lower
+    fx = KdeModel(SampleBatch(x), 0.9 * n**-0.2)
+    fy = KdeModel(SampleBatch(y), 1.3 * n**-0.2)
     for f, g in ((fx, fx), (fx, fy)):
         oracle = gram_oracle(f.sample.values, g.sample.values, f.bandwidth, g.bandwidth, lower)
         assert f.inner(g, lower) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("boundary_reflect", [False, True])
+def test_data_below_the_bound_are_refused_before_phi(monkeypatch, boundary_reflect):
+    # a bound inside normal data once returned numbers, from Phi at negative
+    # arguments; now every entry point refuses them, and Phi sees only z >= 0
+    seen = []
+
+    def recording_cdf(z, cdf=estimation._normal_cdf):
+        seen.append(float(z.min()))
+        return cdf(z)
+
+    monkeypatch.setattr(estimation, "_normal_cdf", recording_cdf)
+    rng = np.random.default_rng(7)
+    sx, sy = SampleBatch(rng.normal(size=60)), SampleBatch(rng.normal(0.5, 1.0, size=60))
+    above = SampleBatch(sx.values - sx.values[0])
+    lower = -0.3
+    reflect_at = lower if boundary_reflect else None
+    options = dict(support_lower=lower, boundary_reflect=boundary_reflect)
+    with pytest.raises(InvalidParameter, match="-0.3 needs data at or above it"):
+        estimate_relative_extropy(sx, sy, **options)
+    for a, b in ((sx, sy), (above, sx), (sx, above)):
+        with pytest.raises(InvalidParameter):
+            estimate_pairwise_relative_extropy((a, b), (0.3, 0.4), **options)
+        with pytest.raises(InvalidParameter):
+            KdeModel(a, 0.3, reflect_at).inner(KdeModel(b, 0.4, reflect_at), lower)
+    # only the self terms of samples above the bound reached Phi
+    assert all(z >= 0.0 for z in seen)
+    # data whose smallest observation is the bound are accepted, with Phi from z = 0
+    seen.clear()
+    at = SampleBatch(lower + (sy.values - sy.values[0]))
+    estimate_pairwise_relative_extropy((at, SampleBatch(at.values + 0.1)), (0.3, 0.4), **options)
+    assert (seen == []) if boundary_reflect else (min(seen) == 0.0)
+    # a study whose bound is above its families' support draws data below it
+    with pytest.raises(InvalidParameter, match="support hull"):
+        McStudyConfig(UniformParams(-1.0, 1.0), UniformParams(-1.0, 2.0), n=20, reps=2,
+                      seed=3, true_value=0.0, support_lower=0.0)
+
+
+def test_pairwise_estimate_needs_one_bandwidth_per_sample():
+    # zip once dropped the third sample and returned a 2 x 2 matrix
+    batches = (exp_batch(1.0, 30, 1), exp_batch(2.0, 30, 2), exp_batch(0.5, 30, 3))
+    for bandwidths in ((0.3, 0.4), (0.3, 0.4, 0.5, 0.6)):
+        with pytest.raises(InvalidParameter, match="bandwidths"):
+            estimate_pairwise_relative_extropy(batches, bandwidths)
+    assert estimate_pairwise_relative_extropy(batches, (0.3, 0.4, 0.5)).shape == (3, 3)
 
 
 # --- the normal cdf of the bounded Gram sums -----------------------------------
@@ -151,36 +203,33 @@ def _exact_ncdf(z):
 
 
 def test_normal_cdf_within_two_ulps_of_ndtr_above_zero():
-    # every bounded estimate on data at or above its bound takes Phi at z >= 0,
-    # where scipy's ndtr is itself within an ulp
+    # every bounded estimate takes Phi at z >= 0 (data below the bound are
+    # refused), where scipy's ndtr is itself within an ulp
     z = np.linspace(0.0, estimation._PHI_ONE, 400_001)
     assert _ulps(estimation._normal_cdf(z), ndtr(z)).max() <= 2.0
 
 
 def test_normal_cdf_within_a_few_ulps_of_the_exact_value():
-    # below zero the reference is mpmath: ndtr rounds z / sqrt 2 before its
-    # exp(-x^2), which costs it up to some 2,000 ulps near z = -35, and it
-    # returns 0 below z = -37.7, where Phi is still subnormal
-    z = np.concatenate([np.linspace(-38.5, estimation._PHI_ONE, 20_001), [-37.9, -38.4, 0.0]])
+    # the domain is z >= 0: negative arguments never reach Phi
+    # (test_data_below_the_bound_are_refused_before_phi)
+    z = np.concatenate([np.linspace(0.0, estimation._PHI_ONE, 20_001), [5e-324, 1e-300, 8.29]])
     assert _ulps(estimation._normal_cdf(z), _exact_ncdf(z)).max() <= 8.0
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=-39.0, max_value=9.0))
+@given(st.floats(min_value=0.0, max_value=9.0))
 def test_normal_cdf_sweep_within_a_few_ulps(z):
     assert _ulps(estimation._normal_cdf(np.array([z])), _exact_ncdf(z))[0] <= 8.0
 
 
 def test_normal_cdf_saturates_exactly():
-    # one at and above _PHI_ONE, which the Gram sums' staircase relies on; zero
-    # below the subnormals; a NaN stays NaN
+    # one at and above _PHI_ONE, which the Gram sums' staircase relies on; a
+    # NaN stays NaN
     high = np.concatenate([np.linspace(estimation._PHI_ONE, 50.0, 10_001), [1e300, np.inf]])
     assert np.all(estimation._normal_cdf(high) == 1.0)
-    low = np.array([-38.6, -40.0, -1e300, -np.inf])
-    assert np.all(estimation._normal_cdf(low) == 0.0)
     assert np.isnan(estimation._normal_cdf(np.array([np.nan]))[0])
     # chunk boundaries change nothing
-    z = np.linspace(-39.0, 9.0, 3 * estimation._PHI_CHUNK + 5)
+    z = np.linspace(0.0, 9.0, 3 * estimation._PHI_CHUNK + 5)
     pieces = np.concatenate([estimation._normal_cdf(z[:7]), estimation._normal_cdf(z[7:])])
     assert np.array_equal(estimation._normal_cdf(z), pieces)
 
@@ -417,7 +466,7 @@ def _phi(z):
 def test_estimate_two_point_closed_form():
     # fhat = phi_bx(. - 0), ghat = phi_by(. - delta): int fhat^2 = 1/(2 sqrt(pi) bx),
     # int ghat^2 = 1/(2 sqrt(pi) by), int fhat ghat = phi_tau(delta), tau^2 = bx^2 + by^2
-    delta, bx, by, c = 0.7, 0.3, 0.5, 0.2
+    delta, bx, by, c = 0.7, 0.3, 0.5, -0.2
     sx = SampleBatch(np.array([0.0, 0.0]))
     sy = SampleBatch(np.array([delta, delta]))
     tau = math.hypot(bx, by)
@@ -428,7 +477,7 @@ def test_estimate_two_point_closed_form():
     value = estimate_pairwise_relative_extropy((sx, sy), (bx, by))[0, 1]
     assert abs(value - exact) <= 1e-14
 
-    # on [c, inf): each product of two kernels is a Gaussian of mean mu and sd s,
+    # on [c, inf), c at or below the data: each product of two kernels is a Gaussian of mean mu and sd s,
     # so it keeps the share Phi((mu - c) / s) of its integral
     mu, s = delta * bx**2 / tau**2, bx * by / tau
     exact_c = 0.5 * (
