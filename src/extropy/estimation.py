@@ -23,6 +23,7 @@ replication fails only with a package error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -67,12 +68,9 @@ _KERNEL_WINDOW = 8.0
 # kernel terms evaluated at once, which bounds the working memory at every n
 _BLOCK_TERMS = 1 << 16
 # pair terms the Sheather-Jones sums keep across one solve: all, while they fit
-# one block (n <= 362); else each pass rebuilds its windowed blocks (~2.5 MB)
+# one block (n <= 362); else none, and each pass takes the Hermite transform or,
+# when sparse, rebuilds its windowed blocks (~2.5 MB)
 _SJ_KEEP_TERMS = _BLOCK_TERMS
-# a block of pair differences whose rows average fewer terms than this is built
-# by one index take, a longer one row by row: the take's index arrays cost more
-# memory traffic than the loop's calls save on long rows (at n = 800 the two tie)
-_SJ_GATHER_ROW = 400
 # u^6 exp(-u^2 / 2) is below 1e-18 of its peak for |u| > 10.5; the
 # Sheather-Jones sums drop pairs farther apart than that many pilot widths
 _SJ_WINDOW = 10.5
@@ -80,6 +78,18 @@ _SJ_WINDOW = 10.5
 # scale, where the step is the error: half the 1e-14 the reference bandwidths of
 # the benchmark gate hold (perfbench/workloads.py); steps of a few ulps stall
 _SJ_STEP = 0.5e-14
+# the Hermite fast Gauss transform of the Sheather-Jones sums: boxes one pilot width
+# wide, moments b^k / k! for k < _FGT_TERMS (|b| <= 1/2 leaves under 1e-18 of each
+# term), and boxes more than _FGT_REACH apart hold no pair within _SJ_WINDOW
+_FGT_TERMS = 28
+_FGT_REACH = math.ceil(_SJ_WINDOW) + 1
+# a pass takes the transform when its windowed pairs exceed this many per occupied
+# box: the transform costs about 7 us a box, the windowed direct sum 6 ns a pair
+# plus its rows' and blocks' overheads.  Timed on normal, lognormal, Cauchy and
+# rounded samples, n = 363-3,200: the two tie between 650 (n = 3,200) and 1,300
+# (n = 363) pairs a box, and below 600 the direct sum won every pass, by up to
+# 7x at the lower bracket end
+_FGT_PAIRS_PER_BOX = 600
 # Phi(z) rounds to exactly 1.0 in double precision for every z >= 8.3, so the
 # bounded Gram sums evaluate Phi only on the staircase of pairs below it: each
 # run of _PHI_ROWS rows takes its own column cut from its first (smallest) row
@@ -176,21 +186,15 @@ def _upper_squares(z: np.ndarray, reach: float):
     """Squared differences z_j - z_i, j > i, of sorted ``z`` by row block, within ``reach``.
 
     Row i of a block runs from column i + 1 to the block's window end, so one
-    block is the upper half in row-major order.  A block of short rows is one
-    index take; a block of long rows is filled row by row in place.
+    block is the upper half in row-major order, built by one index take.
     """
     for start, stop, _, hi in _blocks(z, z, reach):
         lengths = np.arange(hi - start - 1, hi - stop - 1, -1)
         ends = np.cumsum(lengths)
-        if ends[-1] < _SJ_GATHER_ROW * (stop - start):
-            # entry k of the block, in row i, is column k + i + 1 - (ends[i] - lengths[i])
-            shift = np.arange(start + 1, stop + 1) - (ends - lengths)
-            diffs = z[np.arange(ends[-1]) + np.repeat(shift, lengths)]
-            diffs -= np.repeat(z[start:stop], lengths)
-        else:
-            diffs = np.empty(ends[-1])
-            for i, end, length in zip(range(start, stop), ends, lengths):
-                np.subtract(z[i + 1 : hi], z[i], out=diffs[end - length : end])
+        # entry k of the block, in row i, is column k + i + 1 - (ends[i] - lengths[i])
+        shift = np.arange(start + 1, stop + 1) - (ends - lengths)
+        diffs = z[np.arange(ends[-1]) + np.repeat(shift, lengths)]
+        diffs -= np.repeat(z[start:stop], lengths)
         diffs *= diffs
         yield diffs
 
@@ -379,6 +383,68 @@ _PSI6 = (-8.0, -60.0, -90.0, -15.0)
 _PSI4_SLOPE = (-8.0, -40.0, -30.0, 0.0)
 
 
+@functools.cache
+def _hermite_table() -> np.ndarray:
+    """T[o, k, c] for box offsets o <= ``_FGT_REACH`` and k < p = ``_FGT_TERMS``.
+
+    Column c = l < p + 2 holds (-1)^l He_(k+l+4)(o) exp(-o^2 / 2): columns
+    0 .. p - 1 are the table of He4 and columns 2 .. p + 1 that of He6, since
+    He_(k+(l+2)+4) = He_(k+l+6) and (-1)^(l+2) = (-1)^l.  Column p + 2 + l holds
+    the table of the psi4 slope x He5(x) = He6(x) + 5 He4(x), so that its
+    cancellation falls in single entries: formed from the He6 and He4 sums,
+    the slope took 20 times their rounding.  Row o = 0 is halved, because
+    the transform sums over o >= 0 and doubles.  Built on the first call, so
+    a process that never takes the transform never builds it.
+    """
+    p = _FGT_TERMS
+    o = np.arange(_FGT_REACH + 1.0)
+    he = [np.ones_like(o), o]
+    for k in range(1, 2 * p + 4):
+        he.append(o * he[k] - k * he[k - 1])
+    he = np.array(he) * np.exp(-0.5 * o * o)
+    k, l = np.ogrid[:p, : p + 2]
+    sign = np.where(l % 2, -1.0, 1.0)[..., None]
+    m = k + l[:, :p] + 4
+    table = np.concatenate([he[k + l + 4] * sign, (he[m + 2] + 5.0 * he[m]) * sign[:, :p]], axis=1)
+    table[..., 0] *= 0.5
+    return np.ascontiguousarray(np.moveaxis(table, -1, 0))
+
+
+def _hermite_sums(u: np.ndarray) -> tuple[float, float, float]:
+    """Sums over all (i, j), the diagonal included, of He4(d) exp(-d^2 / 2), of the
+    same with He6 and with d He5(d), d = u_j - u_i, for sorted ``u``.
+
+    The Hermite fast Gauss transform (Greengard & Strain 1991; Raykar &
+    Duraiswami 2006 for these sums).  Box floor(u) holds the moments
+    M[k] = sum of b^k / k! over its points, b = u - floor(u) - 1/2.  Two
+    points in boxes o apart are d = o + b_j - b_i apart, and Taylor's theorem
+    about o gives He_m(d) exp(-d^2 / 2) as the sum over k and l of
+    (b_i^k / k!)(b_j^l / l!)(-1)^l He_(k+l+m)(o) exp(-o^2 / 2), so the sum
+    over the two boxes is M_source . T_o . M_target (:func:`_hermite_table`).
+    The tables hold neither data nor g; T_(-o) is T_o transposed, so the sum
+    runs over o >= 0 and doubles.  A run of empty boxes longer than the reach
+    shrinks to one past it, which drops no pair.  Every reduction is an
+    einsum, so no BLAS thread count reaches the bits.
+    """
+    p, reach = _FGT_TERMS, _FGT_REACH
+    box = np.floor(u)
+    starts = np.flatnonzero(np.diff(box, prepend=-math.inf))
+    powers = np.empty((u.size, p))
+    powers[:, 0] = 1.0
+    np.divide.outer(u - box - 0.5, np.arange(1.0, p), out=powers[:, 1:])
+    np.cumprod(powers, axis=1, out=powers)
+    gaps = np.minimum(np.diff(box[starts]), reach + 1).astype(np.intp)
+    slots = reach + np.concatenate(([0], np.cumsum(gaps)))
+    moments = np.zeros((slots[-1] + 1, p))
+    moments[slots] = np.add.reduceat(powers, starts)
+    coeffs = np.zeros((slots.size, 2 * p + 2))
+    for o, table in enumerate(_hermite_table()):
+        coeffs += np.einsum("tk,kc->tc", moments[slots - o], table)
+    own = moments[slots]
+    he4, he6, slope = (np.einsum("tc,tc->", coeffs[:, c : c + p], own) for c in (0, 2, p + 2))
+    return 2.0 * float(he4), 2.0 * float(he6), 2.0 * float(slope)
+
+
 def sheather_jones_bandwidth(s: SampleBatch) -> float:
     """Solve-the-equation plug-in bandwidth for a Gaussian kernel.
 
@@ -391,13 +457,15 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     step that would leave the bracket, or not halve the step before it,
     bisects instead.  The solve stops at a step of at most ``_SJ_STEP`` and
     takes about 9 pair-sum passes, counting the two pilots and the two
-    bracket ends.  Each pass runs over the sorted blocks of
-    ``_upper_squares``: kept for the whole solve while the pairs fit
-    ``_SJ_KEEP_TERMS``, else rebuilt at each pass less pairs beyond
-    ``_SJ_WINDOW`` pilot widths.  It scales each block's squared
-    differences once into the exponent e = -w/2, evaluates the psi4 (or psi6)
-    and slope polynomials in e by Horner's rule, and reduces each against
-    the one shared exp(e).
+    bracket ends.  While the pairs fit ``_SJ_KEEP_TERMS`` (n <= 362), every
+    pass runs over the sorted blocks of ``_upper_squares``, kept for the whole
+    solve: it scales each block's squared differences once into the exponent
+    e = -w/2, evaluates the psi4 (or psi6) and slope polynomials in e by
+    Horner's rule, and reduces each against the one shared exp(e).  A larger
+    sample keeps nothing.  A pass whose pairs within ``_SJ_WINDOW`` pilot
+    widths exceed ``_FGT_PAIRS_PER_BOX`` per occupied box takes the Hermite
+    fast Gauss transform (:func:`_hermite_sums`); a sparser one, such as the
+    lower bracket end, sums its windowed blocks directly in the same way.
     """
     if s.n < 5:
         raise DegenerateSample(f"bandwidth selection needs n >= 5, got {s.n}")
@@ -418,19 +486,29 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     z = vals / sd
     pairs = n * (n - 1) // 2
     # one solve makes some 9 passes over the pairs: while they fit one block the
-    # blocks are kept for all of them, else each pass rebuilds them in its window
+    # blocks are kept for all of them
     kept = list(_upper_squares(z, math.inf)) if pairs <= _SJ_KEEP_TERMS else None
-    # every pass works in these, sized to the largest block: fresh block-sized
+    # every direct pass works in these, sized to the largest block: fresh block-sized
     # arrays at each pass cost page faults
     e, expo, terms = np.empty((3, min(pairs, max(_BLOCK_TERMS, n))))
 
-    def pair_sums(g: float, poly: tuple[float, ...], slope: bool = False) -> tuple[float, float]:
-        """Sums over j > i of poly(e) exp(e) and, with ``slope``, of
-        ``_PSI4_SLOPE``(e) exp(e); e = -((z_j - z_i) / g)^2 / 2.
+    def sums(g: float, poly: tuple[float, ...], slope: bool = False) -> tuple[float, float]:
+        """Sums over all (i, j), the diagonal included, of poly(e) exp(e) and, with
+        ``slope``, of ``_PSI4_SLOPE``(e) exp(e); e = -((z_j - z_i) / g)^2 / 2.
 
-        Each sum is one einsum, numpy's own multiply-add loop: the last bits
-        of a BLAS dot change with its thread count.
+        Above the keep cap a pass whose windowed pairs exceed
+        ``_FGT_PAIRS_PER_BOX`` per occupied box takes :func:`_hermite_sums`.
+        Any other pass sums the pairs directly, each sum one einsum, numpy's
+        own multiply-add loop: the last bits of a BLAS dot change with its
+        thread count.
         """
+        if kept is None:
+            u = (z - z[n // 2]) / g  # offsets from the median: rounding follows the spread
+            boxes = 1 + np.count_nonzero(np.diff(np.floor(u)))
+            within = int(np.searchsorted(u, u + _SJ_WINDOW, side="right").sum()) - n * (n + 1) // 2
+            if within > _FGT_PAIRS_PER_BOX * boxes:
+                he4, he6, slope_total = _hermite_sums(u)
+                return (he6, 0.0) if poly is _PSI6 else (he4, slope_total)
         total = slope_total = 0.0
         scale = -0.5 / (g * g)
         for dsq in kept if kept is not None else _upper_squares(z, _SJ_WINDOW * g):
@@ -443,17 +521,16 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
             if slope:
                 _horner(_PSI4_SLOPE, ek, tk)
                 slope_total += float(np.einsum("i,i->", tk, xk))
-        return total, slope_total
+        # the diagonal's terms are poly(0), the slope's 0
+        return 2.0 * total + poly[-1] * n, 2.0 * slope_total
 
     def sd_functional(g: float, slope: bool = False) -> tuple[float, float]:
         """psi4 at g = N / (n (n - 1) g^5 sqrt(2 pi)) and, with ``slope``, g N'(g) / N."""
-        total, slope_total = pair_sums(g, _PSI4, slope)
-        total = 2.0 * total + 3.0 * n
-        return total / (n * (n - 1) * g**5 * _SQRT_2PI), 2.0 * slope_total / total
+        total, slope_total = sums(g, _PSI4, slope)
+        return total / (n * (n - 1) * g**5 * _SQRT_2PI), slope_total / total
 
     def td_functional(g: float) -> float:
-        total = 2.0 * pair_sums(g, _PSI6)[0] - 15.0 * n
-        return -total / (n * (n - 1) * g**7 * _SQRT_2PI)
+        return -sums(g, _PSI6)[0] / (n * (n - 1) * g**7 * _SQRT_2PI)
 
     a = 0.920 * 1.349 * scale_z * n ** (-1.0 / 7.0)
     b = 0.912 * 1.349 * scale_z * n ** (-1.0 / 9.0)

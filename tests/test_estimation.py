@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import hermite_e
 from scipy.integrate import quad
 from scipy.special import ndtr
 
@@ -237,14 +238,10 @@ def test_normal_cdf_saturates_exactly():
 # --- Sheather-Jones bandwidth -------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "n, reach",
-    [(5, math.inf), (50, math.inf), (300, math.inf), (900, 1.5), (2100, 0.3), (2100, 4.0)],
-)
+@pytest.mark.parametrize("n, reach", [(5, math.inf), (50, math.inf), (300, math.inf), (2100, 0.3)])
 def test_sj_pair_blocks_match_a_row_by_row_build(n, reach):
     # n = 300 spans two row blocks, as the blocks a solve keeps (n <= 362) may;
-    # 900 and 2100 are long-row blocks, and a finite reach is the window of a
-    # pass that rebuilds its blocks
+    # a finite reach is the window of a sparse pass above the keep cap
     z = np.sort(np.random.default_rng(n).lognormal(size=n))
     blocks = list(estimation._upper_squares(z, reach))
     reference = []
@@ -255,11 +252,87 @@ def test_sj_pair_blocks_match_a_row_by_row_build(n, reach):
     assert all(np.array_equal(b, r) for b, r in zip(blocks, reference))
 
 
-@pytest.fixture(params=["kept", "rebuilt"])
+@pytest.mark.parametrize(
+    "name, series",
+    [("_PSI4", [0, 0, 0, 0, 1]), ("_PSI6", [0, 0, 0, 0, 0, 0, 1]), ("_PSI4_SLOPE", [0, 0, 0, 0, 5, 0, 1])],
+)
+def test_sj_pair_polynomials_are_hermite(name, series):
+    # each polynomial in e = -u^2 / 2 is He4(u), He6(u) or u He5(u) = He6(u) + 5 He4(u),
+    # which the transform's tables assume; the coefficients are exact in both bases
+    in_e = getattr(estimation, name)[::-1]  # lowest power first
+    in_u = np.zeros(2 * len(in_e) - 1)
+    in_u[::2] = [c * (-0.5) ** j for j, c in enumerate(in_e)]
+    assert np.array_equal(in_u, hermite_e.herme2poly(series))
+
+
+def test_hermite_table_matches_numpy_hermite_e():
+    # T[o, k, l] = (-1)^l He_(k+l+4)(o) exp(-o^2 / 2) for l < p + 2, then the same
+    # with He_(k+l+6) + 5 He_(k+l+4) for l < p; row o = 0 halved
+    table = estimation._hermite_table()
+    p = estimation._FGT_TERMS
+    assert table.shape == (estimation._FGT_REACH + 1, p, 2 * p + 2)
+    for o in range(table.shape[0]):
+        he = [hermite_e.hermeval(float(o), np.eye(2 * p + 5)[m]) * math.exp(-0.5 * o * o)
+              for m in range(2 * p + 5)]
+        half = 0.5 if o == 0 else 1.0
+        for k in range(p):
+            want = [(-1) ** l * he[k + l + 4] * half for l in range(p + 2)]
+            want += [(-1) ** l * (he[k + l + 6] + 5.0 * he[k + l + 4]) * half for l in range(p)]
+            assert table[o, k] == pytest.approx(want, rel=1e-12, abs=1e-300), (o, k)
+
+
+def _sj_pilot_width(z):
+    """The psi4 pilot width of a standardized sample, as the solve takes it."""
+    iqr = estimation._sorted_quantile(z, 0.75) - estimation._sorted_quantile(z, 0.25)
+    scale = min(1.0, iqr / (1.349 * z.std(ddof=1)))
+    return 0.920 * 1.349 * scale * z.size ** (-1.0 / 7.0)
+
+
+def _direct_sum(z, g, poly):
+    """Windowed direct sum over all (i, j), diagonal included, of poly(e) exp(e),
+    its terms added in numpy's longdouble (80-bit on x86), as exact as fsum here."""
+    total = np.longdouble(0.0)
+    for dsq in estimation._upper_squares(z, estimation._SJ_WINDOW * g):
+        e = dsq * (-0.5 / (g * g))
+        terms = np.empty_like(e)
+        estimation._horner(poly, e, terms)
+        total += (terms * np.exp(e)).astype(np.longdouble).sum()
+    return float(2 * total + poly[-1] * z.size)
+
+
+@pytest.mark.parametrize("n", [363, 800, 1600, 3200])
+@pytest.mark.parametrize("kind", ["normal", "exponential", "lognormal", "cauchy", "bimodal", "rounded"])
+def test_hermite_transform_matches_the_windowed_direct_sums(kind, n):
+    # psi4, psi6 and the psi4 slope, each with its diagonal, at the pilot width and
+    # at 0.4 of it; the bar is 1e-13 of the total
+    rng = np.random.default_rng(n)
+    x = {
+        "normal": lambda: rng.normal(size=n),
+        "exponential": lambda: rng.exponential(size=n),
+        "lognormal": lambda: rng.lognormal(size=n),
+        "cauchy": lambda: rng.standard_cauchy(size=n),
+        "bimodal": lambda: np.concatenate([rng.normal(size=n // 2), rng.normal(40.0, 1.0, n - n // 2)]),
+        "rounded": lambda: np.round(rng.normal(50.0, 11.0, n), 3),  # ties, like the CSV bands
+    }[kind]()
+    z = np.sort(x) / x.std(ddof=1)
+    pilot = _sj_pilot_width(z)
+    for g in (pilot, 0.4 * pilot):
+        sums = estimation._hermite_sums((z - z[n // 2]) / g)
+        for got, poly in zip(sums, (estimation._PSI4, estimation._PSI6, estimation._PSI4_SLOPE)):
+            want = _direct_sum(z, g, poly)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), (g, poly)
+
+
+@pytest.fixture(params=["kept", "rebuilt", "windowed"])
 def sj_blocks(request, monkeypatch):
-    """SJ with its pair blocks kept for the whole solve, or rebuilt per evaluation,
-    at every n of the tests (by default only n <= 362 keeps them)."""
+    """SJ at every n of the tests with its pair blocks kept for the whole solve
+    ("kept"), or with nothing kept and every pass by the Hermite transform
+    ("rebuilt": its moments are rebuilt at each pass) or by the windowed direct
+    sum ("windowed").  By default only n <= 362 keeps its blocks, and above that
+    a pass takes the transform when its windowed pairs exceed
+    ``_FGT_PAIRS_PER_BOX`` per occupied box."""
     monkeypatch.setattr(estimation, "_SJ_KEEP_TERMS", 1 << 22 if request.param == "kept" else 0)
+    monkeypatch.setattr(estimation, "_FGT_PAIRS_PER_BOX", math.inf if request.param == "windowed" else 0)
 
 
 def test_sj_scale_equivariance(sj_blocks):
@@ -306,8 +379,9 @@ def test_sj_matches_oracle_to_rounding(sj_blocks, kind, n):
 
 @pytest.mark.parametrize("n", [300, 1600])
 def test_sj_rebuilt_blocks_match_kept(monkeypatch, n):
-    # by default n = 300 keeps its blocks and n = 1600 rebuilds them; each is
-    # compared with the other path
+    # by default n = 300 keeps its blocks, and n = 1600 takes the path above the
+    # keep cap: the Hermite transform on dense passes, the windowed direct sum on
+    # sparse ones; each is compared with the other path
     keeps = n * (n - 1) // 2 <= estimation._SJ_KEEP_TERMS
     assert keeps == (n == 300)
     rng = np.random.default_rng(31)
@@ -316,10 +390,22 @@ def test_sj_rebuilt_blocks_match_kept(monkeypatch, n):
         rng.standard_cauchy(size=n),  # the window drops the far tail pairs
         np.concatenate([rng.normal(size=n // 2), rng.normal(40.0, 1.0, size=n // 2)]),
     ]
-    default = [sheather_jones_bandwidth(SampleBatch(x)) for x in samples]
+    transforms = []
+    hermite = estimation._hermite_sums
+    monkeypatch.setattr(estimation, "_hermite_sums", lambda u: transforms.append(u.size) or hermite(u))
+
+    def solve(x):
+        before = len(transforms)
+        return sheather_jones_bandwidth(SampleBatch(x)), len(transforms) - before
+
+    default = [solve(x) for x in samples]
     monkeypatch.setattr(estimation, "_SJ_KEEP_TERMS", 0 if keeps else 1 << 22)
-    for x, h in zip(samples, default):
-        assert sheather_jones_bandwidth(SampleBatch(x)) == pytest.approx(h, rel=4e-15, abs=0.0)
+    other = [solve(x) for x in samples]
+    for (h, _), (h_other, _) in zip(default, other):
+        assert h_other == pytest.approx(h, rel=4e-15, abs=0.0)
+    # every solve above the keep cap ran the transform, and no kept one did
+    above, kept = (other, default) if keeps else (default, other)
+    assert all(count > 0 for _, count in above) and all(count == 0 for _, count in kept)
 
 
 @pytest.mark.parametrize("n", [400, 1000, 1600, 2000, 3200])
