@@ -227,7 +227,9 @@ def integrate(
     b = +inf), in which the integrand is bounded: tanh-sinh cannot resolve
     x^p near -1 in x.  Such a piece without a ``power`` above -1 raises
     :class:`QuadratureFailure`, as does the first element with a piece that
-    did not converge and a summed error above max(abs_tol, rel_tol |value|).
+    did not converge and a summed error above max(abs_tol, rel_tol |value|);
+    when that element's integral is not finite, the message names the piece
+    and a point where the integrand overflows, if a probe finds one.
     """
     lo, hi, *args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lo, hi, *args)))
     shape = lo.shape
@@ -280,6 +282,19 @@ def integrate(
     bad = np.flatnonzero(failed & ~(abs_error <= tolerance))
     if bad.size:
         i = bad[0]
+        if not np.isfinite(total[i]):
+            # probe the piece from b (or a + 1) toward a by factors of 10 in the distance,
+            # so an overflow in a sliver at a, as of a density above 1e154 squared, shows
+            k = np.flatnonzero((element == i) & ~np.isfinite(value))[0]
+            x = a[k] + (b[k] - a[k] if np.isfinite(b[k]) else 1.0) * 10.0 ** -np.arange(330.0)
+            x = x[(x > a[k]) & (x < b[k])]
+            with np.errstate(all="ignore"):
+                big = x[np.isinf(fn(x, *(np.full(x.size, arg[k]) for arg in args)))]
+            cause = f"the integrand overflows at {big[0]:g} in " if big.size else ""
+            raise QuadratureFailure(
+                f"integral {total[i]:.6g} on [{lo[i]:g}, {hi[i]:g}] is not finite: "
+                f"{cause}its piece [{a[k]:g}, {b[k]:g}]"
+            )
         raise QuadratureFailure(
             f"integral {total[i]:.6g} on [{lo[i]:g}, {hi[i]:g}] has error estimate "
             f"{abs_error[i]:.3e}, above tolerance {tolerance[i]:.3e}"

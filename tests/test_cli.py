@@ -461,6 +461,16 @@ def test_overflowing_measure_is_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_overflowing_integrand_names_the_overflow_and_its_piece(tmp_path, capsys):
+    # f^2 of exp:1e160 is inf within about 1e-159 of 0; the message once read
+    # "integral nan ... tolerance nan"
+    code = run(["measure", "extropy", "--family-x", "exp:1e160", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "is not finite: the integrand overflows at 1e-176 in its piece [0, 1e-175]" in err
+    assert "tolerance nan" not in err
+
+
 def test_non_finite_result_is_numerical_failure(tmp_path, capsys, monkeypatch):
     def infinite(form, window, models, t=None, atom_convention="ac"):
         return measures.MeasureReport("extropy", -np.inf, abs_error=np.inf, inputs=("x",))

@@ -266,11 +266,13 @@ def test_sj_pair_polynomials_are_hermite(name, series):
 
 
 def test_hermite_table_matches_numpy_hermite_e():
-    # T[o, k, l] = (-1)^l He_(k+l+4)(o) exp(-o^2 / 2) for l < p + 2, then the same
-    # with He_(k+l+6) + 5 He_(k+l+4) for l < p; row o = 0 halved
-    table = estimation._hermite_table()
+    # SJ's T[o, k, l] = (-1)^l He_(k+l+4)(o) exp(-o^2 / 2) for l < p + 2, then the
+    # same with He_(k+l+6) + 5 He_(k+l+4) for l < p; the Gram sums' is
+    # (-1)^l He_(k+l)(o) exp(-o^2 / 2) for l < p; row o = 0 halved in both
+    table, gram = estimation._hermite_tables()
     p = estimation._FGT_TERMS
     assert table.shape == (estimation._FGT_REACH + 1, p, 2 * p + 2)
+    assert gram.shape == (estimation._GRAM_REACH + 1, p, p)
     for o in range(table.shape[0]):
         he = [hermite_e.hermeval(float(o), np.eye(2 * p + 5)[m]) * math.exp(-0.5 * o * o)
               for m in range(2 * p + 5)]
@@ -279,6 +281,9 @@ def test_hermite_table_matches_numpy_hermite_e():
             want = [(-1) ** l * he[k + l + 4] * half for l in range(p + 2)]
             want += [(-1) ** l * (he[k + l + 6] + 5.0 * he[k + l + 4]) * half for l in range(p)]
             assert table[o, k] == pytest.approx(want, rel=1e-12, abs=1e-300), (o, k)
+            if o < gram.shape[0]:
+                want = [(-1) ** l * he[k + l] * half for l in range(p)]
+                assert gram[o, k] == pytest.approx(want, rel=1e-12, abs=1e-300), (o, k)
 
 
 def _sj_pilot_width(z):
@@ -622,6 +627,109 @@ def test_pairwise_matrix_reuses_self_terms_exactly(boundary_reflect):
             boundary_reflect=boundary_reflect,
         )[0, 1]
         assert abs(matrix.values[i, j] - pair) <= 1e-15
+
+
+def _gram_sample(kind, n, rng):
+    return np.sort({
+        "normal": lambda: rng.normal(size=n),
+        "lognormal": lambda: rng.lognormal(size=n),
+        "cauchy": lambda: rng.standard_cauchy(size=n),
+        "bimodal": lambda: np.concatenate([rng.normal(size=n // 2), rng.normal(40.0, 1.0, n - n // 2)]),
+        "rounded": lambda: np.round(rng.normal(50.0, 11.0, n), 3),  # ties, like the CSV bands
+        "offset": lambda: 1e6 + rng.normal(size=n),
+    }[kind]())
+
+
+@pytest.mark.parametrize("n", [100, 400, 1600, 3200])
+@pytest.mark.parametrize("kind", ["normal", "lognormal", "cauchy", "bimodal", "rounded", "offset"])
+def test_gram_transform_matches_the_direct_sums(monkeypatch, kind, n):
+    # self, cross and reflected-image sums at Silverman's robust widths, each by the
+    # Hermite transform and by the direct sum; the bar, 1e-14 of each sum, is under
+    # the 64 ulps (1.42e-14) the zero rule allows it.  By default the self sums take
+    # the direct sum at n = 100 and the transform at n >= 1600
+    rng = np.random.default_rng(n)
+    x, y = _gram_sample(kind, n, rng), _gram_sample(kind, n + n // 3, rng)
+    bx, by = (
+        0.9 * min(s.std(ddof=1), (estimation._sorted_quantile(s, 0.75) - estimation._sorted_quantile(s, 0.25)) / 1.349)
+        * s.size ** -0.2
+        for s in (x, y)
+    )
+    c = min(x[0], y[0])  # reflection at the data's left end
+    sums = {"self": (x, x, bx, bx), "cross": (x, y, bx, by), "image": (x, (2.0 * c - y)[::-1], bx, by)}
+    default = estimation._GRAM_PAIRS_PER_BOX
+
+    def gram(per_box, window=estimation._KERNEL_WINDOW):
+        monkeypatch.setattr(estimation, "_GRAM_PAIRS_PER_BOX", per_box)
+        monkeypatch.setattr(estimation, "_KERNEL_WINDOW", window)
+        return {name: estimation._gram_sum(*args, None) for name, args in sums.items()}
+
+    calls = _count_gram_transforms(monkeypatch)
+    fast, direct = gram(-math.inf), gram(math.inf)
+    assert calls == [1, 2, 2]  # each forced sum took the transform, no direct one did
+    for name in ("self", "cross"):
+        assert fast[name] == pytest.approx(direct[name], rel=1e-14, abs=0.0), name
+    # the direct sum drops pairs beyond 8 tau, which is up to 1.3e-13 of a sparse
+    # image sum (all of it for Cauchy tails); at 12 tau it drops below exp(-72)
+    assert fast["image"] == pytest.approx(gram(math.inf, 12.0)["image"], rel=1e-14, abs=0.0)
+    # the reflected pair's inner product, plain plus image, as the estimator sums it
+    reflected = [r["cross"] + r["image"] for r in (fast, direct)]
+    assert reflected[0] == pytest.approx(reflected[1], rel=1e-14, abs=0.0)
+    if n == 100 or n >= 1600:
+        assert gram(default)["self"] == (fast if n >= 1600 else direct)["self"]
+
+
+def _count_gram_transforms(monkeypatch) -> list:
+    """Record each Gram sum that takes the Hermite transform (its table has p columns)."""
+    calls = []
+    transform = estimation._hermite_transform
+
+    def spy(us, table):
+        if table.shape[-1] == estimation._FGT_TERMS:
+            calls.append(len(us))
+        return transform(us, table)
+
+    monkeypatch.setattr(estimation, "_hermite_transform", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_estimate_within_rounding_is_zero_above_the_transform_cutover(monkeypatch, seed):
+    # n = 1,600: the three Gram sums of each pair take the Hermite transform, and
+    # x against x (1 + 1e-12), or 1e6 + x against it plus 1e-9, still cancels
+    # within the zero rule's 64 ulps; identical groups give an exact 0
+    calls = _count_gram_transforms(monkeypatch)
+    x, y = near_identical_pair(seed, n=1600)
+    z = 1e6 + np.random.default_rng(seed).normal(size=1600)
+    for xs, ys in ((x, y), (z, z + 1e-9), (z, z)):
+        batches = (SampleBatch(np.array(xs)), SampleBatch(np.array(ys)))
+        bandwidths = tuple(sheather_jones_bandwidth(b) for b in batches)
+        calls.clear()
+        assert estimate_pairwise_relative_extropy(batches, bandwidths)[0, 1] == 0.0
+        assert calls == [1, 1, 1 if ys is xs else 2]  # two self sums, then the cross sum
+
+
+def test_far_dense_clusters_keep_the_direct_gram_sums(monkeypatch):
+    # two dense clusters 1e5 and 1e6 boxes apart, at tau = 0.42: the offsets'
+    # rounding moved the transform's sums past the zero rule's 64 ulps (these draws
+    # gave 4.7e-15 and InvalidModel), so the path rule keeps them direct
+    calls = _count_gram_transforms(monkeypatch)
+    for apart, seed in ((0.424e5, 2), (0.424e6, 0)):
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([rng.normal(size=800), rng.normal(apart, 1.0, 800)])
+        batches = (SampleBatch(x), SampleBatch(x * (1.0 + 1e-12)))
+        assert estimate_pairwise_relative_extropy(batches, (0.3, 0.3 * (1.0 + 1e-12)))[0, 1] == 0.0
+    assert calls == []
+
+
+def test_gram_offsets_that_overflow_keep_the_direct_sum():
+    # (y - centre) / tau overflows for the last point of y: the transform would
+    # give NaN, which the zero rule read as 0.0; the direct sum drops the pair
+    rng = np.random.default_rng(0)
+    x, y = np.sort(rng.normal(size=3000)), np.sort(np.append(rng.normal(size=3000), 1.7e308))
+    with np.errstate(over="ignore"):
+        got = estimation._gram_sum(x, y, 0.3, 0.3, None)
+    want = estimation._gram_sum(x, y[:-1], 0.3, 0.3, None) * (y.size - 1) / y.size
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def near_identical_pair(seed=1, n=30):
