@@ -66,7 +66,11 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # a Gaussian term farther than 8 of its widths from its centre is below
-# exp(-32) (about 1.3e-14) of its peak; kernel sums drop such terms
+# exp(-32) (about 1.3e-14) of its peak; kernel sums drop such terms.  That bounds
+# the loss per term, not per sum: a sum made mostly of such pairs loses more.  A
+# sparse reflected-image Gram sum lost up to 1.3e-13 of itself (normal, rounded and
+# 1e6-offset samples reflected at their smallest observation, n = 100-3,200, against
+# an all-pairs sum in long double), nine times the _SUM_ROUNDING of a sum
 _KERNEL_WINDOW = 8.0
 # kernel terms evaluated at once, which bounds the working memory at every n
 _BLOCK_TERMS = 1 << 16
@@ -91,7 +95,8 @@ _FGT_REACH = math.ceil(_SJ_WINDOW) + 1
 # plus its rows' and blocks' overheads.  Timed on normal, lognormal, Cauchy and
 # rounded samples, n = 363-3,200: the two tie between 650 (n = 3,200) and 1,300
 # (n = 363) pairs a box, and below 600 the direct sum won every pass, by up to
-# 7x at the lower bracket end
+# 7x on the sparsest: the lower bracket end's exact pass, run only where its
+# bounds leave its sign undecided
 _FGT_PAIRS_PER_BOX = 600
 # the whole-line Gram sums' transform: boxes one tau wide, so boxes more than
 # _GRAM_REACH apart hold no pair within _KERNEL_WINDOW.  A sum takes it when its pairs
@@ -198,21 +203,51 @@ def _blocks(rows: np.ndarray, cols: np.ndarray, reach: float):
         yield start, stop, lo, hi
 
 
+def _row_squares(z: np.ndarray, start: int, stop: int, ends) -> np.ndarray:
+    """Squared differences z_j - z_i of sorted ``z`` for rows start <= i < stop and
+    columns i < j < ``ends`` (one end per row, or one for all), in row-major order,
+    built by one index take."""
+    lengths = ends - np.arange(start + 1, stop + 1)
+    offsets = np.cumsum(lengths)
+    # entry k, in row i, is column k + i + 1 - (offsets[i] - lengths[i])
+    shift = np.arange(start + 1, stop + 1) - (offsets - lengths)
+    diffs = z[np.arange(offsets[-1]) + np.repeat(shift, lengths)]
+    diffs -= np.repeat(z[start:stop], lengths)
+    diffs *= diffs
+    return diffs
+
+
 def _upper_squares(z: np.ndarray, reach: float):
     """Squared differences z_j - z_i, j > i, of sorted ``z`` by row block, within ``reach``.
 
     Row i of a block runs from column i + 1 to the block's window end, so one
-    block is the upper half in row-major order, built by one index take.
+    block is the upper half in row-major order.
     """
     for start, stop, _, hi in _blocks(z, z, reach):
-        lengths = np.arange(hi - start - 1, hi - stop - 1, -1)
-        ends = np.cumsum(lengths)
-        # entry k of the block, in row i, is column k + i + 1 - (ends[i] - lengths[i])
-        shift = np.arange(start + 1, stop + 1) - (ends - lengths)
-        diffs = z[np.arange(ends[-1]) + np.repeat(shift, lengths)]
-        diffs -= np.repeat(z[start:stop], lengths)
-        diffs *= diffs
-        yield diffs
+        yield _row_squares(z, start, stop, hi)
+
+
+def _near_squares(z: np.ndarray, ends: np.ndarray, size: int):
+    """Squared differences z_j - z_i of sorted ``z`` for i < j < ``ends[i]``, in
+    chunks of whole rows of at most ``size`` terms (no row holds more)."""
+    counts = np.cumsum(ends - np.arange(1, z.size + 1))  # the pairs of rows 0 .. i
+    start = 0
+    while start < z.size:
+        before = int(counts[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(counts, before + size, side="right")))
+        if counts[stop - 1] > before:
+            yield _row_squares(z, start, stop, ends[start:stop])
+        start = stop
+
+
+@functools.lru_cache(maxsize=4)
+def _strict_upper(k: int) -> np.ndarray:
+    """k x k ones above the diagonal and zeros on and below it, for the k rows of a
+    symmetric Gram block: k <= min(n, 2^16 / n) <= 256, so a mask is at most 512 KB.
+    Read-only, as every call with the same k shares it."""
+    mask = np.triu(np.ones((k, k)), 1)
+    mask.flags.writeable = False
+    return mask
 
 
 def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float | None) -> float:
@@ -288,8 +323,11 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
             if symmetric:
                 diagonal += float(phi[at:].sum())
         if symmetric:
-            # zero the lower half in place: a fresh block-sized copy costs page faults
-            terms[np.tri(*terms.shape, dtype=bool)] = 0.0
+            # zero the lower half in place (a fresh block-sized copy costs page faults):
+            # it lies in the first stop - start columns, and every term is >= 0, so the
+            # product is +0.0 there
+            rows = stop - start
+            terms[:, :rows] *= _strict_upper(rows)
         total += float(terms.sum())
     if symmetric:
         total = 2.0 * total + diagonal
@@ -420,6 +458,17 @@ def _sorted_quantile(vals: np.ndarray, p: float) -> float:
 _PSI4 = (4.0, 12.0, 3.0)
 _PSI6 = (-8.0, -60.0, -90.0, -15.0)
 _PSI4_SLOPE = (-8.0, -40.0, -30.0, 0.0)
+# psi(e) = (4e^2 + 12e + 3) exp(e), the psi4 pair term, lies in [-1.855, 3] for e <= 0:
+# it is least at e = (sqrt 10 - 5) / 2 = -0.919 and increases from there to psi(0) = 3;
+# below e = -4.08 it is positive and increases with e
+_PSI4_DIP = 0.5 * (math.sqrt(10.0) - 5.0)
+# the lower bracket end sums its pairs within this many pilot widths exactly; each
+# pair beyond has e < -18, where 0 < psi(e) < psi(-18) = 1.6e-5
+_SJ_NEAR = 6.0
+# the bracket ends' bounds on the psi4 sum S are widened by this share of 3 n^2, the
+# largest |S|, and r must clear h by this share of it: the exact pass rounds S by
+# under 1e-11 of 3 n^2, as a block's einsum adds at most 2^16 terms
+_SJ_SLACK = 1e-9
 
 
 @functools.cache
@@ -501,6 +550,75 @@ def _hermite_sums(u: np.ndarray) -> tuple[float, float, float]:
     return 2.0 * float(he4), 2.0 * float(he6), 2.0 * float(slope)
 
 
+def _psi4_term(e: float) -> float:
+    """psi(e) = (4 e^2 + 12 e + 3) exp(e), the psi4 pair term at e = -(d / g)^2 / 2."""
+    return (4.0 * e * e + 12.0 * e + 3.0) * math.exp(e)
+
+
+def _pair_sums(squares, g: float, poly: tuple[float, ...], slope: bool, work: np.ndarray) -> tuple[float, float]:
+    """Sums over the blocks of squared differences in ``squares`` of poly(e) exp(e)
+    and, with ``slope``, of ``_PSI4_SLOPE``(e) exp(e); e = -dsq / (2 g^2).
+
+    Each block is scaled once into e in the rows of ``work``, its polynomials are
+    evaluated by Horner's rule, and each sum is one einsum against the one
+    exp(e), numpy's own multiply-add loop: the last bits of a BLAS dot change
+    with its thread count.
+    """
+    total = slope_total = 0.0
+    scale = -0.5 / (g * g)
+    for dsq in squares:
+        ek, xk, tk = work[:, : dsq.size]
+        np.multiply(dsq, scale, out=ek)
+        np.exp(ek, out=xk)
+        _horner(poly, ek, tk)
+        total += float(np.einsum("i,i->", tk, xk))
+        if slope:
+            _horner(_PSI4_SLOPE, ek, tk)
+            slope_total += float(np.einsum("i,i->", tk, xk))
+    return total, slope_total
+
+
+def _sj_end_sign(z: np.ndarray, g: float, h: float, c1: float, near: bool, work: np.ndarray) -> float:
+    """The sign of the bandwidth equation F(h) = (c1 / psi4(g))^(1/5) - h of sorted
+    standardized ``z`` at a bracket end, +1.0 or -1.0, where bounds decide it; else 0.0.
+
+    psi4(g) = S / (n (n - 1) g^5 sqrt(2 pi)), where S is 3 n plus the sum over
+    i != j of psi(e_ij), e_ij = -((z_j - z_i) / g)^2 / 2, psi as at
+    ``_PSI4_DIP``.  At the upper end every e_ij lies in [-E, 0], E = (range /
+    g)^2 / 2, so S is at least 3 n + n (n - 1) min psi there and at most 3 n^2.
+    At the lower end (``near``) the pairs within ``_SJ_NEAR`` g are summed
+    exactly, in ``work``'s rows and whole-row chunks, and each other pair adds
+    between 0 and psi(-``_SJ_NEAR``^2 / 2).  Widened by ``_SJ_SLACK`` 3 n^2,
+    the bounds decide only while S stays above 0 and the r of one of them
+    clears h by a relative ``_SJ_SLACK``.
+    """
+    if not (isinstance(g, float) and 1e-30 < g < 1e30):
+        return 0.0  # a complex or extreme width goes to the exact pass, and what it raises
+    n = z.size
+    if near:
+        ends = np.searchsorted(z, z + _SJ_NEAR * g, side="right")
+        far = n * (n - 1) // 2 - (int(ends.sum()) - n * (n + 1) // 2)
+        least = 3.0 * n + 2.0 * _pair_sums(_near_squares(z, ends, work.shape[1]), g, _PSI4, False, work)[0]
+        most = least + 2.0 * far * _psi4_term(-0.5 * _SJ_NEAR**2)
+    else:
+        spread = 0.5 * (float(z[-1] - z[0]) / g) ** 2
+        least = 3.0 * n + n * (n - 1) * _psi4_term(max(-spread, _PSI4_DIP))
+        most = 3.0 * n * n
+    slack = _SJ_SLACK * 3.0 * n * n
+    least, most = least - slack, most + slack
+    if not least > 0.0:
+        return 0.0
+    norm = c1 * n * (n - 1) * g**5 * _SQRT_2PI
+    r_low, r_high = (norm / most) ** 0.2, (norm / least) ** 0.2
+    if not math.isfinite(r_high):
+        return 0.0
+    if r_low > h * (1.0 + _SJ_SLACK):
+        return 1.0
+    if r_high < h * (1.0 - _SJ_SLACK):
+        return -1.0
+    return 0.0
+
+
 def sheather_jones_bandwidth(s: SampleBatch) -> float:
     """Solve-the-equation plug-in bandwidth for a Gaussian kernel.
 
@@ -511,17 +629,21 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     [1e-3, 1e3] * n^(-1/5), else :class:`NoBracket`.  It is solved by Newton's
     method from n^(-1/5) inside that bracket, which each evaluation narrows; a
     step that would leave the bracket, or not halve the step before it,
-    bisects instead.  The solve stops at a step of at most ``_SJ_STEP`` and
-    takes about 9 pair-sum passes, counting the two pilots and the two
-    bracket ends.  While the pairs fit ``_SJ_KEEP_TERMS`` (n <= 362), every
+    bisects instead.  Only the signs of F at the bracket ends reach the solve,
+    and bounds on psi4 decide them (:func:`_sj_end_sign`): the sample's range
+    at the upper end, the pairs within ``_SJ_NEAR`` pilot widths at the lower.
+    An end they leave undecided takes the exact pass, so every bandwidth and
+    every :class:`NoBracket` is the exact passes' own.  The solve stops at a
+    step of at most ``_SJ_STEP`` and takes about 7 pair-sum passes, counting
+    the two pilots.  While the pairs fit ``_SJ_KEEP_TERMS`` (n <= 362), every
     pass runs over the sorted blocks of ``_upper_squares``, kept for the whole
     solve: it scales each block's squared differences once into the exponent
     e = -w/2, evaluates the psi4 (or psi6) and slope polynomials in e by
     Horner's rule, and reduces each against the one shared exp(e).  A larger
     sample keeps nothing.  A pass whose pairs within ``_SJ_WINDOW`` pilot
     widths exceed ``_FGT_PAIRS_PER_BOX`` per occupied box takes the Hermite
-    fast Gauss transform (:func:`_hermite_sums`); a sparser one, such as the
-    lower bracket end, sums its windowed blocks directly in the same way.
+    fast Gauss transform (:func:`_hermite_sums`); a sparser one sums its
+    windowed blocks directly in the same way.
     """
     if s.n < 5:
         raise DegenerateSample(f"bandwidth selection needs n >= 5, got {s.n}")
@@ -541,12 +663,12 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
 
     z = vals / sd
     pairs = n * (n - 1) // 2
-    # one solve makes some 9 passes over the pairs: while they fit one block the
+    # one solve makes some 7 passes over the pairs: while they fit one block the
     # blocks are kept for all of them
     kept = list(_upper_squares(z, math.inf)) if pairs <= _SJ_KEEP_TERMS else None
     # every direct pass works in these, sized to the largest block: fresh block-sized
     # arrays at each pass cost page faults
-    e, expo, terms = np.empty((3, min(pairs, max(_BLOCK_TERMS, n))))
+    work = np.empty((3, min(pairs, max(_BLOCK_TERMS, n))))
 
     def sums(g: float, poly: tuple[float, ...], slope: bool = False) -> tuple[float, float]:
         """Sums over all (i, j), the diagonal included, of poly(e) exp(e) and, with
@@ -554,9 +676,7 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
 
         Above the keep cap a pass whose windowed pairs exceed
         ``_FGT_PAIRS_PER_BOX`` per occupied box takes :func:`_hermite_sums`.
-        Any other pass sums the pairs directly, each sum one einsum, numpy's
-        own multiply-add loop: the last bits of a BLAS dot change with its
-        thread count.
+        Any other pass sums the pairs directly (:func:`_pair_sums`).
         """
         if kept is None:
             u = (z - z[n // 2]) / g  # offsets from the median: rounding follows the spread
@@ -565,18 +685,8 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
             if within > _FGT_PAIRS_PER_BOX * boxes:
                 he4, he6, slope_total = _hermite_sums(u)
                 return (he6, 0.0) if poly is _PSI6 else (he4, slope_total)
-        total = slope_total = 0.0
-        scale = -0.5 / (g * g)
-        for dsq in kept if kept is not None else _upper_squares(z, _SJ_WINDOW * g):
-            k = dsq.size
-            ek, xk, tk = e[:k], expo[:k], terms[:k]
-            np.multiply(dsq, scale, out=ek)
-            np.exp(ek, out=xk)
-            _horner(poly, ek, tk)
-            total += float(np.einsum("i,i->", tk, xk))
-            if slope:
-                _horner(_PSI4_SLOPE, ek, tk)
-                slope_total += float(np.einsum("i,i->", tk, xk))
+        squares = kept if kept is not None else _upper_squares(z, _SJ_WINDOW * g)
+        total, slope_total = _pair_sums(squares, g, poly, slope, work)
         # the diagonal's terms are poly(0), the slope's 0
         return 2.0 * total + poly[-1] * n, 2.0 * slope_total
 
@@ -604,7 +714,11 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
 
     h0 = n ** (-0.2)
     lo, hi = 1e-3 * h0, 1e3 * h0
-    f_lo, f_hi = equation(lo)[0], equation(hi)[0]
+    # only the signs of F at the ends reach the solve: bounds decide them, or the exact pass
+    f_lo, f_hi = (
+        _sj_end_sign(z, alpha2_coeff * end ** (5.0 / 7.0), end, c1, near, work) or equation(end)[0]
+        for end, near in ((lo, True), (hi, False))
+    )
     if f_lo * f_hi > 0:
         raise NoBracket(
             f"bandwidth equation has no sign change in [{lo * sd:.3e}, {hi * sd:.3e}]"

@@ -495,6 +495,47 @@ def test_sj_without_sign_change_raises_no_bracket(sj_blocks):
         sheather_jones_bandwidth(SampleBatch(x))
 
 
+_BRACKET_SIZES = (5, 50, 200, 362, 363, 800, 3200)
+# the heavy-tailed samples of the next test whose bandwidth equation has no sign change
+_BRACKET_NO_SIGN_CHANGE = {"cauchy": (3200,), "lognormal": (50, 200, 3200)}
+
+
+@pytest.mark.parametrize("kind", ["exponential", "normal", "rounded", "cauchy", "pareto", "lognormal"])
+def test_sj_bracket_bounds_match_the_exact_passes(sj_blocks, monkeypatch, kind):
+    # only the signs of F at the bracket ends reach the solve, so where the bounds
+    # decide a sign every bandwidth, and every error, is the exact passes' own
+    def outcome(x):
+        try:
+            return sheather_jones_bandwidth(SampleBatch(x)).hex()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    bound, signs = estimation._sj_end_sign, []
+    no_sign_change = []
+    for n in _BRACKET_SIZES:
+        rng = np.random.default_rng(n)
+        x = {
+            "exponential": lambda: rng.exponential(size=n),
+            "normal": lambda: rng.normal(size=n),
+            "rounded": lambda: np.round(rng.exponential(size=n), 1),  # ties
+            "cauchy": lambda: rng.standard_cauchy(size=n),
+            "pareto": lambda: rng.pareto(1.0, size=n),
+            "lognormal": lambda: rng.lognormal(0.0, 3.0, size=n),
+        }[kind]()
+        monkeypatch.setattr(estimation, "_sj_end_sign", lambda *args: signs.append(bound(*args)) or signs[-1])
+        del signs[:]
+        got = outcome(x)
+        monkeypatch.setattr(estimation, "_sj_end_sign", lambda *args: 0.0)
+        exact = outcome(x)
+        assert got == exact, n
+        if kind in ("exponential", "normal", "rounded"):
+            assert signs == [1.0, -1.0], n  # the bounds decided both ends
+        if exact[0] is NoBracket:
+            no_sign_change.append(n)
+            assert signs[0] == -1.0, n  # the root lies below the bracket
+    assert tuple(no_sign_change) == _BRACKET_NO_SIGN_CHANGE.get(kind, ())
+
+
 def test_sample_batch_validation():
     with pytest.raises(DegenerateSample):
         SampleBatch(np.array([1.0]))
