@@ -266,6 +266,8 @@ def parse_family(text: str) -> DistributionModel:
     kwargs: dict[str, float | bool] = {}
     for key, value in (p.partition("=")[::2] for p in parts) if keyed else zip(floats, parts):
         key, value = key.strip().lower(), value.strip().lower()
+        if ("include_atom" if key == "atom" else key) in kwargs:
+            raise InvalidParameter(f"parameter {key!r} given twice in {text!r}")
         if key == "atom" and cls is ConstantReversedHazardParams:
             if value not in _FLAGS:
                 raise InvalidParameter(f"atom takes true/false, yes/no, on/off or 1/0, got {value!r} in {text!r}")

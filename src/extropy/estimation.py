@@ -8,11 +8,11 @@ centres, so int fhat ghat is a finite double sum over the two samples
 (Wand & Jones 1995, *Kernel Smoothing*; the estimate is half the L2
 two-sample statistic of Anderson, Hall & Titterington 1994).  A dense
 whole-line sum takes the Hermite fast Gauss transform (Greengard & Strain
-1991), as the bandwidth's dense passes do; the rest are direct sums over
-sorted blocks.  By default the integral runs over the whole line, which
-makes the estimate invariant (up to rounding) under a common shift of both
-samples; a lower support bound (at or below every observation) and boundary
-reflection are available as options.
+1991), as every bandwidth pass above 362 points does; the rest are direct
+sums over sorted blocks.  By default the integral runs over the whole
+line, which makes the estimate invariant (up to rounding) under a common
+shift of both samples; a lower support bound (at or below every
+observation) and boundary reflection are available as options.
 ``estimate_relative_extropy`` selects both bandwidths itself;
 ``estimate_pairwise_relative_extropy`` takes them given, for any number of
 samples.  The module needs numpy alone: a lower bound's normal cdf factor is
@@ -75,11 +75,10 @@ _KERNEL_WINDOW = 8.0
 # kernel terms evaluated at once, which bounds the working memory at every n
 _BLOCK_TERMS = 1 << 16
 # pair terms the Sheather-Jones sums keep across one solve: all, while they fit
-# one block (n <= 362); else none, and each pass takes the Hermite transform or,
-# when sparse, rebuilds its windowed blocks (~2.5 MB)
+# one block (n <= 362); else none, and every pass takes the Hermite transform
 _SJ_KEEP_TERMS = _BLOCK_TERMS
-# u^6 exp(-u^2 / 2) is below 1e-18 of its peak for |u| > 10.5; the
-# Sheather-Jones sums drop pairs farther apart than that many pilot widths
+# u^6 exp(-u^2 / 2) is below 1e-18 of its peak for |u| > 10.5: pairs farther
+# apart than that many pilot widths lie beyond the transform's reach
 _SJ_WINDOW = 10.5
 # the Sheather-Jones solve stops at a Newton step this small on the standardized
 # scale, where the step is the error: half the 1e-14 the reference bandwidths of
@@ -90,14 +89,6 @@ _SJ_STEP = 0.5e-14
 # term), and boxes more than _FGT_REACH apart hold no pair within _SJ_WINDOW
 _FGT_TERMS = 28
 _FGT_REACH = math.ceil(_SJ_WINDOW) + 1
-# a pass takes the transform when its windowed pairs exceed this many per occupied
-# box: the transform costs about 7 us a box, the windowed direct sum 6 ns a pair
-# plus its rows' and blocks' overheads.  Timed on normal, lognormal, Cauchy and
-# rounded samples, n = 363-3,200: the two tie between 650 (n = 3,200) and 1,300
-# (n = 363) pairs a box, and below 600 the direct sum won every pass, by up to
-# 7x on the sparsest: the lower bracket end's exact pass, run only where its
-# bounds leave its sign undecided
-_FGT_PAIRS_PER_BOX = 600
 # the whole-line Gram sums' transform: boxes one tau wide, so boxes more than
 # _GRAM_REACH apart hold no pair within _KERNEL_WINDOW.  A sum takes it when its pairs
 # within the window exceed _GRAM_PAIRS_PER_BOX per occupied box (never for n m <=
@@ -215,16 +206,6 @@ def _row_squares(z: np.ndarray, start: int, stop: int, ends) -> np.ndarray:
     diffs -= np.repeat(z[start:stop], lengths)
     diffs *= diffs
     return diffs
-
-
-def _upper_squares(z: np.ndarray, reach: float):
-    """Squared differences z_j - z_i, j > i, of sorted ``z`` by row block, within ``reach``.
-
-    Row i of a block runs from column i + 1 to the block's window end, so one
-    block is the upper half in row-major order.
-    """
-    for start, stop, _, hi in _blocks(z, z, reach):
-        yield _row_squares(z, start, stop, hi)
 
 
 def _near_squares(z: np.ndarray, ends: np.ndarray, size: int):
@@ -636,14 +617,13 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     every :class:`NoBracket` is the exact passes' own.  The solve stops at a
     step of at most ``_SJ_STEP`` and takes about 7 pair-sum passes, counting
     the two pilots.  While the pairs fit ``_SJ_KEEP_TERMS`` (n <= 362), every
-    pass runs over the sorted blocks of ``_upper_squares``, kept for the whole
-    solve: it scales each block's squared differences once into the exponent
-    e = -w/2, evaluates the psi4 (or psi6) and slope polynomials in e by
-    Horner's rule, and reduces each against the one shared exp(e).  A larger
-    sample keeps nothing.  A pass whose pairs within ``_SJ_WINDOW`` pilot
-    widths exceed ``_FGT_PAIRS_PER_BOX`` per occupied box takes the Hermite
-    fast Gauss transform (:func:`_hermite_sums`); a sparser one sums its
-    windowed blocks directly in the same way.
+    pass runs over their sorted blocks, kept for the whole solve: it scales
+    each block's squared differences once into the exponent e = -w/2,
+    evaluates the psi4 (or psi6) and slope polynomials in e by Horner's rule,
+    and reduces each against the one shared exp(e).  Above that every pass
+    takes the Hermite fast Gauss transform (:func:`_hermite_sums`), where an
+    undecided lower end costs 2-6 times a windowed direct sum on light tails
+    and less on heavy ones; no measured solve left that end undecided.
     """
     if s.n < 5:
         raise DegenerateSample(f"bandwidth selection needs n >= 5, got {s.n}")
@@ -664,29 +644,20 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     z = vals / sd
     pairs = n * (n - 1) // 2
     # one solve makes some 7 passes over the pairs: while they fit one block the
-    # blocks are kept for all of them
-    kept = list(_upper_squares(z, math.inf)) if pairs <= _SJ_KEEP_TERMS else None
-    # every direct pass works in these, sized to the largest block: fresh block-sized
-    # arrays at each pass cost page faults
+    # blocks (the upper half, by _blocks' rows) are kept for all of them
+    kept = [_row_squares(z, i, j, n) for i, j, _, _ in _blocks(z, z, math.inf)] if pairs <= _SJ_KEEP_TERMS else None
+    # the kept and the near-pair passes work in these: fresh arrays at each pass cost page faults
     work = np.empty((3, min(pairs, max(_BLOCK_TERMS, n))))
 
     def sums(g: float, poly: tuple[float, ...], slope: bool = False) -> tuple[float, float]:
         """Sums over all (i, j), the diagonal included, of poly(e) exp(e) and, with
-        ``slope``, of ``_PSI4_SLOPE``(e) exp(e); e = -((z_j - z_i) / g)^2 / 2.
-
-        Above the keep cap a pass whose windowed pairs exceed
-        ``_FGT_PAIRS_PER_BOX`` per occupied box takes :func:`_hermite_sums`.
-        Any other pass sums the pairs directly (:func:`_pair_sums`).
-        """
+        ``slope``, of ``_PSI4_SLOPE``(e) exp(e); e = -((z_j - z_i) / g)^2 / 2, by
+        :func:`_pair_sums` over the kept blocks, else by :func:`_hermite_sums`."""
         if kept is None:
-            u = (z - z[n // 2]) / g  # offsets from the median: rounding follows the spread
-            boxes = 1 + np.count_nonzero(np.diff(np.floor(u)))
-            within = int(np.searchsorted(u, u + _SJ_WINDOW, side="right").sum()) - n * (n + 1) // 2
-            if within > _FGT_PAIRS_PER_BOX * boxes:
-                he4, he6, slope_total = _hermite_sums(u)
-                return (he6, 0.0) if poly is _PSI6 else (he4, slope_total)
-        squares = kept if kept is not None else _upper_squares(z, _SJ_WINDOW * g)
-        total, slope_total = _pair_sums(squares, g, poly, slope, work)
+            # offsets from the median: rounding follows the spread
+            he4, he6, slope_total = _hermite_sums((z - z[n // 2]) / g)
+            return (he6, 0.0) if poly is _PSI6 else (he4, slope_total)
+        total, slope_total = _pair_sums(kept, g, poly, slope, work)
         # the diagonal's terms are poly(0), the slope's 0
         return 2.0 * total + poly[-1] * n, 2.0 * slope_total
 

@@ -288,3 +288,13 @@ def test_parse_family_forms():
                 "crh:a=1,b=2,atom=ture", "crh:1,2,true", "exp:1,rate=2", "exp:rate=1,atom=true"):
         with pytest.raises(InvalidParameter):
             parse_family(bad)
+
+
+@pytest.mark.parametrize(
+    "text", ["exp:rate=1,rate=2", "exp:rate=1,RATE=1", "weibull:shape=2,scale=1,shape=3",
+             "crh:a=1,b=2,atom=true,atom=false", "crh:a=1,b=2,atom=on,ATOM=on"],
+)
+def test_parse_family_refuses_a_repeated_parameter(text):
+    # the last value used to win, so a typo in one of two values passed silently
+    with pytest.raises(InvalidParameter, match="given twice"):
+        parse_family(text)

@@ -239,17 +239,40 @@ def test_normal_cdf_saturates_exactly():
 
 
 @pytest.mark.parametrize("n, reach", [(5, math.inf), (50, math.inf), (300, math.inf), (2100, 0.3)])
-def test_sj_pair_blocks_match_a_row_by_row_build(n, reach):
-    # n = 300 spans two row blocks, as the blocks a solve keeps (n <= 362) may;
-    # a finite reach is the window of a sparse pass above the keep cap
+def test_sj_pair_blocks_match_a_row_by_row_build(monkeypatch, n, reach):
+    # an infinite reach checks the blocks a solve keeps (n <= 362; n = 300 spans two
+    # row blocks), a finite one the lower bracket end's near pairs: rows of their own
+    # lengths, in whole-row chunks of at most `size` terms, here small enough for many
     z = np.sort(np.random.default_rng(n).lognormal(size=n))
-    blocks = list(estimation._upper_squares(z, reach))
-    reference = []
-    for start, stop, _, hi in estimation._blocks(z, z, reach):
-        diffs = np.concatenate([z[i + 1 : hi] - z[i] for i in range(start, stop)])
-        reference.append(diffs * diffs)
-    assert len(blocks) == len(reference) >= (2 if n >= 300 else 1)
-    assert all(np.array_equal(b, r) for b, r in zip(blocks, reference))
+    if reach == math.inf:
+        given, pair_sums = [], estimation._pair_sums
+
+        def recording(squares, *args):
+            given.append(squares)
+            return pair_sums(squares, *args)
+
+        monkeypatch.setattr(estimation, "_pair_sums", recording)
+        sheather_jones_bandwidth(SampleBatch(z))
+        blocks = given[0]  # every pass gets the one kept list
+        assert isinstance(blocks, list) and all(s is blocks for s in given if isinstance(s, list))
+        z = z / z.std(ddof=1)  # the solve works on the standardized sample
+        reference = []
+        for start, stop, _, _ in estimation._blocks(z, z, reach):
+            diffs = np.concatenate([z[i + 1 :] - z[i] for i in range(start, stop)])
+            reference.append(diffs * diffs)
+        assert len(blocks) == len(reference) >= (2 if n >= 300 else 1)
+        assert all(np.array_equal(b, r) for b, r in zip(blocks, reference))
+    else:
+        size = 2000
+        ends = np.searchsorted(z, z + reach, side="right")
+        chunks = list(estimation._near_squares(z, ends, size))
+        rows = [(z[i + 1 : ends[i]] - z[i]) ** 2 for i in range(n)]
+        assert max(r.size for r in rows) <= size < sum(r.size for r in rows) / 4
+        assert len(chunks) >= 4 and all(0 < c.size <= size for c in chunks)
+        # every chunk ends at the end of a row
+        row_ends = set(np.cumsum([r.size for r in rows]).tolist())
+        assert set(np.cumsum([c.size for c in chunks]).tolist()) <= row_ends
+        assert np.array_equal(np.concatenate(chunks), np.concatenate(rows))
 
 
 @pytest.mark.parametrize(
@@ -294,10 +317,14 @@ def _sj_pilot_width(z):
 
 
 def _direct_sum(z, g, poly):
-    """Windowed direct sum over all (i, j), diagonal included, of poly(e) exp(e),
-    its terms added in numpy's longdouble (80-bit on x86), as exact as fsum here."""
+    """Direct sum over all (i, j), diagonal included, of poly(e) exp(e) for the pairs
+    within ``_SJ_WINDOW`` pilot widths, built by broadcasting 256 rows at a time, its
+    terms added in numpy's longdouble (80-bit on x86), as exact as fsum here."""
     total = np.longdouble(0.0)
-    for dsq in estimation._upper_squares(z, estimation._SJ_WINDOW * g):
+    for start in range(0, z.size, 256):
+        rows = np.arange(start, min(start + 256, z.size))[:, None]
+        diffs = z[None, :] - z[rows]
+        dsq = (diffs * diffs)[(np.arange(z.size) > rows) & (diffs <= estimation._SJ_WINDOW * g)]
         e = dsq * (-0.5 / (g * g))
         terms = np.empty_like(e)
         estimation._horner(poly, e, terms)
@@ -328,16 +355,13 @@ def test_hermite_transform_matches_the_windowed_direct_sums(kind, n):
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), (g, poly)
 
 
-@pytest.fixture(params=["kept", "rebuilt", "windowed"])
+@pytest.fixture(params=["kept", "rebuilt"])
 def sj_blocks(request, monkeypatch):
     """SJ at every n of the tests with its pair blocks kept for the whole solve
     ("kept"), or with nothing kept and every pass by the Hermite transform
-    ("rebuilt": its moments are rebuilt at each pass) or by the windowed direct
-    sum ("windowed").  By default only n <= 362 keeps its blocks, and above that
-    a pass takes the transform when its windowed pairs exceed
-    ``_FGT_PAIRS_PER_BOX`` per occupied box."""
+    ("rebuilt": its moments are rebuilt at each pass).  By default only n <= 362
+    keeps its blocks, and every pass above that takes the transform."""
     monkeypatch.setattr(estimation, "_SJ_KEEP_TERMS", 1 << 22 if request.param == "kept" else 0)
-    monkeypatch.setattr(estimation, "_FGT_PAIRS_PER_BOX", math.inf if request.param == "windowed" else 0)
 
 
 def test_sj_scale_equivariance(sj_blocks):
@@ -384,9 +408,8 @@ def test_sj_matches_oracle_to_rounding(sj_blocks, kind, n):
 
 @pytest.mark.parametrize("n", [300, 1600])
 def test_sj_rebuilt_blocks_match_kept(monkeypatch, n):
-    # by default n = 300 keeps its blocks, and n = 1600 takes the path above the
-    # keep cap: the Hermite transform on dense passes, the windowed direct sum on
-    # sparse ones; each is compared with the other path
+    # by default n = 300 keeps its blocks, and n = 1600 takes the Hermite transform
+    # on every pass, the path above the keep cap; each is compared with the other path
     keeps = n * (n - 1) // 2 <= estimation._SJ_KEEP_TERMS
     assert keeps == (n == 300)
     rng = np.random.default_rng(31)
@@ -411,6 +434,22 @@ def test_sj_rebuilt_blocks_match_kept(monkeypatch, n):
     # every solve above the keep cap ran the transform, and no kept one did
     above, kept = (other, default) if keeps else (default, other)
     assert all(count > 0 for _, count in above) and all(count == 0 for _, count in kept)
+
+
+def test_sj_passes_above_the_keep_cap_all_take_the_transform(monkeypatch):
+    # the sums' path depends on n alone: with both bracket ends left to their exact
+    # passes, a sparse lower end included, every pass at n = 800 is a transform
+    x = np.random.default_rng(800).normal(size=800)
+    transforms, direct = [], []
+    hermite, pair_sums = estimation._hermite_sums, estimation._pair_sums
+    monkeypatch.setattr(estimation, "_hermite_sums", lambda u: transforms.append(u.size) or hermite(u))
+    monkeypatch.setattr(estimation, "_pair_sums", lambda *args: direct.append(1) or pair_sums(*args))
+    h = sheather_jones_bandwidth(SampleBatch(x))
+    bounded = len(transforms)
+    del transforms[:], direct[:]  # the lower end's bound sums its near pairs directly
+    monkeypatch.setattr(estimation, "_sj_end_sign", lambda *args: 0.0)
+    assert sheather_jones_bandwidth(SampleBatch(x)) == h
+    assert not direct and len(transforms) == bounded + 2  # the two ends' exact passes
 
 
 @pytest.mark.parametrize("n", [400, 1000, 1600, 2000, 3200])
