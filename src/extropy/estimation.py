@@ -12,11 +12,12 @@ whole-line sum takes the Hermite fast Gauss transform (Greengard & Strain
 sums over sorted blocks.  By default the integral runs over the whole
 line, which makes the estimate invariant (up to rounding) under a common
 shift of both samples; a lower support bound (at or below every
-observation) and boundary reflection are available as options.
+observation) and boundary reflection are available as options.  A bounded
+sum is the whole-line sum less a boundary term that separates into one sum
+per sample at a few quadrature nodes, so no normal cdf is evaluated.
 ``estimate_relative_extropy`` selects both bandwidths itself;
 ``estimate_pairwise_relative_extropy`` takes them given, for any number of
-samples.  The module needs numpy alone: a lower bound's normal cdf factor is
-the module's own :func:`_normal_cdf`, and the bandwidth's quartiles are read
+samples.  The module needs numpy alone: the bandwidth's quartiles are read
 off the sorted sample (:func:`_sorted_quantile`).
 
 The Monte-Carlo harness draws each replication from its own PCG64 substream,
@@ -102,41 +103,14 @@ _GRAM_PAIRS_PER_BOX = 10_000
 # clusters up to 1e5 boxes apart, n = 1,600), so a sum whose pairs lie more than
 # this many boxes from the centre on average, where that nears 1e-15, stays direct
 _GRAM_OFFSET = 256.0
-# Phi(z) rounds to exactly 1.0 in double precision for every z >= 8.3, so the
-# bounded Gram sums evaluate Phi only on the staircase of pairs below it: each
-# run of _PHI_ROWS rows takes its own column cut from its first (smallest) row
-_PHI_ONE = 8.3
-_PHI_ROWS = 16
-# 1 - Phi(z) = exp(-z^2 / 2) R(z) for z >= 0, and R(z) = erfcx(z / sqrt 2) / 2 is
-# _PHI_NUM(z) / _PHI_DEN(z) on [0, 8.5], highest power first, to a relative error of
-# 1e-17: a fit at 40 digits by scripts/derive_phi_coefficients.py, rounded to doubles.
-# Every coefficient is positive, so Horner's rule adds no cancellation.
-_PHI_NUM = (
-    3.95255002770078e-06,
-    0.00010299494938783691,
-    0.001279822726927431,
-    0.009820919554377324,
-    0.0507263659367906,
-    0.1807253640733471,
-    0.4362771232069861,
-    0.6613069441689924,
-    0.5,
-)
-_PHI_DEN = (
-    9.90757346363322e-06,
-    0.00025817006858211915,
-    0.0032179467479760823,
-    0.024875581710090817,
-    0.1303400526321844,
-    0.4771168241899392,
-    1.2143695451178032,
-    2.0644672201898153,
-    2.120498449140852,
-    1.0,
-)
-# points per pass of _normal_cdf: its temporaries, 64 KB each, stay in cache,
-# while a pass still amortizes the ~40 numpy calls it makes
-_PHI_CHUNK = 8192
+# the bounded Gram sums' boundary term integrates exp(-s^2 / 2) times sums of
+# exp(-u s), u >= 0, over s >= 0 by _BOUNDARY_NODES-point Gauss-Legendre on each
+# panel between _BOUNDARY_PANELS; beyond 9 the Gaussian is below 3e-19 of the
+# integral.  Against the Mills ratio at 40 digits, u in [0, 40], the rule in doubles
+# erred by at most 4.5e-16 of a pair's bounded term (one 24-point panel on [0, 8.5]:
+# 1.8e-15, and no faster in simulate, where the sums' other work dominates)
+_BOUNDARY_PANELS = (0.0, 2.0, 9.0)
+_BOUNDARY_NODES = 20
 # relative rounding error allowed in each kernel sum: measured under 2 ulps
 # (samples x against x (1 + 1e-12), n = 30 to 3000), with a 32-fold margin
 _SUM_ROUNDING = 64.0 * np.finfo(float).eps
@@ -156,28 +130,6 @@ def _horner(coeffs: tuple[float, ...], e: np.ndarray, out: np.ndarray) -> None:
         out *= e
     if coeffs[-1]:
         out += coeffs[-1]
-
-
-def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    """Standard normal cdf of a 1-D array of z >= 0 (or NaN), within a few ulps.
-
-    Phi(z) = 1 - exp(-r^2 / 2) R(r) with r = min(z, ``_PHI_ONE``): the subtracted
-    term is below 1/2 and needs only absolute accuracy, so one exp serves.  The
-    work runs in chunks of ``_PHI_CHUNK`` points, whose temporaries stay in cache.
-    """
-    out = np.empty(z.size)
-    for s in range(0, z.size, _PHI_CHUNK):
-        r, q = np.minimum(z[s : s + _PHI_CHUNK], _PHI_ONE), out[s : s + _PHI_CHUNK]
-        den = np.empty_like(r)
-        _horner(_PHI_DEN, r, den)
-        _horner(_PHI_NUM, r, q)
-        q /= den
-        r *= r
-        r *= -0.5
-        np.exp(r, out=r)
-        q *= r
-        np.subtract(1.0, q, out=q)
-    return out
 
 
 def _blocks(rows: np.ndarray, cols: np.ndarray, reach: float):
@@ -231,87 +183,118 @@ def _strict_upper(k: int) -> np.ndarray:
     return mask
 
 
+@functools.cache
+def _boundary_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s_k and weights W_k of ``_BOUNDARY_NODES``-point Gauss-Legendre on each
+    panel of ``_BOUNDARY_PANELS``, with exp(-s_k^2 / 2) taken into W_k, so that
+    sum_k W_k exp(-u s_k) is the Mills ratio M(u) = int_0^inf exp(-u s - s^2 / 2) ds.
+
+    The nodes t on [-1, 1] are the roots of the Legendre polynomial P_K, found by
+    Newton's method from cos(pi (k - 1/4) / (K + 1/2)), with P_K and P_(K-1) from
+    the three-term recurrence and P_K'(t) = K (t P_K - P_(K-1)) / (t^2 - 1); the
+    weights are 2 / ((1 - t^2) P_K'(t)^2).  numpy's leggauss gives the same rule
+    through LAPACK, whose first call adds about 0.8 MB to simulate's peak memory.
+    Built on the first call, so a process that never bounds a sum never builds them.
+    """
+    n = _BOUNDARY_NODES
+    t = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(6):  # the guesses lie within 3e-4 of the roots; four steps reach rounding
+        before, p = np.ones_like(t), t
+        for j in range(2, n + 1):
+            before, p = p, ((2 * j - 1) * t * p - (j - 1) * before) / j
+        slope = n * (t * p - before) / (t * t - 1.0)
+        t = t - p / slope
+    ends = np.array(_BOUNDARY_PANELS)
+    half, mid = 0.5 * np.diff(ends)[:, None], 0.5 * (ends[1:] + ends[:-1])[:, None]
+    s = (mid + half * t).ravel()
+    return s, (half * 2.0 / ((1.0 - t * t) * slope * slope)).ravel() * np.exp(-0.5 * s * s)
+
+
+def _boundary_sums(u: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """A(s_k) = sum_i exp(e_i - u_i s_k) at the nodes of :func:`_boundary_nodes`,
+    for ascending u >= 0 and descending e, in chunks of at most ``_BLOCK_TERMS``
+    terms; the points from the first whose exp(e_i) underflows on are skipped."""
+    s, _ = _boundary_nodes()
+    keep = int(np.count_nonzero(np.exp(e)))
+    step = max(1, _BLOCK_TERMS // s.size)
+    sums = np.zeros(s.size)
+    for start in range(0, keep, step):
+        terms = np.multiply.outer(s, u[start : start + step])
+        np.subtract(e[start : start + step], terms, out=terms)
+        np.exp(terms, out=terms)
+        sums += terms.sum(axis=1)
+    return sums
+
+
 def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float | None) -> float:
     """S = int_c^inf of the product of the mean kernels on sorted ``x`` and ``y``.
 
     Term by term, int_c^inf phi_bx(t - x_i) phi_by(t - y_j) dt equals
-    phi_tau(x_i - y_j) Phi((mu_ij - c) / s) with tau^2 = bx^2 + by^2,
-    mu_ij = (x_i by^2 + y_j bx^2) / tau^2 and s = bx by / tau; without a
-    lower bound c the Phi factor is 1.  S is the mean over all (i, j).
+    phi_tau(d) Phi(r) with tau^2 = bx^2 + by^2, d = (x_i - y_j) / tau and
+    r = u_i + v_j, u_i = (x_i - c) by / (bx tau), v_j = (y_j - c) bx / (by tau);
+    without a lower bound c the Phi factor is 1.  S is the mean over all (i, j).
 
-    A whole-line sum whose pairs within ``_KERNEL_WINDOW`` * tau exceed
-    ``_GRAM_PAIRS_PER_BOX`` per occupied box takes the Hermite transform
-    (:func:`_hermite_transform`) of exp(-d^2 / 2), d = (x_i - y_j) / tau, in
-    boxes one tau wide, offset from x's middle sample, unless an offset
-    overflows or its pairs lie more than ``_GRAM_OFFSET`` boxes from that
-    sample on average.  Any other sum is direct, and drops terms farther
-    apart than ``_KERNEL_WINDOW`` * tau.
-    When x and y are the same points at the same bandwidth, the strict upper
-    half is summed once and counted twice, plus the diagonal.  Phi
-    (:func:`_normal_cdf`) is evaluated only where u_i + v_j < ``_PHI_ONE``,
-    in one call per row block.
+    The whole-line sum comes first.  One whose pairs within ``_KERNEL_WINDOW``
+    * tau exceed ``_GRAM_PAIRS_PER_BOX`` per occupied box takes the Hermite
+    transform (:func:`_hermite_transform`) of exp(-d^2 / 2) in boxes one tau
+    wide, offset from x's middle sample, unless an offset overflows or its
+    pairs lie more than ``_GRAM_OFFSET`` boxes from that sample on average.
+    Any other sum is direct, and drops terms farther apart than
+    ``_KERNEL_WINDOW`` * tau.  When x and y are the same points at the same
+    bandwidth, the strict upper half is summed once and counted twice, plus
+    the diagonal.
+
+    A bound subtracts the pairs' shares below c, phi_tau(d) (1 - Phi(r)).  Since
+    d^2 + r^2 = a^2 + b^2 with a = (x_i - c) / bx and b = (y_j - c) / by, each
+    share is exp(-a^2 / 2) exp(-b^2 / 2) M(r) / (2 pi tau), M the Mills ratio,
+    and M(u + v) = int_0^inf exp(-s^2 / 2) exp(-u s) exp(-v s) ds separates: the
+    shares add up to int_0^inf exp(-s^2 / 2) A(s) B(s) ds / (2 pi tau), with A
+    and B the sums of exp(-a^2 / 2 - u s) and exp(-b^2 / 2 - v s)
+    (:func:`_boundary_sums`; B is A for a self sum).  Every share is at most
+    half its pair's term, so the subtraction loses at most one bit.
     """
     tau = math.hypot(bx, by)
     symmetric = bx == by and (x is y or np.array_equal(x, y))
-    if lower is None:
-        centre = x[x.size // 2]  # rounding follows the spread, not the location
-        u = (x - centre) / tau
-        v = u if symmetric else (y - centre) / tau
-        counts = np.searchsorted(v, u + _KERNEL_WINDOW, side="right")
-        counts -= np.searchsorted(v, u - _KERNEL_WINDOW)
-        pairs = int(counts.sum())
-        boxes = 1 + np.count_nonzero(np.diff(np.floor(u if symmetric else np.sort(np.concatenate((u, v))))))
-        # |u| over the pairs, NaN or inf where an offset overflows; so must v's ends be finite
-        offset = float(np.einsum("i,i->", np.abs(u), counts.astype(float)))
-        dense = pairs > _GRAM_PAIRS_PER_BOX * boxes and offset <= _GRAM_OFFSET * pairs
-        if dense and np.isfinite(v[[0, -1]]).all():
-            coeffs, moments = _hermite_transform((u,) if symmetric else (u, v), _hermite_tables()[1])
-            # sources x and y against targets y and x; a self sum, twice x against x
-            total = float(np.einsum("stc,stc->", coeffs, moments[::-1]))
-            return (2.0 if symmetric else 1.0) * total / (x.size * y.size * _SQRT_2PI * tau)
+    centre = x[x.size // 2]  # rounding follows the spread, not the location
+    u = (x - centre) / tau
+    v = u if symmetric else (y - centre) / tau
+    counts = np.searchsorted(v, u + _KERNEL_WINDOW, side="right")
+    counts -= np.searchsorted(v, u - _KERNEL_WINDOW)
+    pairs = int(counts.sum())
+    boxes = 1 + np.count_nonzero(np.diff(np.floor(u if symmetric else np.sort(np.concatenate((u, v))))))
+    # |u| over the pairs, NaN or inf where an offset overflows; so must v's ends be finite
+    offset = float(np.einsum("i,i->", np.abs(u), counts.astype(float)))
+    dense = pairs > _GRAM_PAIRS_PER_BOX * boxes and offset <= _GRAM_OFFSET * pairs
+    if dense and np.isfinite(v[[0, -1]]).all():
+        coeffs, moments = _hermite_transform((u,) if symmetric else (u, v), _hermite_tables()[1])
+        # sources x and y against targets y and x; a self sum, twice x against x
+        total = (2.0 if symmetric else 1.0) * float(np.einsum("stc,stc->", coeffs, moments[::-1]))
     else:
-        # (mu_ij - c) / s split into a row part and a column part
-        u = (x - lower) * (by / (bx * tau))
-        v = (y - lower) * (bx / (by * tau))
-    total = 0.0
-    diagonal = 0.0 if lower is not None else float(x.size)
-    for start, stop, lo, hi in _blocks(x, y, _KERNEL_WINDOW * tau):
-        if symmetric:
-            lo = start  # the strict upper half; the window starts at or before it
-        terms = np.subtract.outer(x[start:stop], y[lo:hi])
-        np.square(terms, out=terms)
-        terms *= -0.5 / (tau * tau)
-        np.exp(terms, out=terms)
-        if lower is not None:
-            # u and v increase along the sorted axes: u[first] + v is the smallest
-            # argument in each column of the rows from ``first``, and Phi is exactly
-            # 1.0 from column ``one`` on; a symmetric sum needs no column before ``first``
-            tiles, args = [], []
-            for first in range(start, stop, _PHI_ROWS):
-                left = first if symmetric else lo
-                one = left + int(np.searchsorted(v[left:hi], _PHI_ONE - u[first], side="left"))
-                if one > left:
-                    last = min(first + _PHI_ROWS, stop)
-                    tiles.append(terms[first - start : last - start, left - lo : one - lo])
-                    args.append(np.add.outer(u[first:last], v[left:one]).ravel())
+        total = 0.0
+        for start, stop, lo, hi in _blocks(x, y, _KERNEL_WINDOW * tau):
             if symmetric:
-                args.append(u[start:stop] + v[start:stop])  # the block's diagonal, last
-            phi = _normal_cdf(np.concatenate(args)) if args else None
-            at = 0
-            for tile in tiles:
-                tile *= phi[at : at + tile.size].reshape(tile.shape)
-                at += tile.size
+                lo = start  # the strict upper half; the window starts at or before it
+            terms = np.subtract.outer(x[start:stop], y[lo:hi])
+            np.square(terms, out=terms)
+            terms *= -0.5 / (tau * tau)
+            np.exp(terms, out=terms)
             if symmetric:
-                diagonal += float(phi[at:].sum())
+                # zero the lower half in place (a fresh block-sized copy costs page faults):
+                # it lies in the first stop - start columns, and every term is >= 0, so the
+                # product is +0.0 there
+                rows = stop - start
+                terms[:, :rows] *= _strict_upper(rows)
+            total += float(terms.sum())
         if symmetric:
-            # zero the lower half in place (a fresh block-sized copy costs page faults):
-            # it lies in the first stop - start columns, and every term is >= 0, so the
-            # product is +0.0 there
-            rows = stop - start
-            terms[:, :rows] *= _strict_upper(rows)
-        total += float(terms.sum())
-    if symmetric:
-        total = 2.0 * total + diagonal
+            total = 2.0 * total + x.size
+    if lower is not None:
+        a, b = (x - lower) / bx, (y - lower) / by
+        along_x = _boundary_sums(a * (by / tau), -0.5 * a * a)
+        along_y = along_x if symmetric else _boundary_sums(b * (bx / tau), -0.5 * b * b)
+        below = float(np.einsum("k,k,k->", _boundary_nodes()[1], along_x, along_y)) / _SQRT_2PI
+        # the boundary term also counts the pairs the window drops, so a sum made of
+        # those alone would come out below 0 by less than they weigh
+        total = max(total - below, 0.0)
     return total / (x.size * y.size * _SQRT_2PI * tau)
 
 
@@ -382,11 +365,11 @@ class KdeModel:
         """int fhat ghat over [lower, inf) in closed form (the line for ``None``).
 
         Both samples must lie at or above the bound, or the reflection point
-        of a reflected pair, else :class:`InvalidParameter`: every argument of
-        Phi is then >= 0.  Two densities reflected at the same c vanish below
+        of a reflected pair, else :class:`InvalidParameter`: the boundary
+        term's u and v are then >= 0 (:func:`_gram_sum`).  Two densities reflected at the same c vanish below
         it, and their product over [c, inf) unfolds onto the whole line:
         int_c^inf f_r g_r = int f g + int f(t) g(2c - t) dt, the plain kernel
-        sums over (x, y) and over (x, 2c - y) with no Phi factor.  Other
+        sums over (x, y) and over (x, 2c - y) with no boundary term.  Other
         combinations (different reflection points, a bound above c) are refused.
         """
         x, y = self.sample.values, other.sample.values

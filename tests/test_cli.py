@@ -537,8 +537,8 @@ def test_cli_commands_load_no_scipy(tmp_path, two_group_csv):
     # command here loads numpy.ma either (np.unique's first call imports it,
     # as np.percentile once did in the bandwidth of estimate, groups and
     # simulate, and np.quantile in the cuts of groups --quantiles).  simulate
-    # takes Phi under its lower bound, and verify on a Weibull shape below 1
-    # integrates pieces singular at 0: numpy serves both
+    # sums over quadrature nodes under its lower bound, and verify on a Weibull
+    # shape below 1 integrates pieces singular at 0: numpy serves both
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD, str(tmp_path), two_group_csv],

@@ -3,14 +3,12 @@ import itertools
 import math
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 from scipy.integrate import quad
-from scipy.special import ndtr
 
 from extropy import (
     ExponentialParams,
@@ -143,17 +141,78 @@ def test_bounded_inner_matches_all_pairs_oracle(kind, lower, n):
         assert f.inner(g, lower) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
+def _rows_gram_oracle(x, y, bx, by, lower, rows=400):
+    """``gram_oracle`` over blocks of ``rows`` rows of x, so that no block holds more
+    than rows * y.size pairs; each block's mean weighs by its rows."""
+    parts = [gram_oracle(x[i : i + rows], y, bx, by, lower) * x[i : i + rows].size for i in range(0, x.size, rows)]
+    return math.fsum(parts) / x.size
+
+
+@pytest.mark.parametrize("n", [2, 50])
+@pytest.mark.parametrize("ratio", [1e-3, 1.0, 1e3])
+def test_boundary_term_at_the_bound_and_at_extreme_width_ratios(n, ratio):
+    # both samples start exactly at the bound, so the pair of their smallest points
+    # has r = u + v = 0, where the boundary term is largest (half the pair's term);
+    # bx / by of 1e-3 and 1e3 put nearly every exp(-a^2 / 2) of one side below
+    # underflow and every exp(-v s) of the other near 1
+    rng = np.random.default_rng(n)
+    lower = 0.25
+    x, y = (np.sort(lower + np.append(0.0, rng.exponential(size=k - 1))) for k in (n, n + n // 5))
+    by = 0.4
+    bx = ratio * by
+    for a, b, wa, wb in ((x, x, bx, bx), (y, y, by, by), (x, y, bx, by), (y, x, by, bx)):
+        got = estimation._gram_sum(a, b, wa, wb, lower)
+        assert got == pytest.approx(gram_oracle(a, b, wa, wb, lower), rel=1e-13, abs=0.0), (wa, wb)
+
+
+def test_bound_far_below_the_data_leaves_the_whole_line_sum():
+    # 40 bandwidths below the smallest point every exp(-a^2 / 2) underflows: the
+    # boundary term adds nothing, and the sum is the whole-line sum bit for bit
+    rng = np.random.default_rng(5)
+    x, y = np.sort(rng.normal(size=300)), np.sort(rng.normal(0.5, 1.2, size=200))
+    bx, by = 0.3, 0.45
+    lower = min(x[0], y[0]) - 40.0 * max(bx, by)
+    assert math.exp(-0.5 * ((min(x[0], y[0]) - lower) / max(bx, by)) ** 2) == 0.0
+    for a, b, wa, wb in ((x, x, bx, bx), (x, y, bx, by)):
+        got = estimation._gram_sum(a, b, wa, wb, lower)
+        assert got == estimation._gram_sum(a, b, wa, wb, None)
+        assert got == pytest.approx(gram_oracle(a, b, wa, wb, lower), rel=1e-13, abs=0.0)
+
+
+def test_bounded_sum_of_pairs_beyond_the_window_is_not_negative():
+    # every pair lies farther apart than the direct sum's 8 tau, which drops it,
+    # while the boundary term counts it: the difference came out at -3.4e-36.  The
+    # true value is below exp(-32) of one term's peak, the window's own loss
+    x, y, b = np.array([0.0, 0.1]), np.array([2.5, 2.6]), 0.2
+    assert estimation._gram_sum(x, y, b, b, 0.0) == 0.0
+    assert 0.0 < gram_oracle(x, y, b, b, 0.0) < math.exp(-32.0) / (math.sqrt(2.0 * math.pi) * math.hypot(b, b))
+
+
+def test_dense_bounded_sums_take_the_transform(monkeypatch):
+    # above the cutover a bounded sum is the transform's whole-line sum less the
+    # boundary term: a cross sum of 3,200 against 800 points and a self sum of 800
+    calls = _count_gram_transforms(monkeypatch)
+    rng = np.random.default_rng(3200)
+    x, y = np.sort(rng.exponential(size=3200)), np.sort(1.5 * rng.exponential(size=800))
+    bx, by = 0.9 * 3200**-0.2, 1.3 * 800**-0.2
+    for a, b, wa, wb in ((x, y, bx, by), (y, y, by, by)):
+        got = estimation._gram_sum(a, b, wa, wb, 0.0)
+        assert got == pytest.approx(_rows_gram_oracle(a, b, wa, wb, 0.0), rel=1e-13, abs=0.0)
+    assert calls == [2, 1]
+
+
 @pytest.mark.parametrize("boundary_reflect", [False, True])
 def test_data_below_the_bound_are_refused_before_phi(monkeypatch, boundary_reflect):
     # a bound inside normal data once returned numbers, from Phi at negative
-    # arguments; now every entry point refuses them, and Phi sees only z >= 0
+    # arguments; now every entry point refuses them, and the boundary term's
+    # exponents u and v are >= 0
     seen = []
 
-    def recording_cdf(z, cdf=estimation._normal_cdf):
-        seen.append(float(z.min()))
-        return cdf(z)
+    def recording_sums(u, e, sums=estimation._boundary_sums):
+        seen.append(float(u[0]))  # u ascends
+        return sums(u, e)
 
-    monkeypatch.setattr(estimation, "_normal_cdf", recording_cdf)
+    monkeypatch.setattr(estimation, "_boundary_sums", recording_sums)
     rng = np.random.default_rng(7)
     sx, sy = SampleBatch(rng.normal(size=60)), SampleBatch(rng.normal(0.5, 1.0, size=60))
     above = SampleBatch(sx.values - sx.values[0])
@@ -167,13 +226,13 @@ def test_data_below_the_bound_are_refused_before_phi(monkeypatch, boundary_refle
             estimate_pairwise_relative_extropy((a, b), (0.3, 0.4), **options)
         with pytest.raises(InvalidParameter):
             KdeModel(a, 0.3, reflect_at).inner(KdeModel(b, 0.4, reflect_at), lower)
-    # only the self terms of samples above the bound reached Phi
-    assert all(z >= 0.0 for z in seen)
-    # data whose smallest observation is the bound are accepted, with Phi from z = 0
+    # only the self terms of samples above the bound reached the boundary term
+    assert all(u >= 0.0 for u in seen)
+    # data whose smallest observation is the bound are accepted, their u from 0
     seen.clear()
     at = SampleBatch(lower + (sy.values - sy.values[0]))
     estimate_pairwise_relative_extropy((at, SampleBatch(at.values + 0.1)), (0.3, 0.4), **options)
-    assert (seen == []) if boundary_reflect else (min(seen) == 0.0)
+    assert (seen == []) if boundary_reflect else (min(seen) == 0.0 and all(u >= 0.0 for u in seen))
     # a study whose bound is above its families' support draws data below it
     with pytest.raises(InvalidParameter, match="support hull"):
         McStudyConfig(UniformParams(-1.0, 1.0), UniformParams(-1.0, 2.0), n=20, reps=2,
@@ -187,52 +246,6 @@ def test_pairwise_estimate_needs_one_bandwidth_per_sample():
         with pytest.raises(InvalidParameter, match="bandwidths"):
             estimate_pairwise_relative_extropy(batches, bandwidths)
     assert estimate_pairwise_relative_extropy(batches, (0.3, 0.4, 0.5)).shape == (3, 3)
-
-
-# --- the normal cdf of the bounded Gram sums -----------------------------------
-
-
-def _ulps(value, exact):
-    """|value - exact| in units of the spacing of doubles at ``exact`` (subnormals: 4.9e-324)."""
-    tiny = np.finfo(float).smallest_subnormal
-    return np.abs(value - exact) / np.spacing(np.maximum(np.abs(exact), tiny))
-
-
-def _exact_ncdf(z):
-    mpmath.mp.dps = 30
-    return np.array([float(mpmath.ncdf(v)) for v in np.atleast_1d(z).tolist()])
-
-
-def test_normal_cdf_within_two_ulps_of_ndtr_above_zero():
-    # every bounded estimate takes Phi at z >= 0 (data below the bound are
-    # refused), where scipy's ndtr is itself within an ulp
-    z = np.linspace(0.0, estimation._PHI_ONE, 400_001)
-    assert _ulps(estimation._normal_cdf(z), ndtr(z)).max() <= 2.0
-
-
-def test_normal_cdf_within_a_few_ulps_of_the_exact_value():
-    # the domain is z >= 0: negative arguments never reach Phi
-    # (test_data_below_the_bound_are_refused_before_phi)
-    z = np.concatenate([np.linspace(0.0, estimation._PHI_ONE, 20_001), [5e-324, 1e-300, 8.29]])
-    assert _ulps(estimation._normal_cdf(z), _exact_ncdf(z)).max() <= 8.0
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=0.0, max_value=9.0))
-def test_normal_cdf_sweep_within_a_few_ulps(z):
-    assert _ulps(estimation._normal_cdf(np.array([z])), _exact_ncdf(z))[0] <= 8.0
-
-
-def test_normal_cdf_saturates_exactly():
-    # one at and above _PHI_ONE, which the Gram sums' staircase relies on; a
-    # NaN stays NaN
-    high = np.concatenate([np.linspace(estimation._PHI_ONE, 50.0, 10_001), [1e300, np.inf]])
-    assert np.all(estimation._normal_cdf(high) == 1.0)
-    assert np.isnan(estimation._normal_cdf(np.array([np.nan]))[0])
-    # chunk boundaries change nothing
-    z = np.linspace(0.0, 9.0, 3 * estimation._PHI_CHUNK + 5)
-    pieces = np.concatenate([estimation._normal_cdf(z[:7]), estimation._normal_cdf(z[7:])])
-    assert np.array_equal(estimation._normal_cdf(z), pieces)
 
 
 # --- Sheather-Jones bandwidth -------------------------------------------------
