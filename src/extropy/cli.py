@@ -104,6 +104,13 @@ def _numbers(text: str, flag: str, kind) -> list:
     return values
 
 
+def _inputs(args, *drop: str, **values) -> dict:
+    """A report's inputs: every parsed flag but the subcommand, its handler, the
+    measure name and ``--out``, less ``drop``, with ``values`` set in place."""
+    skip = {"command", "func", "name", "out", *drop}
+    return {key: value for key, value in vars(args).items() if key not in skip} | values
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -126,12 +133,7 @@ def cmd_measure(args) -> int:
     write_report(
         out / "report.json",
         f"measure {args.name}",
-        {
-            "family_x": args.family_x,
-            "family_y": args.family_y,
-            "t": args.t,
-            "atom_convention": args.atom_convention,
-        },
+        _inputs(args),
         {
             "measure_id": measure_id,
             "value": report.value,
@@ -169,12 +171,7 @@ def cmd_estimate(args) -> int:
     write_report(
         out / "report.json",
         "estimate",
-        {
-            "csv": list(args.csv),
-            "value_col": args.value_col,
-            "group_col": args.group_col,
-            "boundary_reflect": args.boundary_reflect,
-        },
+        _inputs(args),
         {
             "groups": list(ds.labels),
             "n": [batch.n for _, batch in ds.groups],
@@ -208,14 +205,7 @@ def cmd_simulate(args) -> int:
     write_report(
         out / "report.json",
         "simulate",
-        {
-            "family_x": args.family_x,
-            "family_y": args.family_y,
-            "n": sizes,
-            "reps": args.reps,
-            "seed": args.seed,
-            "boundary_reflect": args.boundary_reflect,
-        },
+        _inputs(args, n=sizes),
         {
             "true_value": true_value,
             "rows": [
@@ -244,13 +234,7 @@ def cmd_groups(args) -> int:
     write_report(
         out / "report.json",
         "groups",
-        {
-            "csv": args.csv,
-            "value_col": args.value_col,
-            "group_col": args.group_col,
-            "quantiles": args.quantiles,
-            "boundary_reflect": args.boundary_reflect,
-        },
+        _inputs(args),
         {
             "labels": list(matrix.labels),
             "group_sizes": [b.n for _, b in ds.groups],
@@ -335,23 +319,11 @@ def cmd_verify(args) -> int:
     write_report(
         out / "report.json",
         "verify",
-        {
-            "family_x": args.family_x,
-            "family_y": args.family_y,
-            "grid": list(grid.points),
-            "atom_convention": args.atom_convention,
-        },
+        _inputs(args, "t", grid=list(grid.points)),
         {
             "checks": checks,
             "bounds": bound_rows,
-            "orderings": {
-                "hr": orderings.hr,
-                "rh": orderings.rh,
-                "rex": orderings.rex,
-                "red": orderings.red,
-                "pex": orderings.pex,
-                "ped": orderings.ped,
-            },
+            "orderings": {name: getattr(orderings, name) for name in ("hr", "rh", "rex", "red", "pex", "ped")},
             "all_identities_hold": all_ok,
             "hypothesis_not_met": hypothesis_failed,
         },

@@ -67,11 +67,13 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # a Gaussian term farther than 8 of its widths from its centre is below
-# exp(-32) (about 1.3e-14) of its peak; kernel sums drop such terms.  That bounds
-# the loss per term, not per sum: a sum made mostly of such pairs loses more.  A
-# sparse reflected-image Gram sum lost up to 1.3e-13 of itself (normal, rounded and
-# 1e6-offset samples reflected at their smallest observation, n = 100-3,200, against
-# an all-pairs sum in long double), nine times the _SUM_ROUNDING of a sum
+# exp(-32) (about 1.3e-14) of its peak; kernel sums drop such terms (a self Gram
+# sum each one, row by row; a blocked sum those beyond its block's window).  That
+# bounds the loss per term, not per sum: a sum made mostly of such pairs loses
+# more.  A sparse reflected-image Gram sum lost up to 1.3e-13 of itself (normal,
+# rounded and 1e6-offset samples reflected at their smallest observation, n =
+# 100-3,200, against an all-pairs sum in long double), nine times the
+# _SUM_ROUNDING of a sum
 _KERNEL_WINDOW = 8.0
 # kernel terms evaluated at once, which bounds the working memory at every n
 _BLOCK_TERMS = 1 << 16
@@ -173,16 +175,6 @@ def _near_squares(z: np.ndarray, ends: np.ndarray, size: int):
         start = stop
 
 
-@functools.lru_cache(maxsize=4)
-def _strict_upper(k: int) -> np.ndarray:
-    """k x k ones above the diagonal and zeros on and below it, for the k rows of a
-    symmetric Gram block: k <= min(n, 2^16 / n) <= 256, so a mask is at most 512 KB.
-    Read-only, as every call with the same k shares it."""
-    mask = np.triu(np.ones((k, k)), 1)
-    mask.flags.writeable = False
-    return mask
-
-
 @functools.cache
 def _boundary_nodes() -> tuple[np.ndarray, np.ndarray]:
     """Nodes s_k and weights W_k of ``_BOUNDARY_NODES``-point Gauss-Legendre on each
@@ -238,11 +230,14 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
     * tau exceed ``_GRAM_PAIRS_PER_BOX`` per occupied box takes the Hermite
     transform (:func:`_hermite_transform`) of exp(-d^2 / 2) in boxes one tau
     wide, offset from x's middle sample, unless an offset overflows or its
-    pairs lie more than ``_GRAM_OFFSET`` boxes from that sample on average.
-    Any other sum is direct, and drops terms farther apart than
-    ``_KERNEL_WINDOW`` * tau.  When x and y are the same points at the same
-    bandwidth, the strict upper half is summed once and counted twice, plus
-    the diagonal.
+    pairs lie more than ``_GRAM_OFFSET`` boxes from that sample on average; the
+    rule runs only for n m > ``_GRAM_PAIRS_PER_BOX``, as no box of a smaller sum
+    can hold more pairs.  Any other sum is direct, and drops terms farther apart
+    than ``_KERNEL_WINDOW`` * tau.  When x and y are the same points at the same
+    bandwidth, each row's pairs above the diagonal within that window are
+    gathered as the Sheather-Jones bounds gather theirs (:func:`_near_squares`),
+    summed once and counted twice, plus the diagonal; cross and reflected-image
+    sums run over row blocks (:func:`_blocks`).
 
     A bound subtracts the pairs' shares below c, phi_tau(d) (1 - Phi(r)).  Since
     d^2 + r^2 = a^2 + b^2 with a = (x_i - c) / bx and b = (y_j - c) / by, each
@@ -255,38 +250,38 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
     """
     tau = math.hypot(bx, by)
     symmetric = bx == by and (x is y or np.array_equal(x, y))
-    centre = x[x.size // 2]  # rounding follows the spread, not the location
-    u = (x - centre) / tau
-    v = u if symmetric else (y - centre) / tau
-    counts = np.searchsorted(v, u + _KERNEL_WINDOW, side="right")
-    counts -= np.searchsorted(v, u - _KERNEL_WINDOW)
-    pairs = int(counts.sum())
-    boxes = 1 + np.count_nonzero(np.diff(np.floor(u if symmetric else np.sort(np.concatenate((u, v))))))
-    # |u| over the pairs, NaN or inf where an offset overflows; so must v's ends be finite
-    offset = float(np.einsum("i,i->", np.abs(u), counts.astype(float)))
-    dense = pairs > _GRAM_PAIRS_PER_BOX * boxes and offset <= _GRAM_OFFSET * pairs
-    if dense and np.isfinite(v[[0, -1]]).all():
+    dense = False
+    if x.size * y.size > _GRAM_PAIRS_PER_BOX:  # else no box holds more pairs than the cutover
+        centre = x[x.size // 2]  # rounding follows the spread, not the location
+        u = (x - centre) / tau
+        v = u if symmetric else (y - centre) / tau
+        counts = np.searchsorted(v, u + _KERNEL_WINDOW, side="right")
+        counts -= np.searchsorted(v, u - _KERNEL_WINDOW)
+        pairs = int(counts.sum())
+        boxes = 1 + np.count_nonzero(np.diff(np.floor(u if symmetric else np.sort(np.concatenate((u, v))))))
+        # |u| over the pairs, NaN or inf where an offset overflows; so must v's ends be finite
+        offset = float(np.einsum("i,i->", np.abs(u), counts.astype(float)))
+        dense = pairs > _GRAM_PAIRS_PER_BOX * boxes and offset <= _GRAM_OFFSET * pairs and np.isfinite(v[[0, -1]]).all()
+    if dense:
         coeffs, moments = _hermite_transform((u,) if symmetric else (u, v), _hermite_tables()[1])
         # sources x and y against targets y and x; a self sum, twice x against x
         total = (2.0 if symmetric else 1.0) * float(np.einsum("stc,stc->", coeffs, moments[::-1]))
+    elif symmetric:
+        ends = np.searchsorted(x, x + _KERNEL_WINDOW * tau, side="right")
+        total = 0.0
+        for terms in _near_squares(x, ends, _BLOCK_TERMS):
+            terms *= -0.5 / (tau * tau)
+            np.exp(terms, out=terms)
+            total += float(terms.sum())
+        total = 2.0 * total + x.size
     else:
         total = 0.0
         for start, stop, lo, hi in _blocks(x, y, _KERNEL_WINDOW * tau):
-            if symmetric:
-                lo = start  # the strict upper half; the window starts at or before it
             terms = np.subtract.outer(x[start:stop], y[lo:hi])
             np.square(terms, out=terms)
             terms *= -0.5 / (tau * tau)
             np.exp(terms, out=terms)
-            if symmetric:
-                # zero the lower half in place (a fresh block-sized copy costs page faults):
-                # it lies in the first stop - start columns, and every term is >= 0, so the
-                # product is +0.0 there
-                rows = stop - start
-                terms[:, :rows] *= _strict_upper(rows)
             total += float(terms.sum())
-        if symmetric:
-            total = 2.0 * total + x.size
     if lower is not None:
         a, b = (x - lower) / bx, (y - lower) / by
         along_x = _boundary_sums(a * (by / tau), -0.5 * a * a)

@@ -183,6 +183,26 @@ def test_verify_bound_residuals_are_never_negative_zero(tmp_path, fy):
         assert math.copysign(1.0, bound["max_abs_residual"]) == 1.0, bound
 
 
+def test_report_inputs_are_each_subcommands_flags_without_out(two_group_csv, tmp_path):
+    # the inputs are read off the parsed flags, so a new flag shows up here first
+    csv = ["--value-col", "value", "--group-col", "arm"]
+    pair = ["--family-x", "exp:rate=1", "--family-y", "exp:rate=2"]
+    cases = {
+        "measure": (["relative", *pair, "--t", "0.5"], {"family_x", "family_y", "t", "atom_convention"}),
+        "estimate": ([two_group_csv, *csv], {"csv", "value_col", "group_col", "boundary_reflect"}),
+        "simulate": ([*pair, "--n", "20,30", "--reps", "2"],
+                     {"family_x", "family_y", "n", "reps", "seed", "boundary_reflect"}),
+        "groups": ([two_group_csv, *csv], {"csv", "value_col", "group_col", "quantiles", "boundary_reflect"}),
+        "verify": (pair, {"family_x", "family_y", "grid", "atom_convention"}),
+    }
+    for command, (argv, keys) in cases.items():
+        out = tmp_path / command
+        assert run([command, *argv, "--out", str(out)]) == 0, command
+        inputs = json.loads((out / "report.json").read_text())["inputs"]
+        assert set(inputs) == keys and "out" not in inputs, (command, sorted(inputs))
+    assert json.loads((tmp_path / "simulate" / "report.json").read_text())["inputs"]["n"] == [20, 30]
+
+
 def test_estimate_two_files(tmp_path):
     rng = np.random.default_rng(15)
     for name, rate in (("x.csv", 1.0), ("y.csv", 2.0)):

@@ -123,10 +123,11 @@ def test_kde_inner_needs_one_reflection_point_at_or_above_the_bound():
 @pytest.mark.parametrize("n", [20, 200, 1500])
 @pytest.mark.parametrize("kind, lower", [("exponential", 0.0), ("normal", -0.3)])
 def test_bounded_inner_matches_all_pairs_oracle(kind, lower, n):
-    # n = 20 is one run of Phi rows, 200 several, 1500 several row blocks; the
-    # bound is the support's end under exponential data, and normal data are
-    # moved so that their pair's smallest observation is the bound, where the
-    # Phi arguments start at 0
+    # the whole-line sums are direct at n = 20 (below the transform's cutover) and
+    # 200, and take the Hermite transform at 1500; the boundary term takes one
+    # chunk at every size.  The bound is the support's end under exponential
+    # data, and normal data are moved so that their pair's smallest observation
+    # is the bound, where the boundary term's exponents u and v start at 0
     rng = np.random.default_rng(n)
     draw = rng.exponential if kind == "exponential" else rng.normal
     x, y = draw(size=n), 1.5 * draw(size=n)
@@ -203,9 +204,8 @@ def test_dense_bounded_sums_take_the_transform(monkeypatch):
 
 @pytest.mark.parametrize("boundary_reflect", [False, True])
 def test_data_below_the_bound_are_refused_before_phi(monkeypatch, boundary_reflect):
-    # a bound inside normal data once returned numbers, from Phi at negative
-    # arguments; now every entry point refuses them, and the boundary term's
-    # exponents u and v are >= 0
+    # a bound inside normal data once returned numbers; now every entry point
+    # refuses them before the boundary term, whose exponents u and v are >= 0
     seen = []
 
     def recording_sums(u, e, sums=estimation._boundary_sums):
