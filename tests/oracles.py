@@ -1,16 +1,19 @@
 """Independent oracles: brute-force quadrature, a from-scratch bandwidth solver,
-the families' closed-form hazards and closed-form measures.
+the families' closed-form hazards, closed-form measures and a row-at-a-time
+CSV reader.
 
 Nothing here touches the package's quadrature or estimation code paths; the
 point is to pin expected values through a second, dissimilar route.
 """
 
+import csv
 import math
 
 import numpy as np
 
-from extropy import ConstantReversedHazardParams
-from extropy.errors import InvalidParameter
+from extropy import ConstantReversedHazardParams, SampleBatch
+from extropy.errors import CsvParseError, InvalidParameter, MissingColumn, TooFewObservations
+from extropy.grouping import MIN_GROUP_SIZE, GroupedDataset
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -234,3 +237,76 @@ def crh_past_measures(
     divergence = xi - j_x
     relative = 2.0 * xi - j_x - j_y
     return j_x, xi, divergence, relative
+
+
+def _csv_records(path, columns):
+    """The rows of a header CSV as ``csv.DictReader`` dicts, each with ``DictReader.line_num``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in columns:
+            if col not in header:
+                raise MissingColumn(f"column {col!r} not in header {header} of {path}")
+        for row in reader:
+            yield reader.line_num, row
+
+
+def _csv_finite(line, column, cell):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise CsvParseError(line, column, cell) from None
+    if not math.isfinite(value):
+        raise CsvParseError(line, column, cell)
+    return value
+
+
+def _csv_group(label, members):
+    if len(members) < MIN_GROUP_SIZE:
+        raise TooFewObservations(label, len(members), MIN_GROUP_SIZE)
+    return SampleBatch(np.asarray(members))
+
+
+def load_sample_rows(path, value_column):
+    """``grouping.load_sample`` read one ``csv.DictReader`` row at a time."""
+    values = []
+    for line, row in _csv_records(path, [value_column]):
+        cell = (row.get(value_column) or "").strip()
+        if cell:
+            values.append(_csv_finite(line, value_column, cell))
+    return _csv_group(path, values)
+
+
+def load_csv_rows(path, value_column, group_column, cut_probabilities=None):
+    """``grouping.load_csv`` read one ``csv.DictReader`` row at a time, bands appended row by row."""
+    ps = cut_probabilities
+    dropped = 0
+    values, keys = [], []
+    for line, row in _csv_records(path, [value_column, group_column]):
+        raw_value = (row.get(value_column) or "").strip()
+        raw_key = (row.get(group_column) or "").strip()
+        if not raw_value or not raw_key:
+            dropped += 1
+            continue
+        values.append(_csv_finite(line, value_column, raw_value))
+        keys.append(raw_key if ps is None else _csv_finite(line, group_column, raw_key))
+    if not keys:
+        raise TooFewObservations("<dataset>", 0, 2)
+    if ps is None:
+        buckets = {}
+        for key, value in zip(keys, values):
+            buckets.setdefault(key, []).append(value)
+        ordered = sorted(buckets)
+    else:
+        arr = np.asarray(keys) + 0.0
+        cuts = np.quantile(arr, ps)
+        edges = [format(float(x), "g") for x in (arr.min(), *cuts, arr.max())]
+        labels = [f"[{edges[0]},{edges[1]}]"] + [f"({lo},{hi}]" for lo, hi in zip(edges[1:], edges[2:])]
+        buckets = {label: [] for label in labels}
+        for b, value in zip(np.searchsorted(cuts, arr, side="left"), values):
+            buckets[labels[int(b)]].append(value)
+        ordered = labels
+    return GroupedDataset(
+        groups=tuple((label, _csv_group(label, buckets[label])) for label in ordered),
+        dropped_rows=dropped,
+    )

@@ -19,6 +19,7 @@ from extropy.errors import CsvParseError, InvalidParameter, MissingColumn, TooFe
 from extropy.estimation import _sorted_quantile
 from extropy.grouping import GroupedDataset
 from extropy.reports import matrix_csv_text
+from oracles import load_csv_rows, load_sample_rows
 
 
 def write_csv(path, rows):
@@ -287,3 +288,136 @@ def test_matrix_propagates_an_error_that_is_not_the_packages(monkeypatch):
     with pytest.raises(ShapeError) as err:
         pairwise_matrix(ds)
     assert err.value is raised
+
+
+def _quirky_csv(path, records, plant=None, seed=3):
+    """``records`` (label, income, spending) rows with every quirk the reader keeps.
+
+    Blank lines, short rows, padded and whitespace-only cells, notes quoted
+    across lines, the spellings 1e3, 1_0, .5, " -0 " and +2, and a repeated
+    header name whose last column is the one read (the first holds "x").
+    ``plant`` maps a record index to column names and the cells to put
+    there, and "before" to the lines to put before the record.
+    """
+    rng = np.random.default_rng(seed)
+    spellings = ["1e3", "1_0", ".5", " -0 ", "+2"]
+    lines = ["label,income,spending,note,spending"]
+    for r in range(records):
+        cells = {
+            "label": f"  {'abc'[rng.integers(3)]} ",
+            "income": f"{rng.uniform(15.0, 137.0):.2f}",
+            "spending": f" {rng.normal(50.0, 11.0):.3f}",
+            "note": rng.choice(["n", '"a,b"', '"one\ntwo\nthree"', '"two\nlines"'], p=[0.85, 0.05, 0.05, 0.05]),
+        }
+        for col in ("income", "spending"):
+            if rng.random() < 0.04:
+                cells[col] = spellings[rng.integers(len(spellings))]
+            elif rng.random() < 0.01:
+                cells[col] = "   "
+        cells.update((plant or {}).get(r, {}))
+        lines.extend(cells.get("before", []))
+        row = [cells["label"], cells["income"], "x", cells["note"], cells["spending"]]
+        width = len(row) if rng.random() > 0.03 else int(rng.integers(1, len(row)))
+        lines.append(",".join(row[:width]))
+        lines.extend([""] * int(rng.integers(1, 3)) if rng.random() < 0.02 else [])
+    return write_csv(path, lines)
+
+
+def _outcome(load):
+    """What a load gives: its labels, each group's bytes and the dropped count, or its error."""
+    try:
+        got = load()
+    except (CsvParseError, MissingColumn, TooFewObservations) as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    if isinstance(got, SampleBatch):
+        return got.values.tobytes()
+    return got.labels, [batch.values.tobytes() for _, batch in got.groups], got.dropped_rows
+
+
+_PLANTS = {
+    "clean": {},
+    # bad cells early, late, in either column, after a bad cell of the other
+    # column, and both in one row (the value column is named first)
+    "nan value early": {40: {"spending": "nan"}},
+    "inf key late": {900: {"income": "inf"}},
+    "x value late": {700: {"spending": "x"}},
+    "-inf key early, x value later": {30: {"income": "-inf"}, 600: {"spending": "x"}},
+    "nan value early, x key later": {100: {"spending": "nan"}, 500: {"income": "x"}},
+    "both cells bad": {650: {"income": "zzz", "spending": "inf"}},
+    "blank and bad in one row": {300: {"income": "   ", "spending": "x"}, 310: {"spending": "   "}},
+    # blank lines and a cell quoted across lines before a bad record
+    "bad after blank lines": {420: {"before": ["", ""], "spending": "nan", "income": ".5"}},
+    "bad after a quoted cell": {419: {"note": '"one\n\ntwo"'}, 420: {"income": "x"}},
+}
+
+
+@pytest.mark.parametrize("plant", list(_PLANTS))
+def test_csv_readers_match_the_row_at_a_time_oracle(tmp_path, plant):
+    # 1,000 records are four chunks of grouping._CHUNK_ROWS = 256 rows
+    path = _quirky_csv(tmp_path / "quirky.csv", 1000, _PLANTS[plant])
+    loads = [
+        (lambda f: f(path, "spending", "label"), load_csv, load_csv_rows),
+        (lambda f: f(path, "spending", "income", (0.1, 0.3, 0.6)), load_csv, load_csv_rows),
+        (lambda f: f(path, "income", "label", (0.5,)), load_csv, load_csv_rows),
+        (lambda f: f(path, "spending"), grouping.load_sample, load_sample_rows),
+        (lambda f: f(path, "income"), grouping.load_sample, load_sample_rows),
+        (lambda f: f(path, "spending", "absent"), load_csv, load_csv_rows),
+    ]
+    for call, load, oracle in loads:
+        assert _outcome(lambda: call(load)) == _outcome(lambda: call(oracle))
+
+
+@pytest.mark.parametrize(
+    "text", ["", "\n", "\nlabel,spending\n", "label,spending\n", "label,spending\n\n\n", "label\na\n"]
+)
+def test_csv_readers_match_the_oracle_on_degenerate_files(tmp_path, text):
+    path = tmp_path / "degenerate.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(lambda: load_csv(str(path), "spending", "label")) == _outcome(
+        lambda: load_csv_rows(str(path), "spending", "label")
+    )
+    assert _outcome(lambda: grouping.load_sample(str(path), "spending")) == _outcome(
+        lambda: load_sample_rows(str(path), "spending")
+    )
+
+
+def _customer_lines(records, seed=11):
+    rng = np.random.default_rng(seed)
+    return [f"{i:.2f},{s:.3f},n" for i, s in zip(rng.uniform(15.0, 137.0, records), rng.normal(50.0, 11.0, records))]
+
+
+def test_parse_error_several_chunks_past_a_multiline_cell_names_its_line(tmp_path):
+    # record 3's note spans file lines 4-6; record 1,500 (file line 1,503), far
+    # past the first chunk of rows, holds the bad value
+    lines = _customer_lines(2000)
+    lines[2] = lines[2][:-1] + '"one\ntwo\nthree"'
+    lines[1499] = "71.50,zzz,n"
+    path = write_csv(tmp_path / "late.csv", ["income,spending,note", *lines])
+    loads = (
+        lambda: load_csv(path, "spending", "income", cut_probabilities=(0.1, 0.3, 0.6)),
+        lambda: load_csv(path, "spending", "note"),
+        lambda: grouping.load_sample(path, "spending"),
+    )
+    for load in loads:
+        with pytest.raises(CsvParseError) as err:
+            load()
+        assert (err.value.row, err.value.column) == (1503, "spending")
+
+
+def test_parse_error_names_a_bad_key_before_a_later_bad_value(tmp_path):
+    lines = _customer_lines(2000)
+    lines[1200] = "nan,41.250,n"  # file line 1,202
+    lines[1700] = "88.10,inf,n"  # file line 1,702
+    path = write_csv(tmp_path / "two.csv", ["income,spending,note", *lines])
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, "spending", "income", cut_probabilities=(0.5,))
+    assert (err.value.row, err.value.column) == (1202, "income")
+
+
+def test_parse_error_in_a_row_with_both_cells_bad_names_the_value(tmp_path):
+    lines = _customer_lines(2000)
+    lines[900] = "x,-inf,n"  # file line 902
+    path = write_csv(tmp_path / "both.csv", ["income,spending,note", *lines])
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, "spending", "income", cut_probabilities=(0.5,))
+    assert (err.value.row, err.value.column) == (902, "spending")
