@@ -151,8 +151,8 @@ def _pair_from_args(args) -> GroupedDataset:
     if len(args.csv) == 2:
         if args.group_col is not None:
             raise InvalidParameter("--group-col takes one CSV; two CSVs are labelled by their paths")
-        groups = tuple((path, load_sample(path, args.value_col)) for path in args.csv)
-        return GroupedDataset(groups=groups, dropped_rows=0)
+        (x, dropped_x), (y, dropped_y) = (load_sample(path, args.value_col) for path in args.csv)
+        return GroupedDataset(groups=tuple(zip(args.csv, (x, y))), dropped_rows=dropped_x + dropped_y)
     if len(args.csv) == 1:
         if not args.group_col:
             raise InvalidParameter("one CSV needs --group-col with exactly two groups")
@@ -175,6 +175,7 @@ def cmd_estimate(args) -> int:
         {
             "groups": list(ds.labels),
             "n": [batch.n for _, batch in ds.groups],
+            "dropped_rows": ds.dropped_rows,
             "bandwidths": list(matrix.bandwidths),
             "relative_extropy": value,
         },

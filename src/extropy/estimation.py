@@ -468,7 +468,8 @@ def _hermite_transform(us: tuple[np.ndarray, ...], table: np.ndarray) -> tuple[n
 
     The Hermite fast Gauss transform (Greengard & Strain 1991; Raykar &
     Duraiswami 2006) in unit boxes.  Box floor(u) holds M[k] = sum of b^k / k!,
-    k < ``_FGT_TERMS``, over its points, b = u - floor(u) - 1/2.  Points in
+    k < ``_FGT_TERMS``, over its points, b = u - floor(u) - 1/2: running products
+    along k over all points at once, then per-box sums along the points.  Points in
     boxes o apart are d = o + b_j - b_i apart, and Taylor's theorem about o
     gives He_m(d) exp(-d^2 / 2) as the sum over k and l of (b_i^k / k!)
     (b_j^l / l!) T_o[k, l], T_o[k, l] = (-1)^l He_(k+l+m)(o) exp(-o^2 / 2)
@@ -487,11 +488,12 @@ def _hermite_transform(us: tuple[np.ndarray, ...], table: np.ndarray) -> tuple[n
     moments = np.zeros((len(us), slots[-1] + 1, p))
     for own, u, box in zip(moments, us, boxes):
         starts = np.flatnonzero(np.diff(box, prepend=-math.inf))
-        powers = np.empty((u.size, p))
-        powers[:, 0] = 1.0
-        np.divide.outer(u - box - 0.5, np.arange(1.0, p), out=powers[:, 1:])
-        np.cumprod(powers, axis=1, out=powers)
-        own[slots[np.searchsorted(occupied, box[starts])]] = np.add.reduceat(powers, starts)
+        powers = np.empty((p, u.size))
+        powers[0] = 1.0
+        np.divide(u - box - 0.5, np.arange(1.0, p)[:, None], out=powers[1:])
+        for k in range(2, p):
+            powers[k] *= powers[k - 1]
+        own[slots[np.searchsorted(occupied, box[starts])]] = np.add.reduceat(powers, starts, axis=1).T
     coeffs = np.zeros((len(us), slots.size, table.shape[-1]))
     for o, t in enumerate(table):
         coeffs += np.einsum("stk,kc->stc", moments[:, slots - o], t)

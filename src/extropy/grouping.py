@@ -153,10 +153,11 @@ def _group(label: str, members) -> SampleBatch:
     return SampleBatch(np.asarray(members))
 
 
-def load_sample(path: str, value_column: str) -> SampleBatch:
-    """A column of a header CSV as one group labeled by its path, under ``load_csv``'s rules."""
-    (values,), _ = _read_columns(path, [value_column], 1)
-    return _group(path, values)
+def load_sample(path: str, value_column: str) -> tuple[SampleBatch, int]:
+    """A column of a header CSV as one group labeled by its path, under ``load_csv``'s
+    rules, and the count of rows dropped for a missing cell."""
+    (values,), dropped = _read_columns(path, [value_column], 1)
+    return _group(path, values), dropped
 
 
 def load_csv(

@@ -1,6 +1,6 @@
 """Independent oracles: brute-force quadrature, a from-scratch bandwidth solver,
-the families' closed-form hazards, closed-form measures and a row-at-a-time
-CSV reader.
+the families' closed-form hazards, closed-form measures, a row-at-a-time
+CSV reader and the Hermite transform's moments built by ``np.cumprod``.
 
 Nothing here touches the package's quadrature or estimation code paths; the
 point is to pin expected values through a second, dissimilar route.
@@ -140,6 +140,31 @@ def gram_oracle(x, y, bx, by, lower):
     return math.fsum(f * 0.5 * math.erfc(t) for f, t in zip(density, z)) / (x.size * y.size)
 
 
+def hermite_transform_cumprod(us, table, terms):
+    """``estimation._hermite_transform`` with each point's moments b^k / k! built along
+    k: an (n, terms) ``np.divide.outer`` of b by k, a ``np.cumprod`` along axis 1 and
+    a ``reduceat`` over axis 0.  The reference whose bits the row-by-row build keeps.
+    """
+    reach = len(table) - 1
+    boxes = [np.floor(u) for u in us]
+    merged = boxes[0] if len(us) == 1 else np.sort(np.concatenate(boxes))
+    occupied = merged[np.diff(merged, prepend=-math.inf) > 0]
+    gaps = np.minimum(np.diff(occupied), reach + 1).astype(np.intp)
+    slots = reach + np.concatenate(([0], np.cumsum(gaps)))
+    moments = np.zeros((len(us), slots[-1] + 1, terms))
+    for own, u, box in zip(moments, us, boxes):
+        starts = np.flatnonzero(np.diff(box, prepend=-math.inf))
+        powers = np.empty((u.size, terms))
+        powers[:, 0] = 1.0
+        np.divide.outer(u - box - 0.5, np.arange(1.0, terms), out=powers[:, 1:])
+        np.cumprod(powers, axis=1, out=powers)
+        own[slots[np.searchsorted(occupied, box[starts])]] = np.add.reduceat(powers, starts)
+    coeffs = np.zeros((len(us), slots.size, table.shape[-1]))
+    for o, t in enumerate(table):
+        coeffs += np.einsum("stk,kc->stc", moments[:, slots - o], t)
+    return coeffs, moments[:, slots]
+
+
 # --- closed-form hazards ------------------------------------------------------
 # Each returns (hazard, reversed hazard) at points strictly inside the support,
 # written from the family's formulas rather than as pdf/survival and pdf/cdf.
@@ -269,12 +294,14 @@ def _csv_group(label, members):
 
 def load_sample_rows(path, value_column):
     """``grouping.load_sample`` read one ``csv.DictReader`` row at a time."""
-    values = []
+    values, dropped = [], 0
     for line, row in _csv_records(path, [value_column]):
         cell = (row.get(value_column) or "").strip()
         if cell:
             values.append(_csv_finite(line, value_column, cell))
-    return _csv_group(path, values)
+        else:
+            dropped += 1
+    return _csv_group(path, values), dropped
 
 
 def load_csv_rows(path, value_column, group_column, cut_probabilities=None):

@@ -216,6 +216,26 @@ def test_estimate_two_files(tmp_path):
     assert report["results"]["n"] == [50, 50]
 
 
+def test_estimate_reports_its_dropped_rows(tmp_path):
+    # 83 rows, 3 of them missing a cell: a blank value, a blank arm and a short row.
+    # With --group-col all 3 are dropped; read as two files of values, each copy
+    # drops the 2 rows without a value, so the report counts 4
+    rng = np.random.default_rng(29)
+    rows = [f"{'ab'[i % 2]},{rng.exponential(1.0 + i % 2):.6f}" for i in range(80)]
+    rows[10:10] = ["a,", ",0.3", "b"]
+    for name in ("x.csv", "y.csv"):
+        (tmp_path / name).write_text("\n".join(["arm,value", *rows]) + "\n", encoding="utf-8")
+    runs = {
+        "one": ([str(tmp_path / "x.csv"), "--group-col", "arm"], 1, 3),
+        "two": ([str(tmp_path / "x.csv"), str(tmp_path / "y.csv")], 2, 4),
+    }
+    for name, (argv, files, dropped) in runs.items():
+        assert run(["estimate", *argv, "--value-col", "value", "--out", str(tmp_path / name)]) == 0
+        results = json.loads((tmp_path / name / "report.json").read_text())["results"]
+        assert results["dropped_rows"] == dropped, name
+        assert sum(results["n"]) + dropped == 83 * files, name
+
+
 @pytest.mark.parametrize("x_cells, message", [
     (["0.1", "0.2", "nan", "0.4", "0.5", "0.6"], "row 4, column 'value'"),
     (["0.1", "0.2", "0.3", "0.4"], "has 4 observations, minimum is 5"),

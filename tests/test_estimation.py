@@ -34,6 +34,7 @@ from oracles import (
     efficient_sd_relative_exponential,
     efficient_variances_relative_exponential,
     gram_oracle,
+    hermite_transform_cumprod,
     sheather_jones_oracle,
     trapezoid,
 )
@@ -366,6 +367,31 @@ def test_hermite_transform_matches_the_windowed_direct_sums(kind, n):
         for got, poly in zip(sums, (estimation._PSI4, estimation._PSI6, estimation._PSI4_SLOPE)):
             want = _direct_sum(z, g, poly)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), (g, poly)
+
+
+@pytest.mark.parametrize("table", [0, 1], ids=["sj", "gram"])
+@pytest.mark.parametrize("samples", [1, 2])
+@pytest.mark.parametrize("kind", ["normal", "one-box", "box-each", "far-apart", "cauchy", "rounded"])
+def test_hermite_transform_keeps_the_bits_of_the_cumprod_build(kind, samples, table):
+    # the moments built row by row along k must equal, bit for bit, those of a cumprod
+    # along k per point, and so must every expansion built on them
+    rng = np.random.default_rng(29)
+    draw = {
+        "normal": lambda n: rng.normal(0.0, 6.0, n),
+        "one-box": lambda n: rng.uniform(3.001, 3.999, n),
+        "box-each": lambda n: np.arange(n) * 1.0 + rng.uniform(0.0, 0.99, n),
+        # two clusters 300 boxes apart: a run of empty boxes far past either reach
+        "far-apart": lambda n: np.concatenate([rng.normal(0.0, 2.0, n // 2), rng.normal(300.0, 2.0, n - n // 2)]),
+        "cauchy": lambda n: rng.standard_cauchy(n),
+        "rounded": lambda n: np.round(rng.normal(50.0, 11.0, n), 1),  # ties, like the CSV bands
+    }[kind]
+    us = tuple(np.sort(draw(n)) for n in (1601, 700)[:samples])
+    t = estimation._hermite_tables()[table]
+    got = estimation._hermite_transform(us, t)
+    want = hermite_transform_cumprod(us, t, estimation._FGT_TERMS)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 @pytest.fixture(params=["kept", "rebuilt"])

@@ -329,8 +329,9 @@ def _outcome(load):
         got = load()
     except (CsvParseError, MissingColumn, TooFewObservations) as exc:
         return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
-    if isinstance(got, SampleBatch):
-        return got.values.tobytes()
+    if isinstance(got, tuple):  # load_sample's batch and dropped count
+        batch, dropped = got
+        return batch.values.tobytes(), dropped
     return got.labels, [batch.values.tobytes() for _, batch in got.groups], got.dropped_rows
 
 
