@@ -124,16 +124,6 @@ def gaussian_kernel(u):
     return np.exp(-0.5 * u * u) / _SQRT_2PI
 
 
-def _horner(coeffs: tuple[float, ...], e: np.ndarray, out: np.ndarray) -> None:
-    """The polynomial with ``coeffs``, highest power first, at ``e`` into ``out``."""
-    np.multiply(e, coeffs[0], out=out)
-    for c in coeffs[1:-1]:
-        out += c
-        out *= e
-    if coeffs[-1]:
-        out += coeffs[-1]
-
-
 def _blocks(rows: np.ndarray, cols: np.ndarray, reach: float):
     """Row blocks of sorted ``rows`` and the window of sorted ``cols`` they reach.
 
@@ -421,13 +411,22 @@ _PSI4_SLOPE = (-8.0, -40.0, -30.0, 0.0)
 # it is least at e = (sqrt 10 - 5) / 2 = -0.919 and increases from there to psi(0) = 3;
 # below e = -4.08 it is positive and increases with e
 _PSI4_DIP = 0.5 * (math.sqrt(10.0) - 5.0)
+# psi(e) < 0 only between its roots e = -3/2 -+ sqrt(6) / 2, for pairs these many
+# pilot widths apart: sqrt(3 - sqrt 6) = 0.742 to sqrt(3 + sqrt 6) = 2.334
+_PSI4_BAND = (math.sqrt(3.0 - math.sqrt(6.0)), math.sqrt(3.0 + math.sqrt(6.0)))
 # the lower bracket end sums its pairs within this many pilot widths exactly; each
 # pair beyond has e < -18, where 0 < psi(e) < psi(-18) = 1.6e-5
 _SJ_NEAR = 6.0
 # the bracket ends' bounds on the psi4 sum S are widened by this share of 3 n^2, the
 # largest |S|, and r must clear h by this share of it: the exact pass rounds S by
-# under 1e-11 of 3 n^2, as a block's einsum adds at most 2^16 terms
+# under 1e-13 of 3 n^2, as its terms |e^k exp(e)| <= 1.35, which psi4 weighs by under
+# 10 per pair in all, are summed pairwise
 _SJ_SLACK = 1e-9
+# a pass sums each pair-term moment over runs of this many pairs and combines the
+# moments run by run.  The moments cancel where psi dips: summed over whole blocks
+# and then combined, they moved a normal bandwidth at n = 1,600, blocks kept, by
+# 2.4e-14 from a long-double solve, and by runs 6.7e-16
+_SJ_RUN = 1024
 
 
 @functools.cache
@@ -520,64 +519,93 @@ def _pair_sums(squares, g: float, poly: tuple[float, ...], slope: bool, work: np
     """Sums over the blocks of squared differences in ``squares`` of poly(e) exp(e)
     and, with ``slope``, of ``_PSI4_SLOPE``(e) exp(e); e = -dsq / (2 g^2).
 
-    Each block is scaled once into e in the rows of ``work``, its polynomials are
-    evaluated by Horner's rule, and each sum is one einsum against the one
-    exp(e), numpy's own multiply-add loop: the last bits of a BLAS dot change
+    Both are read off the moments e^k exp(e), k up to the polynomials' degree.
+    Each block is scaled once into e in a row of ``work``, exp(e) fills the other
+    and is multiplied by e in place for each next k, and each moment is summed
+    pairwise over runs of ``_SJ_RUN`` pairs.  The polynomials' coefficients
+    combine the moments run by run, where their cancellation costs least, and
+    the combined runs are summed.  No BLAS dot is used, whose last bits change
     with its thread count.
     """
-    total = slope_total = 0.0
+    coeffs = _moment_coefficients(poly, slope)
     scale = -0.5 / (g * g)
+    totals = np.zeros(len(coeffs))
     for dsq in squares:
-        ek, xk, tk = work[:, : dsq.size]
+        ek, term = work[:, : dsq.size]
         np.multiply(dsq, scale, out=ek)
-        np.exp(ek, out=xk)
-        _horner(poly, ek, tk)
-        total += float(np.einsum("i,i->", tk, xk))
-        if slope:
-            _horner(_PSI4_SLOPE, ek, tk)
-            slope_total += float(np.einsum("i,i->", tk, xk))
-    return total, slope_total
+        np.exp(ek, out=term)
+        starts = np.arange(0, dsq.size, _SJ_RUN)
+        moments = np.empty((coeffs.shape[1], starts.size))
+        np.add.reduceat(term, starts, out=moments[0])
+        for k in range(1, len(moments)):
+            term *= ek
+            np.add.reduceat(term, starts, out=moments[k])
+        totals += np.einsum("ck,km->cm", coeffs, moments).sum(axis=1)
+    return float(totals[0]), (float(totals[1]) if slope else 0.0)
 
 
-def _sj_end_sign(z: np.ndarray, g: float, h: float, c1: float, near: bool, work: np.ndarray) -> float:
+@functools.cache
+def _moment_coefficients(poly: tuple[float, ...], slope: bool) -> np.ndarray:
+    """The coefficients of ``poly`` and, with ``slope``, of ``_PSI4_SLOPE`` on the
+    moments e^k exp(e), lowest k first, one row each."""
+    polys = (poly, _PSI4_SLOPE) if slope else (poly,)
+    coeffs = np.zeros((len(polys), max(map(len, polys))))
+    for row, c in zip(coeffs, polys):
+        row[: len(c)] = c[::-1]
+    return coeffs
+
+
+def _sj_end_sign(z: np.ndarray, g: float, h: float, c1: float, near: bool, kept: bool, work: np.ndarray) -> float:
     """The sign of the bandwidth equation F(h) = (c1 / psi4(g))^(1/5) - h of sorted
     standardized ``z`` at a bracket end, +1.0 or -1.0, where bounds decide it; else 0.0.
 
     psi4(g) = S / (n (n - 1) g^5 sqrt(2 pi)), where S is 3 n plus the sum over
     i != j of psi(e_ij), e_ij = -((z_j - z_i) / g)^2 / 2, psi as at
-    ``_PSI4_DIP``.  At the upper end every e_ij lies in [-E, 0], E = (range /
-    g)^2 / 2, so S is at least 3 n + n (n - 1) min psi there and at most 3 n^2.
-    At the lower end (``near``) the pairs within ``_SJ_NEAR`` g are summed
-    exactly, in ``work``'s rows and whole-row chunks, and each other pair adds
-    between 0 and psi(-``_SJ_NEAR``^2 / 2).  Widened by ``_SJ_SLACK`` 3 n^2,
-    the bounds decide only while S stays above 0 and the r of one of them
-    clears h by a relative ``_SJ_SLACK``.
+    ``_PSI4_DIP``, and S is at most 3 n^2.  At the upper end every e_ij lies in
+    [-E, 0], E = (range / g)^2 / 2, so S is at least 3 n + n (n - 1) min psi
+    there.  At the lower end (``near``) of a solve whose pairs are ``kept``, S is
+    first bounded below by 3 n + 2 psi(``_PSI4_DIP``) times the pairs in
+    ``_PSI4_BAND``, counted by two ``searchsorted`` calls and no exp.  Where that
+    leaves the sign open, and at every lower end above the keep cap, the pairs
+    within ``_SJ_NEAR`` g are summed exactly, in ``work``'s rows and whole-row
+    chunks, and each other pair adds between 0 and psi(-``_SJ_NEAR``^2 / 2).
+    Widened by ``_SJ_SLACK`` 3 n^2, the bounds decide only while S stays above 0
+    and the r of one of them clears h by a relative ``_SJ_SLACK``.
     """
     if not (isinstance(g, float) and 1e-30 < g < 1e30):
         return 0.0  # a complex or extreme width goes to the exact pass, and what it raises
     n = z.size
-    if near:
-        ends = np.searchsorted(z, z + _SJ_NEAR * g, side="right")
-        far = n * (n - 1) // 2 - (int(ends.sum()) - n * (n + 1) // 2)
-        least = 3.0 * n + 2.0 * _pair_sums(_near_squares(z, ends, work.shape[1]), g, _PSI4, False, work)[0]
-        most = least + 2.0 * far * _psi4_term(-0.5 * _SJ_NEAR**2)
-    else:
-        spread = 0.5 * (float(z[-1] - z[0]) / g) ** 2
-        least = 3.0 * n + n * (n - 1) * _psi4_term(max(-spread, _PSI4_DIP))
-        most = 3.0 * n * n
     slack = _SJ_SLACK * 3.0 * n * n
-    least, most = least - slack, most + slack
-    if not least > 0.0:
-        return 0.0
     norm = c1 * n * (n - 1) * g**5 * _SQRT_2PI
-    r_low, r_high = (norm / most) ** 0.2, (norm / least) ** 0.2
-    if not math.isfinite(r_high):
+
+    def decide(least: float, most: float) -> float:
+        least, most = least - slack, most + slack
+        if not least > 0.0:
+            return 0.0
+        r_low, r_high = (norm / most) ** 0.2, (norm / least) ** 0.2
+        if not math.isfinite(r_high):
+            return 0.0
+        if r_low > h * (1.0 + _SJ_SLACK):
+            return 1.0
+        if r_high < h * (1.0 - _SJ_SLACK):
+            return -1.0
         return 0.0
-    if r_low > h * (1.0 + _SJ_SLACK):
-        return 1.0
-    if r_high < h * (1.0 - _SJ_SLACK):
-        return -1.0
-    return 0.0
+
+    if not near:
+        spread = 0.5 * (float(z[-1] - z[0]) / g) ** 2
+        return decide(3.0 * n + n * (n - 1) * _psi4_term(max(-spread, _PSI4_DIP)), 3.0 * n * n)
+    if kept:
+        # the band is widened by 4 ulps of the largest |z|, more than z + c g rounds by
+        pad = 4.0 * math.ulp(max(abs(float(z[0])), abs(float(z[-1]))))
+        inner = np.searchsorted(z, z + (_PSI4_BAND[0] * g - pad), side="left")
+        outer = np.searchsorted(z, z + (_PSI4_BAND[1] * g + pad), side="right")
+        sign = decide(3.0 * n + 2.0 * int((outer - inner).sum()) * _psi4_term(_PSI4_DIP), 3.0 * n * n)
+        if sign:
+            return sign
+    ends = np.searchsorted(z, z + _SJ_NEAR * g, side="right")
+    far = n * (n - 1) // 2 - (int(ends.sum()) - n * (n + 1) // 2)
+    least = 3.0 * n + 2.0 * _pair_sums(_near_squares(z, ends, work.shape[1]), g, _PSI4, False, work)[0]
+    return decide(least, least + 2.0 * far * _psi4_term(-0.5 * _SJ_NEAR**2))
 
 
 def sheather_jones_bandwidth(s: SampleBatch) -> float:
@@ -588,22 +616,24 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     makes the result exactly scale-equivariant.  The equation
     F(h) = (c1 / psi4(alpha2 h^(5/7)))^(1/5) - h must change sign over
     [1e-3, 1e3] * n^(-1/5), else :class:`NoBracket`.  It is solved by Newton's
-    method from n^(-1/5) inside that bracket, which each evaluation narrows; a
-    step that would leave the bracket, or not halve the step before it,
-    bisects instead.  Only the signs of F at the bracket ends reach the solve,
-    and bounds on psi4 decide them (:func:`_sj_end_sign`): the sample's range
-    at the upper end, the pairs within ``_SJ_NEAR`` pilot widths at the lower.
-    An end they leave undecided takes the exact pass, so every bandwidth and
-    every :class:`NoBracket` is the exact passes' own.  The solve stops at a
-    step of at most ``_SJ_STEP`` and takes about 7 pair-sum passes, counting
-    the two pilots.  While the pairs fit ``_SJ_KEEP_TERMS`` (n <= 362), every
-    pass runs over their sorted blocks, kept for the whole solve: it scales
-    each block's squared differences once into the exponent e = -w/2,
-    evaluates the psi4 (or psi6) and slope polynomials in e by Horner's rule,
-    and reduces each against the one shared exp(e).  Above that every pass
-    takes the Hermite fast Gauss transform (:func:`_hermite_sums`), where an
-    undecided lower end costs 2-6 times a windowed direct sum on light tails
-    and less on heavy ones; no measured solve left that end undecided.
+    method inside that bracket, which each evaluation narrows, from the direct
+    plug-in bandwidth (c1 / psi4(a))^(1/5) that the psi4 pilot gives (from
+    n^(-1/5) where that is not inside the bracket); a step that would leave the
+    bracket, or not halve the step before it, bisects instead.  Only the signs
+    of F at the bracket ends reach the solve, and bounds on psi4 decide them
+    (:func:`_sj_end_sign`): the sample's range at the upper end; at the lower,
+    a count of the pairs where the psi4 pair term can be negative while the
+    pairs are kept, then the pairs within ``_SJ_NEAR`` pilot widths.  An end
+    they leave undecided takes the exact pass, so every bandwidth and every
+    :class:`NoBracket` is the exact passes' own.  The solve stops at a step of
+    at most ``_SJ_STEP`` and takes about 7 pair-sum passes, counting the two
+    pilots.  While the pairs fit ``_SJ_KEEP_TERMS`` (n <= 362), every pass runs
+    over their sorted blocks, kept for the whole solve, and reads the psi4 (or
+    psi6) and slope sums off the pair-term moments (:func:`_pair_sums`).  Above
+    that every pass takes the Hermite fast Gauss transform
+    (:func:`_hermite_sums`), where an undecided lower end costs 2-6 times a
+    windowed direct sum on light tails and less on heavy ones; no measured
+    solve left that end undecided.
     """
     if s.n < 5:
         raise DegenerateSample(f"bandwidth selection needs n >= 5, got {s.n}")
@@ -627,7 +657,7 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     # blocks (the upper half, by _blocks' rows) are kept for all of them
     kept = [_row_squares(z, i, j, n) for i, j, _, _ in _blocks(z, z, math.inf)] if pairs <= _SJ_KEEP_TERMS else None
     # the kept and the near-pair passes work in these: fresh arrays at each pass cost page faults
-    work = np.empty((3, min(pairs, max(_BLOCK_TERMS, n))))
+    work = np.empty((2, min(pairs, max(_BLOCK_TERMS, n))))
 
     def sums(g: float, poly: tuple[float, ...], slope: bool = False) -> tuple[float, float]:
         """Sums over all (i, j), the diagonal included, of poly(e) exp(e) and, with
@@ -654,7 +684,8 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     td = td_functional(b)
     if not (td > 0 and math.isfinite(td)):
         raise DegenerateSample("sample too sparse for the pilot curvature functional")
-    alpha2_coeff = 1.357 * (sd_functional(a)[0] / td) ** (1.0 / 7.0)
+    psi4_a = sd_functional(a)[0]
+    alpha2_coeff = 1.357 * (psi4_a / td) ** (1.0 / 7.0)
     c1 = 1.0 / (2.0 * math.sqrt(math.pi) * n)
 
     def equation(h: float, slope: bool = False) -> tuple[float, float]:
@@ -667,14 +698,20 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     lo, hi = 1e-3 * h0, 1e3 * h0
     # only the signs of F at the ends reach the solve: bounds decide them, or the exact pass
     f_lo, f_hi = (
-        _sj_end_sign(z, alpha2_coeff * end ** (5.0 / 7.0), end, c1, near, work) or equation(end)[0]
+        _sj_end_sign(z, alpha2_coeff * end ** (5.0 / 7.0), end, c1, near, kept is not None, work)
+        or equation(end)[0]
         for end, near in ((lo, True), (hi, False))
     )
     if f_lo * f_hi > 0:
         raise NoBracket(
             f"bandwidth equation has no sign change in [{lo * sd:.3e}, {hi * sd:.3e}]"
         )
-    h, step, last = h0, hi - lo, hi - lo
+    # Newton starts from the direct plug-in bandwidth (c1 / psi4(a))^(1/5), which the
+    # psi4 pilot gives, where it lies inside the bracket
+    h = (c1 / psi4_a) ** 0.2 if psi4_a > 0.0 else h0
+    if not lo < h < hi:
+        h = h0
+    step, last = hi - lo, hi - lo
     while abs(step) > _SJ_STEP:
         f, slope = equation(h, slope=True)
         if f == 0.0:

@@ -1,6 +1,7 @@
-"""Independent oracles: brute-force quadrature, a from-scratch bandwidth solver,
-the families' closed-form hazards, closed-form measures, a row-at-a-time
-CSV reader and the Hermite transform's moments built by ``np.cumprod``.
+"""Independent oracles: brute-force quadrature, a from-scratch bandwidth solver
+and a long-double one, the families' closed-form hazards, closed-form measures,
+a row-at-a-time CSV reader and the Hermite transform's moments built by
+``np.cumprod``.
 
 Nothing here touches the package's quadrature or estimation code paths; the
 point is to pin expected values through a second, dissimilar route.
@@ -119,6 +120,75 @@ def sheather_jones_oracle(x):
         if hi - lo < 1e-13:
             break
     return float(np.exp(0.5 * (lo + hi)))
+
+
+def horner(coeffs, e, out):
+    """The polynomial with ``coeffs``, highest power first, at ``e`` into ``out``."""
+    np.multiply(e, coeffs[0], out=out)
+    for c in coeffs[1:-1]:
+        out += c
+        out *= e
+    if coeffs[-1]:
+        out += coeffs[-1]
+
+
+def sheather_jones_longdouble(x):
+    """The package's solve-the-equation bandwidth with every sum and the root in
+    numpy's longdouble (80-bit on x86).
+
+    The same equation as ``sheather_jones_bandwidth``: the sample standardized by
+    its sd, the pilots on the robust scale with the package's double constants,
+    the bracket [1e-3, 1e3] n^(-1/5).  The pair terms are the Hermite polynomials
+    in w = u^2 (w^2 - 6w + 3 and w^3 - 15w^2 + 45w - 15) over the upper triangle
+    of the full meshgrid, and the root is found by plain bisection on h until its
+    midpoint stops moving.  Meant for samples whose bracket holds one root.
+    """
+    x = np.sort(np.asarray(x, dtype=float))
+    n = x.size
+    ld = np.longdouble
+    xl = x.astype(ld)
+    sd = np.sqrt(((xl - xl.mean()) ** 2).sum() / ld(n - 1))
+    q75, q25 = np.percentile(x, [75.0, 25.0])
+    iqr = ld(q75) - ld(q25)
+    scale = min(ld(1.0), iqr / (ld(1.349) * sd)) if iqr > 0 else ld(1.0)
+    z = xl / sd
+    w_pairs = (z[None, :] - z[:, None])[np.triu_indices(n, 1)] ** 2
+    pi = np.arccos(ld(-1.0))
+    sqrt_2pi = np.sqrt(2 * pi)
+
+    def pair_sum(g, coeffs):
+        w = w_pairs / (g * g)
+        terms = np.empty_like(w)
+        horner(coeffs, w, terms)
+        return 2 * (terms * np.exp(-w / 2)).sum() + coeffs[-1] * n
+
+    def psi4(g):
+        return pair_sum(g, (1.0, -6.0, 3.0)) / (n * (n - 1) * g**5 * sqrt_2pi)
+
+    def psi6(g):
+        return pair_sum(g, (1.0, -15.0, 45.0, -15.0)) / (n * (n - 1) * g**7 * sqrt_2pi)
+
+    a = ld(0.920) * ld(1.349) * scale * ld(n) ** (ld(-1.0) / 7)
+    b = ld(0.912) * ld(1.349) * scale * ld(n) ** (ld(-1.0) / 9)
+    alpha2 = ld(1.357) * (psi4(a) / -psi6(b)) ** (ld(1.0) / 7)
+    c1 = 1 / (2 * np.sqrt(pi) * n)
+
+    def gap(h):
+        return (c1 / psi4(alpha2 * h ** (ld(5.0) / 7))) ** ld(0.2) - h
+
+    h0 = ld(n) ** ld(-0.2)
+    lo, hi = ld(1e-3) * h0, ld(1e3) * h0
+    f_lo = gap(lo)
+    assert f_lo * gap(hi) < 0
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return float(mid * sd)
+        f_mid = gap(mid)
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
 
 
 def gram_oracle(x, y, bx, by, lower):

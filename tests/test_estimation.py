@@ -35,6 +35,8 @@ from oracles import (
     efficient_variances_relative_exponential,
     gram_oracle,
     hermite_transform_cumprod,
+    horner,
+    sheather_jones_longdouble,
     sheather_jones_oracle,
     trapezoid,
 )
@@ -341,7 +343,7 @@ def _direct_sum(z, g, poly):
         dsq = (diffs * diffs)[(np.arange(z.size) > rows) & (diffs <= estimation._SJ_WINDOW * g)]
         e = dsq * (-0.5 / (g * g))
         terms = np.empty_like(e)
-        estimation._horner(poly, e, terms)
+        horner(poly, e, terms)
         total += (terms * np.exp(e)).astype(np.longdouble).sum()
     return float(2 * total + poly[-1] * z.size)
 
@@ -489,6 +491,58 @@ def test_sj_passes_above_the_keep_cap_all_take_the_transform(monkeypatch):
     monkeypatch.setattr(estimation, "_sj_end_sign", lambda *args: 0.0)
     assert sheather_jones_bandwidth(SampleBatch(x)) == h
     assert not direct and len(transforms) == bounded + 2  # the two ends' exact passes
+
+
+def _record_pair_sums(monkeypatch):
+    """One entry per ``_pair_sums`` call of the solves that follow: True where a
+    lower bracket end's bound made it."""
+    calls, near = [], [False]
+    pair_sums, bound = estimation._pair_sums, estimation._sj_end_sign
+
+    def recording_sums(*args):
+        calls.append(near[0])
+        return pair_sums(*args)
+
+    def recording_bound(*args):
+        near[0] = args[4]  # _sj_end_sign(z, g, h, c1, near, ...)
+        try:
+            return bound(*args)
+        finally:
+            near[0] = False
+
+    monkeypatch.setattr(estimation, "_pair_sums", recording_sums)
+    monkeypatch.setattr(estimation, "_sj_end_sign", recording_bound)
+    return calls
+
+
+def test_sj_kept_solve_makes_at_most_seven_passes(monkeypatch):
+    # two pilots and Newton from the direct plug-in bandwidth; the lower bracket end is
+    # decided by counting the pairs whose pair term can be negative, with no pass.
+    # Newton from n^(-1/5) and a near-pair sum at the lower end take 9 passes here
+    calls = _record_pair_sums(monkeypatch)
+    sheather_jones_bandwidth(SampleBatch(np.random.default_rng(200).exponential(size=200)))
+    assert 0 < len(calls) <= 7
+    assert not any(calls)
+
+
+def test_sj_lower_end_above_the_keep_cap_sums_its_near_pairs(monkeypatch):
+    # the pair count is tried only while the pairs are kept: above the cap it costs
+    # more than it decides, and the near-pair sum is the lower end's one direct pass
+    calls = _record_pair_sums(monkeypatch)
+    sheather_jones_bandwidth(SampleBatch(np.random.default_rng(800).normal(size=800)))
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("n", [200, 300, 362])
+@pytest.mark.parametrize("kind", ["rounded", "grid"])
+def test_sj_tie_heavy_kept_bandwidths_match_a_long_double_solve(kind, n):
+    # ties put many pairs where psi dips, and the moments S_k cancel there: each
+    # moment reduced whole by np.einsum("i->") moved these bandwidths by up to
+    # 1.2e-13, by pairwise sums over runs 4.7e-15
+    rng = np.random.default_rng(n)
+    x = np.round(rng.normal(size=n), 1) if kind == "rounded" else np.round(rng.normal(0.0, 3.0, n))
+    got = sheather_jones_bandwidth(SampleBatch(x))
+    assert got == pytest.approx(sheather_jones_longdouble(x), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [400, 1000, 1600, 2000, 3200])
