@@ -250,8 +250,12 @@ def cmd_groups(args) -> int:
     return 0
 
 
-def _auto_grid(dx, dy, count: int = 10) -> dynamic.TimeGrid:
-    """Evenly spaced times where all four conditioning denominators are safe.
+# the times of verify's grid where --t is not given
+_GRID_POINTS = 10
+
+
+def _auto_grid(dx, dy) -> dynamic.TimeGrid:
+    """``_GRID_POINTS`` evenly spaced times where all four conditioning denominators are safe.
 
     On a finite right end the grid also stops where a survival falls to 0.05:
     nearer the end d_r changes faster than the fixed central difference of
@@ -271,9 +275,9 @@ def _auto_grid(dx, dy, count: int = 10) -> dynamic.TimeGrid:
     survival = np.minimum(dx.survival(candidates), dy.survival(candidates))
     cdf = np.minimum(dx.cdf(candidates), dy.cdf(candidates))
     valid = candidates[(survival > min_survival) & (cdf > floor)]
-    if len(valid) < count:
+    if len(valid) < _GRID_POINTS:
         raise InsufficientGrid("could not find enough valid grid times for this pair")
-    idx = np.linspace(0, len(valid) - 1, count).round().astype(int)
+    idx = np.linspace(0, len(valid) - 1, _GRID_POINTS).round().astype(int)
     return dynamic.TimeGrid(points=tuple(valid[idx].tolist()))
 
 

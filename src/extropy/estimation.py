@@ -427,6 +427,9 @@ _SJ_SLACK = 1e-9
 # and then combined, they moved a normal bandwidth at n = 1,600, blocks kept, by
 # 2.4e-14 from a long-double solve, and by runs 6.7e-16
 _SJ_RUN = 1024
+# the coefficients of _PSI4, _PSI6 and _PSI4_SLOPE on the moments S_k = sum of e^k exp(e),
+# k = 0 .. 3, one row each; psi4's S_3 coefficient 0 adds an exact 0 to its runs
+_SJ_MOMENTS = np.array([(*_PSI4[::-1], 0.0), _PSI6[::-1], _PSI4_SLOPE[::-1]])
 
 
 @functools.cache
@@ -515,44 +518,32 @@ def _psi4_term(e: float) -> float:
     return (4.0 * e * e + 12.0 * e + 3.0) * math.exp(e)
 
 
-def _pair_sums(squares, g: float, poly: tuple[float, ...], slope: bool, work: np.ndarray) -> tuple[float, float]:
-    """Sums over the blocks of squared differences in ``squares`` of poly(e) exp(e)
-    and, with ``slope``, of ``_PSI4_SLOPE``(e) exp(e); e = -dsq / (2 g^2).
+def _pair_sums(squares, g: float, work: np.ndarray) -> tuple[float, float, float]:
+    """Sums over the blocks of squared differences in ``squares`` of the psi4,
+    psi6 and psi4 slope pair terms: p(e) exp(e), e = -dsq / (2 g^2), p each of
+    ``_PSI4``, ``_PSI6`` and ``_PSI4_SLOPE``.
 
-    Both are read off the moments e^k exp(e), k up to the polynomials' degree.
+    All three are read off the moments S_k, the sums of e^k exp(e), k = 0 .. 3.
     Each block is scaled once into e in a row of ``work``, exp(e) fills the other
     and is multiplied by e in place for each next k, and each moment is summed
-    pairwise over runs of ``_SJ_RUN`` pairs.  The polynomials' coefficients
-    combine the moments run by run, where their cancellation costs least, and
-    the combined runs are summed.  No BLAS dot is used, whose last bits change
-    with its thread count.
+    pairwise over runs of ``_SJ_RUN`` pairs.  ``_SJ_MOMENTS`` combines the moments
+    run by run, where their cancellation costs least, and the combined runs are
+    summed.  No BLAS dot is used, whose last bits change with its thread count.
     """
-    coeffs = _moment_coefficients(poly, slope)
     scale = -0.5 / (g * g)
-    totals = np.zeros(len(coeffs))
+    totals = np.zeros(3)
     for dsq in squares:
         ek, term = work[:, : dsq.size]
         np.multiply(dsq, scale, out=ek)
         np.exp(ek, out=term)
         starts = np.arange(0, dsq.size, _SJ_RUN)
-        moments = np.empty((coeffs.shape[1], starts.size))
+        moments = np.empty((4, starts.size))
         np.add.reduceat(term, starts, out=moments[0])
-        for k in range(1, len(moments)):
+        for k in range(1, 4):
             term *= ek
             np.add.reduceat(term, starts, out=moments[k])
-        totals += np.einsum("ck,km->cm", coeffs, moments).sum(axis=1)
-    return float(totals[0]), (float(totals[1]) if slope else 0.0)
-
-
-@functools.cache
-def _moment_coefficients(poly: tuple[float, ...], slope: bool) -> np.ndarray:
-    """The coefficients of ``poly`` and, with ``slope``, of ``_PSI4_SLOPE`` on the
-    moments e^k exp(e), lowest k first, one row each."""
-    polys = (poly, _PSI4_SLOPE) if slope else (poly,)
-    coeffs = np.zeros((len(polys), max(map(len, polys))))
-    for row, c in zip(coeffs, polys):
-        row[: len(c)] = c[::-1]
-    return coeffs
+        totals += np.einsum("ck,km->cm", _SJ_MOMENTS, moments).sum(axis=1)
+    return tuple(totals.tolist())
 
 
 def _sj_end_sign(z: np.ndarray, g: float, h: float, c1: float, near: bool, kept: bool, work: np.ndarray) -> float:
@@ -604,7 +595,7 @@ def _sj_end_sign(z: np.ndarray, g: float, h: float, c1: float, near: bool, kept:
             return sign
     ends = np.searchsorted(z, z + _SJ_NEAR * g, side="right")
     far = n * (n - 1) // 2 - (int(ends.sum()) - n * (n + 1) // 2)
-    least = 3.0 * n + 2.0 * _pair_sums(_near_squares(z, ends, work.shape[1]), g, _PSI4, False, work)[0]
+    least = 3.0 * n + 2.0 * _pair_sums(_near_squares(z, ends, work.shape[1]), g, work)[0]
     return decide(least, least + 2.0 * far * _psi4_term(-0.5 * _SJ_NEAR**2))
 
 
@@ -627,11 +618,12 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     they leave undecided takes the exact pass, so every bandwidth and every
     :class:`NoBracket` is the exact passes' own.  The solve stops at a step of
     at most ``_SJ_STEP`` and takes about 7 pair-sum passes, counting the two
-    pilots.  While the pairs fit ``_SJ_KEEP_TERMS`` (n <= 362), every pass runs
-    over their sorted blocks, kept for the whole solve, and reads the psi4 (or
-    psi6) and slope sums off the pair-term moments (:func:`_pair_sums`).  Above
-    that every pass takes the Hermite fast Gauss transform
-    (:func:`_hermite_sums`), where an undecided lower end costs 2-6 times a
+    pilots.  Every pass gives the psi4, psi6 and psi4 slope sums at once, and
+    each use reads the ones it needs.  While the pairs fit ``_SJ_KEEP_TERMS``
+    (n <= 362), every pass runs over their sorted blocks, kept for the whole
+    solve, and reads the three sums off the pair-term moments
+    (:func:`_pair_sums`).  Above that every pass takes the Hermite fast Gauss
+    transform (:func:`_hermite_sums`), where an undecided lower end costs 2-6 times a
     windowed direct sum on light tails and less on heavy ones; no measured
     solve left that end undecided.
     """
@@ -659,40 +651,33 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     # the kept and the near-pair passes work in these: fresh arrays at each pass cost page faults
     work = np.empty((2, min(pairs, max(_BLOCK_TERMS, n))))
 
-    def sums(g: float, poly: tuple[float, ...], slope: bool = False) -> tuple[float, float]:
-        """Sums over all (i, j), the diagonal included, of poly(e) exp(e) and, with
-        ``slope``, of ``_PSI4_SLOPE``(e) exp(e); e = -((z_j - z_i) / g)^2 / 2, by
-        :func:`_pair_sums` over the kept blocks, else by :func:`_hermite_sums`."""
+    def sums(g: float) -> tuple[float, float, float]:
+        """Sums over all (i, j), the diagonal included, of the psi4, psi6 and psi4
+        slope pair terms at e = -((z_j - z_i) / g)^2 / 2, by :func:`_pair_sums` over
+        the kept blocks, else by :func:`_hermite_sums`."""
         if kept is None:
             # offsets from the median: rounding follows the spread
-            he4, he6, slope_total = _hermite_sums((z - z[n // 2]) / g)
-            return (he6, 0.0) if poly is _PSI6 else (he4, slope_total)
-        total, slope_total = _pair_sums(kept, g, poly, slope, work)
-        # the diagonal's terms are poly(0), the slope's 0
-        return 2.0 * total + poly[-1] * n, 2.0 * slope_total
-
-    def sd_functional(g: float, slope: bool = False) -> tuple[float, float]:
-        """psi4 at g = N / (n (n - 1) g^5 sqrt(2 pi)) and, with ``slope``, g N'(g) / N."""
-        total, slope_total = sums(g, _PSI4, slope)
-        return total / (n * (n - 1) * g**5 * _SQRT_2PI), slope_total / total
-
-    def td_functional(g: float) -> float:
-        return -sums(g, _PSI6)[0] / (n * (n - 1) * g**7 * _SQRT_2PI)
+            return _hermite_sums((z - z[n // 2]) / g)
+        psi4, psi6, slope = _pair_sums(kept, g, work)
+        # the diagonal's terms are psi4(0) = 3 and psi6(0) = -15, the slope's 0
+        return 2.0 * psi4 + 3.0 * n, 2.0 * psi6 - 15.0 * n, 2.0 * slope
 
     a = 0.920 * 1.349 * scale_z * n ** (-1.0 / 7.0)
     b = 0.912 * 1.349 * scale_z * n ** (-1.0 / 9.0)
-    td = td_functional(b)
+    td = -sums(b)[1] / (n * (n - 1) * b**7 * _SQRT_2PI)
     if not (td > 0 and math.isfinite(td)):
         raise DegenerateSample("sample too sparse for the pilot curvature functional")
-    psi4_a = sd_functional(a)[0]
+    psi4_a = sums(a)[0] / (n * (n - 1) * a**5 * _SQRT_2PI)
     alpha2_coeff = 1.357 * (psi4_a / td) ** (1.0 / 7.0)
     c1 = 1.0 / (2.0 * math.sqrt(math.pi) * n)
 
-    def equation(h: float, slope: bool = False) -> tuple[float, float]:
-        """F(h) and, with ``slope``, F'(h) = (r / h)(5 - g N'/N) / 7 - 1, r = F(h) + h."""
-        psi4, log_slope = sd_functional(alpha2_coeff * h ** (5.0 / 7.0), slope)
-        r = (c1 / psi4) ** 0.2
-        return r - h, (r / h) * (5.0 - log_slope) / 7.0 - 1.0
+    def equation(h: float) -> tuple[float, float]:
+        """F(h) and F'(h) = (r / h)(5 - g N'(g) / N) / 7 - 1, r = F(h) + h, where
+        N is the psi4 sum at g = alpha2 h^(5/7), psi4(g) = N / (n (n - 1) g^5 sqrt(2 pi))."""
+        g = alpha2_coeff * h ** (5.0 / 7.0)
+        total, _, slope = sums(g)
+        r = (c1 / (total / (n * (n - 1) * g**5 * _SQRT_2PI))) ** 0.2
+        return r - h, (r / h) * (5.0 - slope / total) / 7.0 - 1.0
 
     h0 = n ** (-0.2)
     lo, hi = 1e-3 * h0, 1e3 * h0
@@ -713,7 +698,7 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
         h = h0
     step, last = hi - lo, hi - lo
     while abs(step) > _SJ_STEP:
-        f, slope = equation(h, slope=True)
+        f, slope = equation(h)
         if f == 0.0:
             break
         if (f > 0.0) == (f_lo > 0.0):

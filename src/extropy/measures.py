@@ -97,7 +97,7 @@ def _windowed(
     coef, pointwise, products = _FORMS[form]
     measure_id = form if window == "support" else f"{window}_{form}"
     masses = [_window_mass(m, window, t) for m in models]
-    inputs = tuple(m.label for m in models)
+    labels = tuple(m.label for m in models)
 
     lo = min(m.support[0] for m in models)
     hi = max(m.support[1] for m in models)
@@ -111,7 +111,7 @@ def _windowed(
         if end <= start:
             # f g vanishes everywhere: exactly 0, flagged because it usually signals user error
             zero = np.zeros(np.shape(t)) if np.ndim(t) else 0.0
-            return MeasureReport(measure_id, zero, t=t, warnings=("disjoint_supports",), inputs=inputs)
+            return MeasureReport(zero, warnings=("disjoint_supports",))
         lo, hi = np.maximum(lo, start), np.minimum(hi, end)
     for i, j in products:
         a, b = models[i], models[j]
@@ -119,7 +119,7 @@ def _windowed(
         # u v ~ (x - edge)^power near a shared left end, not integrable for power <= -1
         if b.support[0] == edge and power <= -1.0 and np.min(lo) <= edge:
             raise InvalidParameter(
-                f"{measure_id} of {', '.join(inputs)} diverges: its integrand behaves "
+                f"{measure_id} of {', '.join(labels)} diverges: its integrand behaves "
                 f"like (x - {edge:g})^{power:g} where the window starts"
             )
     # where the integrand is unbounded at a left end, its most singular product leads
@@ -143,8 +143,7 @@ def _windowed(
         low = np.min(value)
         raise InvalidModel(f"{measure_id} came out {low:.3e}, below the nonnegativity floor")
     return MeasureReport(
-        measure_id, float(value) if np.ndim(value) == 0 else value, t=t, abs_error=res.abs_error,
-        subdivisions=res.subdivisions, inputs=inputs,
+        float(value) if np.ndim(value) == 0 else value, abs_error=res.abs_error, subdivisions=res.subdivisions
     )
 
 

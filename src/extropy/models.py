@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -85,13 +85,10 @@ def _ratio(num, den):
 class MeasureReport:
     """A computed measure value plus quadrature diagnostics."""
 
-    measure_id: str
     value: float | np.ndarray
-    t: float | np.ndarray | None = None
     abs_error: float | np.ndarray = 0.0
     subdivisions: int = 0
     warnings: tuple[str, ...] = ()
-    inputs: tuple[str, ...] = field(default=())
 
 
 def break_points(models: Sequence[DistributionModel]) -> list[float]:

@@ -1,7 +1,7 @@
 """Independent oracles: brute-force quadrature, a from-scratch bandwidth solver
 and a long-double one, the families' closed-form hazards, closed-form measures,
-a row-at-a-time CSV reader and the Hermite transform's moments built by
-``np.cumprod``.
+a row-at-a-time CSV reader, the Hermite transform's moments built by
+``np.cumprod`` and the Sheather-Jones pair sums formed one polynomial at a time.
 
 Nothing here touches the package's quadrature or estimation code paths; the
 point is to pin expected values through a second, dissimilar route.
@@ -130,6 +130,34 @@ def horner(coeffs, e, out):
         out *= e
     if coeffs[-1]:
         out += coeffs[-1]
+
+
+def pair_sums_by_polynomial(squares, g, poly, slope, work):
+    """Sums over the blocks of squared differences in ``squares`` of poly(e) exp(e)
+    and, with ``slope``, of the psi4 slope (-8e^3 - 40e^2 - 30e) exp(e); e = -dsq /
+    (2 g^2).  The moments e^k exp(e) up to the polynomials' degree only, one
+    coefficient row per polynomial, as ``estimation._pair_sums`` combined them
+    while a polynomial and a slope flag steered each pass: the reference whose
+    bits the one three-sum pass keeps.
+    """
+    polys = (poly, (-8.0, -40.0, -30.0, 0.0)) if slope else (poly,)
+    coeffs = np.zeros((len(polys), max(map(len, polys))))
+    for row, c in zip(coeffs, polys):
+        row[: len(c)] = c[::-1]
+    scale = -0.5 / (g * g)
+    totals = np.zeros(len(coeffs))
+    for dsq in squares:
+        ek, term = work[:, : dsq.size]
+        np.multiply(dsq, scale, out=ek)
+        np.exp(ek, out=term)
+        starts = np.arange(0, dsq.size, 1024)
+        moments = np.empty((coeffs.shape[1], starts.size))
+        np.add.reduceat(term, starts, out=moments[0])
+        for k in range(1, len(moments)):
+            term *= ek
+            np.add.reduceat(term, starts, out=moments[k])
+        totals += np.einsum("ck,km->cm", coeffs, moments).sum(axis=1)
+    return float(totals[0]), (float(totals[1]) if slope else 0.0)
 
 
 def sheather_jones_longdouble(x):

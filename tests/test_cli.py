@@ -513,7 +513,7 @@ def test_overflowing_integrand_names_the_overflow_and_its_piece(tmp_path, capsys
 
 def test_non_finite_result_is_numerical_failure(tmp_path, capsys, monkeypatch):
     def infinite(form, window, models, t=None, atom_convention="ac"):
-        return measures.MeasureReport("extropy", -np.inf, abs_error=np.inf, inputs=("x",))
+        return measures.MeasureReport(-np.inf, abs_error=np.inf)
 
     monkeypatch.setattr(measures, "_windowed", infinite)
     code = run(["measure", "extropy", "--family-x", "exp:1", "--out", str(tmp_path)])

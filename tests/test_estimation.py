@@ -36,6 +36,7 @@ from oracles import (
     gram_oracle,
     hermite_transform_cumprod,
     horner,
+    pair_sums_by_polynomial,
     sheather_jones_longdouble,
     sheather_jones_oracle,
     trapezoid,
@@ -543,6 +544,38 @@ def test_sj_tie_heavy_kept_bandwidths_match_a_long_double_solve(kind, n):
     x = np.round(rng.normal(size=n), 1) if kind == "rounded" else np.round(rng.normal(0.0, 3.0, n))
     got = sheather_jones_bandwidth(SampleBatch(x))
     assert got == pytest.approx(sheather_jones_longdouble(x), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [5, 50, 200, 300, 362])
+@pytest.mark.parametrize("kind", ["exponential", "normal", "rounded", "lognormal", "grid"])
+def test_sj_pair_sums_keep_the_bits_of_one_polynomial_passes(kind, n):
+    # one pass forms S_0 .. S_3 and returns psi4, psi6 and the slope; each must be,
+    # bit for bit, what a pass of psi4 alone (S_0 .. S_2), psi6 alone or psi4 with
+    # the slope gave, on the blocks a solve keeps and on near-pair chunks of whole
+    # rows (here of at most 1,000 terms, so one run or less each), from 0.01 to 10
+    # pilot widths
+    rng = np.random.default_rng(n)
+    x = {
+        "exponential": lambda: rng.exponential(size=n),
+        "normal": lambda: rng.normal(size=n),
+        "rounded": lambda: np.round(rng.normal(size=n), 1),
+        "lognormal": lambda: rng.lognormal(0.0, 3.0, n),
+        "grid": lambda: np.round(rng.normal(0.0, 3.0, n)),
+    }[kind]()
+    z = np.sort(x) / x.std(ddof=1)
+    kept = [estimation._row_squares(z, i, j, n) for i, j, _, _ in estimation._blocks(z, z, math.inf)]
+    work = np.empty((2, estimation._BLOCK_TERMS))
+    for g in _sj_pilot_width(z) * np.geomspace(0.01, 10.0, 7):
+        ends = np.searchsorted(z, z + estimation._SJ_NEAR * g, side="right")
+        near = list(estimation._near_squares(z, ends, 1000))
+        for squares in (kept, near):
+            psi4, psi6, slope = estimation._pair_sums(squares, g, work)
+            alone = pair_sums_by_polynomial(squares, g, estimation._PSI4, False, work)[0]
+            assert _bits(psi4) == _bits(alone), (g, squares is kept)
+            alone = pair_sums_by_polynomial(squares, g, estimation._PSI6, False, work)[0]
+            assert _bits(psi6) == _bits(alone), (g, squares is kept)
+            with_slope = pair_sums_by_polynomial(squares, g, estimation._PSI4, True, work)
+            assert _bits((psi4, slope)) == _bits(with_slope), (g, squares is kept)
 
 
 @pytest.mark.parametrize("n", [400, 1000, 1600, 2000, 3200])
