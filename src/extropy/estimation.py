@@ -124,20 +124,6 @@ def gaussian_kernel(u):
     return np.exp(-0.5 * u * u) / _SQRT_2PI
 
 
-def _blocks(rows: np.ndarray, cols: np.ndarray, reach: float):
-    """Row blocks of sorted ``rows`` and the window of sorted ``cols`` they reach.
-
-    Yields ``(start, stop, lo, hi)``: every column outside ``cols[lo:hi]`` is
-    farther than ``reach`` from every row in ``rows[start:stop]``.
-    """
-    step = max(1, _BLOCK_TERMS // cols.size)
-    for start in range(0, rows.size, step):
-        stop = min(start + step, rows.size)
-        lo = int(np.searchsorted(cols, rows[start] - reach, side="left"))
-        hi = int(np.searchsorted(cols, rows[stop - 1] + reach, side="right"))
-        yield start, stop, lo, hi
-
-
 def _row_squares(z: np.ndarray, start: int, stop: int, ends) -> np.ndarray:
     """Squared differences z_j - z_i of sorted ``z`` for rows start <= i < stop and
     columns i < j < ``ends`` (one end per row, or one for all), in row-major order,
@@ -227,7 +213,7 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
     bandwidth, each row's pairs above the diagonal within that window are
     gathered as the Sheather-Jones bounds gather theirs (:func:`_near_squares`),
     summed once and counted twice, plus the diagonal; cross and reflected-image
-    sums run over row blocks (:func:`_blocks`).
+    sums run over blocks of x's rows, each against the y within that window.
 
     A bound subtracts the pairs' shares below c, phi_tau(d) (1 - Phi(r)).  Since
     d^2 + r^2 = a^2 + b^2 with a = (x_i - c) / bx and b = (y_j - c) / by, each
@@ -265,9 +251,12 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
             total += float(terms.sum())
         total = 2.0 * total + x.size
     else:
-        total = 0.0
-        for start, stop, lo, hi in _blocks(x, y, _KERNEL_WINDOW * tau):
-            terms = np.subtract.outer(x[start:stop], y[lo:hi])
+        total, step = 0.0, max(1, _BLOCK_TERMS // y.size)
+        for start in range(0, x.size, step):
+            rows = x[start : start + step]  # y[lo:hi] holds every y within the window of these rows
+            lo = int(np.searchsorted(y, rows[0] - _KERNEL_WINDOW * tau, side="left"))
+            hi = int(np.searchsorted(y, rows[-1] + _KERNEL_WINDOW * tau, side="right"))
+            terms = np.subtract.outer(rows, y[lo:hi])
             np.square(terms, out=terms)
             terms *= -0.5 / (tau * tau)
             np.exp(terms, out=terms)
@@ -319,32 +308,21 @@ class KdeModel:
         if not (self.bandwidth > 0 and math.isfinite(self.bandwidth)):
             raise InvalidParameter(f"bandwidth must be positive, got {self.bandwidth}")
 
-    def _raw(self, x):
-        """Plain kernel sum, in sorted blocks windowed to 8 bandwidths.
-
-        The window drops kernels whose contribution is below exp(-32) of
-        their peak, so the truncation error is under 1e-14 per omitted kernel.
-        """
-        vals = self.sample.values
-        b = self.bandwidth
-        x = np.asarray(x, dtype=float)
-        order = np.argsort(x, axis=None, kind="stable")
-        xs = x.ravel()[order]
-        sums = np.empty(xs.size)
-        for start, stop, lo, hi in _blocks(xs, vals, _KERNEL_WINDOW * b):
-            u = (xs[start:stop, None] - vals[None, lo:hi]) / b
-            sums[start:stop] = np.exp(-0.5 * u * u).sum(axis=1)
-        out = np.empty_like(sums)
-        out[order] = sums / (vals.size * b * _SQRT_2PI)
-        return out.reshape(x.shape)[()]
-
     def pdf(self, x):
-        if self.reflect_at is None:
-            return self._raw(x)
-        c = self.reflect_at
+        """The mean of the Gaussian kernels on every observation v, and on every image
+        2c - v when reflected at c, below which it is 0: the reference the closed
+        forms are checked against, summed in chunks of at most ``_BLOCK_TERMS`` terms."""
+        vals, b, c = self.sample.values, self.bandwidth, self.reflect_at
         x = np.asarray(x, dtype=float)
-        value = self._raw(x) + self._raw(2.0 * c - x)
-        return np.where(x >= c, value, 0.0)
+        centres = vals if c is None else np.concatenate((vals, 2.0 * c - vals))
+        points, out = x.ravel(), np.empty(x.size)
+        step = max(1, _BLOCK_TERMS // centres.size)
+        for start in range(0, points.size, step):
+            u = (points[start : start + step, None] - centres) / b
+            out[start : start + step] = np.exp(-0.5 * u * u).sum(axis=1) / (vals.size * b * _SQRT_2PI)
+        if c is not None:
+            out[~(points >= c)] = 0.0
+        return out.reshape(x.shape)[()]
 
     def inner(self, other: "KdeModel", lower: float | None = None) -> float:
         """int fhat ghat over [lower, inf) in closed form (the line for ``None``).
@@ -645,9 +623,10 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
 
     z = vals / sd
     pairs = n * (n - 1) // 2
-    # one solve makes some 7 passes over the pairs: while they fit one block the
-    # blocks (the upper half, by _blocks' rows) are kept for all of them
-    kept = [_row_squares(z, i, j, n) for i, j, _, _ in _blocks(z, z, math.inf)] if pairs <= _SJ_KEEP_TERMS else None
+    # one solve makes some 7 passes over the pairs: while they fit one block their
+    # squares (the upper half, in blocks of whole rows) are kept for all of them
+    rows = max(1, _BLOCK_TERMS // n)
+    kept = [_row_squares(z, i, min(i + rows, n), n) for i in range(0, n, rows)] if pairs <= _SJ_KEEP_TERMS else None
     # the kept and the near-pair passes work in these: fresh arrays at each pass cost page faults
     work = np.empty((2, min(pairs, max(_BLOCK_TERMS, n))))
 

@@ -98,7 +98,7 @@ def _chunks(path: str, columns: list[str], size: int) -> Iterator[tuple[int, lis
     As in ``csv.DictReader`` rows, blank lines are skipped, a short row's
     missing cell reads "" and a repeated header name reads its last column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         for col in columns:

@@ -114,6 +114,62 @@ def test_kde_reflection_preserves_mass_and_clips():
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
+def _kde_by_loops(values, b, points, reflect_at=None):
+    """The KDE at each point by a loop over the points and, in it, over the sample
+    and its images 2c - v, each kernel by math.exp; 0 below a reflection point c."""
+    centres = list(values) + ([] if reflect_at is None else [2.0 * reflect_at - v for v in values])
+    out = []
+    for x in points:
+        if reflect_at is not None and x < reflect_at:
+            out.append(0.0)
+            continue
+        kernels = [math.exp(-0.5 * ((x - v) / b) ** 2) for v in centres]
+        out.append(math.fsum(kernels) / (len(values) * b * math.sqrt(2.0 * math.pi)))
+    return np.array(out)
+
+
+def test_kde_pdf_sums_every_kernel_over_several_chunks():
+    # 200 points against 3,000 kernels take ten chunks of at most 2^16 terms; a 2-D x
+    # keeps its shape
+    values = np.random.default_rng(5).normal(size=3000)
+    b = 0.05
+    x = np.linspace(-3.0, 3.0, 200).reshape(20, 10)
+    assert x.size > estimation._BLOCK_TERMS // values.size
+    got = KdeModel(SampleBatch(values), b).pdf(x)
+    assert got.shape == x.shape
+    expected = _kde_by_loops(np.sort(values), b, x.ravel()).reshape(x.shape)
+    np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+
+def test_kde_pdf_reflected_sums_the_images_and_is_zero_below():
+    batch = exp_batch(2.0, 60, 4)
+    b = 0.3
+    x = np.array([-2.0, -0.5, -1e-300, 0.0, 1e-3, 0.2, 0.7, 1.5, 4.0])
+    reflected = KdeModel(batch, b, reflect_at=0.0).pdf(x)
+    np.testing.assert_allclose(reflected, _kde_by_loops(batch.values, b, x, 0.0), rtol=1e-13, atol=0.0)
+    assert reflected[:3].tolist() == [0.0, 0.0, 0.0]
+    # at c each image is as far from c as its observation, so the density doubles
+    plain = KdeModel(batch, b).pdf(0.0)
+    assert reflected[3] == pytest.approx(2.0 * plain, rel=1e-14)
+    # a reflection point inside the sample: images of the observations above c lie below it
+    inside = KdeModel(batch, b, reflect_at=0.4).pdf(x)
+    np.testing.assert_allclose(inside, _kde_by_loops(batch.values, b, x, 0.4), rtol=1e-13, atol=0.0)
+    assert not inside[:6].any() and inside[6:].all()
+
+
+def test_kde_pdf_of_a_scalar_is_a_scalar_and_of_an_empty_array_empty():
+    batch = exp_batch(1.0, 40, 7)
+    for reflect_at in (None, 0.0):
+        m = KdeModel(batch, 0.25, reflect_at)
+        value = m.pdf(0.5)
+        assert np.ndim(value) == 0
+        (expected,) = _kde_by_loops(batch.values, 0.25, [0.5], reflect_at)
+        assert float(value) == pytest.approx(expected, rel=1e-13)
+        for empty in (np.empty(0), np.empty((0, 3)), []):
+            got = m.pdf(empty)
+            assert got.shape == np.shape(empty) and got.dtype == float
+
+
 def test_kde_inner_needs_one_reflection_point_at_or_above_the_bound():
     batch = exp_batch(2.0, 60, 4)
     plain, at0, at1 = (KdeModel(batch, 0.3, c) for c in (None, 0.0, 1.0))
@@ -274,8 +330,9 @@ def test_sj_pair_blocks_match_a_row_by_row_build(monkeypatch, n, reach):
         assert isinstance(blocks, list) and all(s is blocks for s in given if isinstance(s, list))
         z = z / z.std(ddof=1)  # the solve works on the standardized sample
         reference = []
-        for start, stop, _, _ in estimation._blocks(z, z, reach):
-            diffs = np.concatenate([z[i + 1 :] - z[i] for i in range(start, stop)])
+        step = estimation._BLOCK_TERMS // n
+        for start in range(0, n, step):
+            diffs = np.concatenate([z[i + 1 :] - z[i] for i in range(start, min(start + step, n))])
             reference.append(diffs * diffs)
         assert len(blocks) == len(reference) >= (2 if n >= 300 else 1)
         assert all(np.array_equal(b, r) for b, r in zip(blocks, reference))
@@ -563,7 +620,8 @@ def test_sj_pair_sums_keep_the_bits_of_one_polynomial_passes(kind, n):
         "grid": lambda: np.round(rng.normal(0.0, 3.0, n)),
     }[kind]()
     z = np.sort(x) / x.std(ddof=1)
-    kept = [estimation._row_squares(z, i, j, n) for i, j, _, _ in estimation._blocks(z, z, math.inf)]
+    step = estimation._BLOCK_TERMS // n
+    kept = [estimation._row_squares(z, i, min(i + step, n), n) for i in range(0, n, step)]
     work = np.empty((2, estimation._BLOCK_TERMS))
     for g in _sj_pilot_width(z) * np.geomspace(0.01, 10.0, 7):
         ends = np.searchsorted(z, z + estimation._SJ_NEAR * g, side="right")

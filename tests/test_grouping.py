@@ -422,3 +422,28 @@ def test_parse_error_in_a_row_with_both_cells_bad_names_the_value(tmp_path):
     with pytest.raises(CsvParseError) as err:
         load_csv(path, "spending", "income", cut_probabilities=(0.5,))
     assert (err.value.row, err.value.column) == (902, "spending")
+
+
+def test_a_byte_order_mark_reads_as_the_same_bytes_without_it(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with the UTF-8 byte-order mark EF BB BF;
+    # the first header name is "arm", not "﻿arm"
+    rng = np.random.default_rng(3)
+    text = "arm,value\n" + "".join(f"{'ab'[i % 2]},{v:.4f}\n" for i, v in enumerate(rng.normal(size=40)))
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for load in (
+        lambda path: load_csv(str(path), "value", "arm"),
+        lambda path: load_csv(str(path), "value", "arm", cut_probabilities=(0.5,)),
+        lambda path: grouping.load_sample(str(path), "value"),
+    ):
+        assert _outcome(lambda: load(marked)) == _outcome(lambda: load(plain))
+    ds = load_csv(str(marked), "value", "arm")
+    assert ds.labels == ("a", "b") and [b.n for _, b in ds.groups] == [20, 20]
+    # a bad cell is named on the same line
+    bad = text.replace("\nb,", "\nb,x", 1)
+    plain.write_bytes(bad.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + bad.encode("utf-8"))
+    with pytest.raises(CsvParseError) as err:
+        load_csv(str(marked), "value", "arm")
+    assert (err.value.row, err.value.column) == (3, "value")
