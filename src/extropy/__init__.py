@@ -39,7 +39,6 @@ from .estimation import (
     SampleBatch,
     estimate_pairwise_relative_extropy,
     estimate_relative_extropy,
-    gaussian_kernel,
     mc_bias_mse,
     sample_batch,
     sheather_jones_bandwidth,

@@ -55,7 +55,6 @@ def brentq(f, a, b, **kwargs):
 __all__ = [
     "SampleBatch",
     "KdeModel",
-    "gaussian_kernel",
     "sample_batch",
     "sheather_jones_bandwidth",
     "estimate_relative_extropy",
@@ -77,8 +76,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _KERNEL_WINDOW = 8.0
 # kernel terms evaluated at once, which bounds the working memory at every n
 _BLOCK_TERMS = 1 << 16
-# pair terms the Sheather-Jones sums keep across one solve: all, while they fit
-# one block (n <= 362); else none, and every pass takes the Hermite transform
+# pair terms the Sheather-Jones sums keep across one solve: all, in one chunk, while
+# they fit one block (n <= 362); else none, and every pass takes the Hermite transform
 _SJ_KEEP_TERMS = _BLOCK_TERMS
 # u^6 exp(-u^2 / 2) is below 1e-18 of its peak for |u| > 10.5: pairs farther
 # apart than that many pilot widths lie beyond the transform's reach
@@ -118,36 +117,23 @@ _BOUNDARY_NODES = 20
 _SUM_ROUNDING = 64.0 * np.finfo(float).eps
 
 
-def gaussian_kernel(u):
-    """Standard normal density (2 pi)^(-1/2) exp(-u^2 / 2)."""
-    u = np.asarray(u, dtype=float)
-    return np.exp(-0.5 * u * u) / _SQRT_2PI
-
-
-def _row_squares(z: np.ndarray, start: int, stop: int, ends) -> np.ndarray:
-    """Squared differences z_j - z_i of sorted ``z`` for rows start <= i < stop and
-    columns i < j < ``ends`` (one end per row, or one for all), in row-major order,
-    built by one index take."""
-    lengths = ends - np.arange(start + 1, stop + 1)
-    offsets = np.cumsum(lengths)
-    # entry k, in row i, is column k + i + 1 - (offsets[i] - lengths[i])
-    shift = np.arange(start + 1, stop + 1) - (offsets - lengths)
-    diffs = z[np.arange(offsets[-1]) + np.repeat(shift, lengths)]
-    diffs -= np.repeat(z[start:stop], lengths)
-    diffs *= diffs
-    return diffs
-
-
 def _near_squares(z: np.ndarray, ends: np.ndarray, size: int):
-    """Squared differences z_j - z_i of sorted ``z`` for i < j < ``ends[i]``, in
-    chunks of whole rows of at most ``size`` terms (no row holds more)."""
-    counts = np.cumsum(ends - np.arange(1, z.size + 1))  # the pairs of rows 0 .. i
+    """Squared differences z_j - z_i of sorted ``z`` for i < j < ``ends[i]``, row by
+    row, in chunks of whole rows of at most ``size`` terms (no row holds more)."""
+    lengths = ends - np.arange(1, z.size + 1)
+    counts = lengths.cumsum()  # the pairs of rows 0 .. i
     start = 0
     while start < z.size:
         before = int(counts[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(counts, before + size, side="right")))
+        stop = max(start + 1, int(counts.searchsorted(before + size, "right")))
         if counts[stop - 1] > before:
-            yield _row_squares(z, start, stop, ends[start:stop])
+            rows = lengths[start:stop]
+            # entry k of the chunk, in row i, is column k + i + 1 - (counts[i - 1] - before)
+            shift = np.arange(start + 1, stop + 1) - (counts[start:stop] - before - rows)
+            diffs = z[np.arange(counts[stop - 1] - before) + shift.repeat(rows)]
+            diffs -= z[start:stop].repeat(rows)
+            diffs *= diffs
+            yield diffs
         start = stop
 
 
@@ -497,12 +483,12 @@ def _psi4_term(e: float) -> float:
 
 
 def _pair_sums(squares, g: float, work: np.ndarray) -> tuple[float, float, float]:
-    """Sums over the blocks of squared differences in ``squares`` of the psi4,
+    """Sums over the chunks of squared differences in ``squares`` of the psi4,
     psi6 and psi4 slope pair terms: p(e) exp(e), e = -dsq / (2 g^2), p each of
     ``_PSI4``, ``_PSI6`` and ``_PSI4_SLOPE``.
 
     All three are read off the moments S_k, the sums of e^k exp(e), k = 0 .. 3.
-    Each block is scaled once into e in a row of ``work``, exp(e) fills the other
+    Each chunk is scaled once into e in a row of ``work``, exp(e) fills the other
     and is multiplied by e in place for each next k, and each moment is summed
     pairwise over runs of ``_SJ_RUN`` pairs.  ``_SJ_MOMENTS`` combines the moments
     run by run, where their cancellation costs least, and the combined runs are
@@ -581,8 +567,10 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     """Solve-the-equation plug-in bandwidth for a Gaussian kernel.
 
     Pilot functionals use Gaussian-reference bandwidths on the robust scale
-    min(sd, IQR/1.349).  The sample is standardized by its sd first, which
-    makes the result exactly scale-equivariant.  The equation
+    min(sd, IQR/1.349); one so far below the sd that the pilot widths' powers
+    fall below the normal doubles raises :class:`DegenerateSample`.  The sample
+    is standardized by its sd first, which makes the result exactly
+    scale-equivariant.  The equation
     F(h) = (c1 / psi4(alpha2 h^(5/7)))^(1/5) - h must change sign over
     [1e-3, 1e3] * n^(-1/5), else :class:`NoBracket`.  It is solved by Newton's
     method inside that bracket, which each evaluation narrows, from the direct
@@ -598,9 +586,10 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     at most ``_SJ_STEP`` and takes about 7 pair-sum passes, counting the two
     pilots.  Every pass gives the psi4, psi6 and psi4 slope sums at once, and
     each use reads the ones it needs.  While the pairs fit ``_SJ_KEEP_TERMS``
-    (n <= 362), every pass runs over their sorted blocks, kept for the whole
-    solve, and reads the three sums off the pair-term moments
-    (:func:`_pair_sums`).  Above that every pass takes the Hermite fast Gauss
+    (n <= 362), their squares are gathered once, as one chunk of whole rows, by
+    :func:`_near_squares`, which also gathers the lower end's near pairs, and kept
+    for the whole solve; every pass reads the three sums off their pair-term
+    moments (:func:`_pair_sums`).  Above that every pass takes the Hermite fast Gauss
     transform (:func:`_hermite_sums`), where an undecided lower end costs 2-6 times a
     windowed direct sum on light tails and less on heavy ones; no measured
     solve left that end undecided.
@@ -620,20 +609,25 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
         )
     iqr = _sorted_quantile(vals, 0.75) - _sorted_quantile(vals, 0.25)
     scale_z = min(1.0, iqr / (1.349 * sd)) if iqr > 0 else 1.0
+    a = 0.920 * 1.349 * scale_z * n ** (-1.0 / 7.0)
+    b = 0.912 * 1.349 * scale_z * n ** (-1.0 / 9.0)
+    if b**7 < np.finfo(float).tiny:  # a < b, so a**5 and both squares stay normal while b**7 does
+        raise DegenerateSample(f"robust scale {scale_z * sd:.3e} underflows against the sd {sd:.3e}")
 
     z = vals / sd
     pairs = n * (n - 1) // 2
-    # one solve makes some 7 passes over the pairs: while they fit one block their
-    # squares (the upper half, in blocks of whole rows) are kept for all of them
-    rows = max(1, _BLOCK_TERMS // n)
-    kept = [_row_squares(z, i, min(i + rows, n), n) for i in range(0, n, rows)] if pairs <= _SJ_KEEP_TERMS else None
+    size = min(pairs, max(_BLOCK_TERMS, n))
+    # one solve makes some 7 passes over the pairs: while they fit _SJ_KEEP_TERMS their
+    # squares (the upper half) are kept for all of them, in chunks of whole rows of at
+    # most `size` terms: one, while _SJ_KEEP_TERMS is _BLOCK_TERMS
+    kept = list(_near_squares(z, np.full(n, n), size)) if pairs <= _SJ_KEEP_TERMS else None
     # the kept and the near-pair passes work in these: fresh arrays at each pass cost page faults
-    work = np.empty((2, min(pairs, max(_BLOCK_TERMS, n))))
+    work = np.empty((2, size))
 
     def sums(g: float) -> tuple[float, float, float]:
         """Sums over all (i, j), the diagonal included, of the psi4, psi6 and psi4
         slope pair terms at e = -((z_j - z_i) / g)^2 / 2, by :func:`_pair_sums` over
-        the kept blocks, else by :func:`_hermite_sums`."""
+        the kept pairs, else by :func:`_hermite_sums`."""
         if kept is None:
             # offsets from the median: rounding follows the spread
             return _hermite_sums((z - z[n // 2]) / g)
@@ -641,8 +635,6 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
         # the diagonal's terms are psi4(0) = 3 and psi6(0) = -15, the slope's 0
         return 2.0 * psi4 + 3.0 * n, 2.0 * psi6 - 15.0 * n, 2.0 * slope
 
-    a = 0.920 * 1.349 * scale_z * n ** (-1.0 / 7.0)
-    b = 0.912 * 1.349 * scale_z * n ** (-1.0 / 9.0)
     td = -sums(b)[1] / (n * (n - 1) * b**7 * _SQRT_2PI)
     if not (td > 0 and math.isfinite(td)):
         raise DegenerateSample("sample too sparse for the pilot curvature functional")

@@ -11,13 +11,15 @@ import io
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import NonFiniteResult
-from .estimation import McStudyRow
-from .grouping import DivergenceMatrix
+
+if TYPE_CHECKING:
+    from .estimation import McStudyRow
+    from .grouping import DivergenceMatrix
 
 __all__ = [
     "SCHEMA_VERSION",

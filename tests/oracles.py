@@ -1,7 +1,8 @@
-"""Independent oracles: brute-force quadrature, a from-scratch bandwidth solver
-and a long-double one, the families' closed-form hazards, closed-form measures,
-a row-at-a-time CSV reader, the Hermite transform's moments built by
-``np.cumprod`` and the Sheather-Jones pair sums formed one polynomial at a time.
+"""Independent oracles: the standard normal kernel, brute-force quadrature, a
+from-scratch bandwidth solver and a long-double one, the families' closed-form
+hazards, closed-form measures, a row-at-a-time CSV reader, the Hermite
+transform's moments built by ``np.cumprod`` and the Sheather-Jones pair sums
+formed one polynomial at a time.
 
 Nothing here touches the package's quadrature or estimation code paths; the
 point is to pin expected values through a second, dissimilar route.
@@ -17,6 +18,12 @@ from extropy.errors import CsvParseError, InvalidParameter, MissingColumn, TooFe
 from extropy.grouping import MIN_GROUP_SIZE, GroupedDataset
 
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def gaussian_kernel(u):
+    """Standard normal density (2 pi)^(-1/2) exp(-u^2 / 2)."""
+    u = np.asarray(u, dtype=float)
+    return np.exp(-0.5 * u * u) / SQRT_2PI
 
 
 def trapezoid(fn, lo, hi, n=800_001):

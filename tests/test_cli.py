@@ -549,6 +549,19 @@ def test_estimate_without_a_bandwidth_bracket_is_numerical_failure(tmp_path, cap
     assert "group 'a': " in err and "no sign change" in err
 
 
+def test_estimate_underflowing_robust_scale_is_numerical_failure(tmp_path, capsys):
+    # four zeros, 1e-300 and 1: the IQR is 7.5e-301, so the pilot widths' powers round
+    # to 0; this exited 1 with a bare ZeroDivisionError
+    (tmp_path / "tiny.csv").write_text("v\n0\n0\n0\n0\n1e-300\n1\n", encoding="utf-8")
+    rows = ["v"] + [f"{v!r}" for v in np.random.default_rng(2).normal(size=50).tolist()]
+    (tmp_path / "ok.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code = run(["estimate", str(tmp_path / "tiny.csv"), str(tmp_path / "ok.csv"), "--value-col", "v",
+                "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "robust scale" in err and "underflows" in err
+
+
 _IMPORT_GUARD = """
 import sys
 from extropy.cli import main

@@ -20,7 +20,6 @@ from extropy import (
     WeibullParams,
     estimate_pairwise_relative_extropy,
     estimate_relative_extropy,
-    gaussian_kernel,
     mc_bias_mse,
     pairwise_matrix,
     sample_batch,
@@ -33,6 +32,7 @@ from extropy.quadrature import QuadratureSpec, integrate
 from oracles import (
     efficient_sd_relative_exponential,
     efficient_variances_relative_exponential,
+    gaussian_kernel,
     gram_oracle,
     hermite_transform_cumprod,
     horner,
@@ -311,11 +311,15 @@ def test_pairwise_estimate_needs_one_bandwidth_per_sample():
 # --- Sheather-Jones bandwidth -------------------------------------------------
 
 
-@pytest.mark.parametrize("n, reach", [(5, math.inf), (50, math.inf), (300, math.inf), (2100, 0.3)])
+@pytest.mark.parametrize(
+    "n, reach", [(5, math.inf), (50, math.inf), (256, math.inf), (257, math.inf), (300, math.inf),
+                 (362, math.inf), (2100, 0.3)],
+)
 def test_sj_pair_blocks_match_a_row_by_row_build(monkeypatch, n, reach):
-    # an infinite reach checks the blocks a solve keeps (n <= 362; n = 300 spans two
-    # row blocks), a finite one the lower bracket end's near pairs: rows of their own
-    # lengths, in whole-row chunks of at most `size` terms, here small enough for many
+    # an infinite reach checks the pairs a solve keeps (n <= 362, up to 65,341 pairs):
+    # one array of the whole upper half, row after row; a finite one the lower bracket
+    # end's near pairs: rows of their own lengths, in whole-row chunks of at most `size`
+    # terms, here small enough for many
     z = np.sort(np.random.default_rng(n).lognormal(size=n))
     if reach == math.inf:
         given, pair_sums = [], estimation._pair_sums
@@ -329,13 +333,8 @@ def test_sj_pair_blocks_match_a_row_by_row_build(monkeypatch, n, reach):
         blocks = given[0]  # every pass gets the one kept list
         assert isinstance(blocks, list) and all(s is blocks for s in given if isinstance(s, list))
         z = z / z.std(ddof=1)  # the solve works on the standardized sample
-        reference = []
-        step = estimation._BLOCK_TERMS // n
-        for start in range(0, n, step):
-            diffs = np.concatenate([z[i + 1 :] - z[i] for i in range(start, min(start + step, n))])
-            reference.append(diffs * diffs)
-        assert len(blocks) == len(reference) >= (2 if n >= 300 else 1)
-        assert all(np.array_equal(b, r) for b, r in zip(blocks, reference))
+        diffs = np.concatenate([z[i + 1 :] - z[i] for i in range(n)])
+        assert len(blocks) == 1 and np.array_equal(blocks[0], diffs * diffs)
     else:
         size = 2000
         ends = np.searchsorted(z, z + reach, side="right")
@@ -608,9 +607,9 @@ def test_sj_tie_heavy_kept_bandwidths_match_a_long_double_solve(kind, n):
 def test_sj_pair_sums_keep_the_bits_of_one_polynomial_passes(kind, n):
     # one pass forms S_0 .. S_3 and returns psi4, psi6 and the slope; each must be,
     # bit for bit, what a pass of psi4 alone (S_0 .. S_2), psi6 alone or psi4 with
-    # the slope gave, on the blocks a solve keeps and on near-pair chunks of whole
-    # rows (here of at most 1,000 terms, so one run or less each), from 0.01 to 10
-    # pilot widths
+    # the slope gave, on the one chunk of all pairs a solve keeps and on near-pair
+    # chunks of whole rows (here of at most 1,000 terms, so one run or less each),
+    # from 0.01 to 10 pilot widths
     rng = np.random.default_rng(n)
     x = {
         "exponential": lambda: rng.exponential(size=n),
@@ -620,8 +619,7 @@ def test_sj_pair_sums_keep_the_bits_of_one_polynomial_passes(kind, n):
         "grid": lambda: np.round(rng.normal(0.0, 3.0, n)),
     }[kind]()
     z = np.sort(x) / x.std(ddof=1)
-    step = estimation._BLOCK_TERMS // n
-    kept = [estimation._row_squares(z, i, min(i + step, n), n) for i in range(0, n, step)]
+    kept = list(estimation._near_squares(z, np.full(n, n), n * (n - 1) // 2))
     work = np.empty((2, estimation._BLOCK_TERMS))
     for g in _sj_pilot_width(z) * np.geomspace(0.01, 10.0, 7):
         ends = np.searchsorted(z, z + estimation._SJ_NEAR * g, side="right")
@@ -708,6 +706,23 @@ def test_overflowing_spread_raises_degenerate_sample():
     x, y = 1e155 * rng.exponential(size=200), 5e154 * rng.exponential(size=200)
     with pytest.raises(DegenerateSample, match="spread overflows"):
         estimate_relative_extropy(SampleBatch(x), SampleBatch(y))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, 0.0, 0.0, 0.0, 1e-300, 1.0],
+        [0.0, 0.0, 0.0, 0.0, 1e-46, 1.0],  # b**7 is subnormal, not 0
+        [0.0] * 5 + [1e-200] * 3 + [1.0] * 2,
+        [0.0] * 300 + [1e-300] * 100 + [1.0],  # n = 401: by default every pass takes the transform
+    ],
+)
+def test_sj_underflowing_robust_scale_raises_degenerate_sample(sj_blocks, values):
+    # the IQR is some 1e-300, 1e-200 or 1e-46 of the sd, and so are the pilot widths,
+    # whose powers round to 0 or to subnormals: this raised a bare ZeroDivisionError,
+    # or at 1e-46 named a sample too sparse for the pilot curvature functional
+    with pytest.raises(DegenerateSample, match="robust scale .* underflows"):
+        sheather_jones_bandwidth(SampleBatch(np.array(values)))
 
 
 def test_sj_without_sign_change_raises_no_bracket(sj_blocks):
