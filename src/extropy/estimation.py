@@ -195,11 +195,12 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
     pairs lie more than ``_GRAM_OFFSET`` boxes from that sample on average; the
     rule runs only for n m > ``_GRAM_PAIRS_PER_BOX``, as no box of a smaller sum
     can hold more pairs.  Any other sum is direct, and drops terms farther apart
-    than ``_KERNEL_WINDOW`` * tau.  When x and y are the same points at the same
-    bandwidth, each row's pairs above the diagonal within that window are
-    gathered as the Sheather-Jones bounds gather theirs (:func:`_near_squares`),
+    than ``_KERNEL_WINDOW`` * tau.  One window per row of x, found by one
+    ``searchsorted`` per end, serves the rule's pair counts and the direct sum.
+    When x and y are the same points at the same bandwidth, each row's pairs
+    above the diagonal within that window are gathered by :func:`_near_squares`,
     summed once and counted twice, plus the diagonal; cross and reflected-image
-    sums run over blocks of x's rows, each against the y within that window.
+    sums run over blocks of x's rows, each against the y within their windows.
 
     A bound subtracts the pairs' shares below c, phi_tau(d) (1 - Phi(r)).  Since
     d^2 + r^2 = a^2 + b^2 with a = (x_i - c) / bx and b = (y_j - c) / by, each
@@ -212,13 +213,17 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
     """
     tau = math.hypot(bx, by)
     symmetric = bx == by and (x is y or np.array_equal(x, y))
+    # y[starts[i] : ends[i]] holds every y within the window of x_i; a self sum's row i
+    # holds only its pairs above the diagonal
+    ends = np.searchsorted(y, x + _KERNEL_WINDOW * tau, side="right")
+    starts = np.arange(1, x.size + 1) if symmetric else np.searchsorted(y, x - _KERNEL_WINDOW * tau)
     dense = False
     if x.size * y.size > _GRAM_PAIRS_PER_BOX:  # else no box holds more pairs than the cutover
         centre = x[x.size // 2]  # rounding follows the spread, not the location
         u = (x - centre) / tau
         v = u if symmetric else (y - centre) / tau
-        counts = np.searchsorted(v, u + _KERNEL_WINDOW, side="right")
-        counts -= np.searchsorted(v, u - _KERNEL_WINDOW)
+        # each row's pairs within the window; a self sum's also those below the diagonal
+        counts = 2 * (ends - starts) + 1 if symmetric else ends - starts
         pairs = int(counts.sum())
         boxes = 1 + np.count_nonzero(np.diff(np.floor(u if symmetric else np.sort(np.concatenate((u, v))))))
         # |u| over the pairs, NaN or inf where an offset overflows; so must v's ends be finite
@@ -229,7 +234,6 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
         # sources x and y against targets y and x; a self sum, twice x against x
         total = (2.0 if symmetric else 1.0) * float(np.einsum("stc,stc->", coeffs, moments[::-1]))
     elif symmetric:
-        ends = np.searchsorted(x, x + _KERNEL_WINDOW * tau, side="right")
         total = 0.0
         for terms in _near_squares(x, ends, _BLOCK_TERMS):
             terms *= -0.5 / (tau * tau)
@@ -239,10 +243,8 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
     else:
         total, step = 0.0, max(1, _BLOCK_TERMS // y.size)
         for start in range(0, x.size, step):
-            rows = x[start : start + step]  # y[lo:hi] holds every y within the window of these rows
-            lo = int(np.searchsorted(y, rows[0] - _KERNEL_WINDOW * tau, side="left"))
-            hi = int(np.searchsorted(y, rows[-1] + _KERNEL_WINDOW * tau, side="right"))
-            terms = np.subtract.outer(rows, y[lo:hi])
+            stop = min(start + step, x.size)
+            terms = np.subtract.outer(x[start:stop], y[starts[start] : ends[stop - 1]])
             np.square(terms, out=terms)
             terms *= -0.5 / (tau * tau)
             np.exp(terms, out=terms)
@@ -375,14 +377,8 @@ _PSI4_SLOPE = (-8.0, -40.0, -30.0, 0.0)
 # it is least at e = (sqrt 10 - 5) / 2 = -0.919 and increases from there to psi(0) = 3;
 # below e = -4.08 it is positive and increases with e
 _PSI4_DIP = 0.5 * (math.sqrt(10.0) - 5.0)
-# psi(e) < 0 only between its roots e = -3/2 -+ sqrt(6) / 2, for pairs these many
-# pilot widths apart: sqrt(3 - sqrt 6) = 0.742 to sqrt(3 + sqrt 6) = 2.334
-_PSI4_BAND = (math.sqrt(3.0 - math.sqrt(6.0)), math.sqrt(3.0 + math.sqrt(6.0)))
-# the lower bracket end sums its pairs within this many pilot widths exactly; each
-# pair beyond has e < -18, where 0 < psi(e) < psi(-18) = 1.6e-5
-_SJ_NEAR = 6.0
 # the bracket ends' bounds on the psi4 sum S are widened by this share of 3 n^2, the
-# largest |S|, and r must clear h by this share of it: the exact pass rounds S by
+# largest S, and r must clear h by this share of it: the exact pass rounds S by
 # under 1e-13 of 3 n^2, as its terms |e^k exp(e)| <= 1.35, which psi4 weighs by under
 # 10 per pair in all, are summed pairwise
 _SJ_SLACK = 1e-9
@@ -510,57 +506,33 @@ def _pair_sums(squares, g: float, work: np.ndarray) -> tuple[float, float, float
     return tuple(totals.tolist())
 
 
-def _sj_end_sign(z: np.ndarray, g: float, h: float, c1: float, near: bool, kept: bool, work: np.ndarray) -> float:
+def _sj_end_sign(z: np.ndarray, g: float, h: float, c1: float) -> float:
     """The sign of the bandwidth equation F(h) = (c1 / psi4(g))^(1/5) - h of sorted
     standardized ``z`` at a bracket end, +1.0 or -1.0, where bounds decide it; else 0.0.
 
-    psi4(g) = S / (n (n - 1) g^5 sqrt(2 pi)), where S is 3 n plus the sum over
-    i != j of psi(e_ij), e_ij = -((z_j - z_i) / g)^2 / 2, psi as at
-    ``_PSI4_DIP``, and S is at most 3 n^2.  At the upper end every e_ij lies in
-    [-E, 0], E = (range / g)^2 / 2, so S is at least 3 n + n (n - 1) min psi
-    there.  At the lower end (``near``) of a solve whose pairs are ``kept``, S is
-    first bounded below by 3 n + 2 psi(``_PSI4_DIP``) times the pairs in
-    ``_PSI4_BAND``, counted by two ``searchsorted`` calls and no exp.  Where that
-    leaves the sign open, and at every lower end above the keep cap, the pairs
-    within ``_SJ_NEAR`` g are summed exactly, in ``work``'s rows and whole-row
-    chunks, and each other pair adds between 0 and psi(-``_SJ_NEAR``^2 / 2).
-    Widened by ``_SJ_SLACK`` 3 n^2, the bounds decide only while S stays above 0
-    and the r of one of them clears h by a relative ``_SJ_SLACK``.
+    psi4(g) = S / (n (n - 1) g^5 sqrt(2 pi)), where S is the sum over all (i, j),
+    the diagonal included, of psi(e_ij), e_ij = -((z_j - z_i) / g)^2 / 2, psi as at
+    ``_PSI4_DIP``.  S is n^2 times int (f'')^2 of the sample's mean Gaussian
+    kernel at width g / sqrt 2 (Wand & Jones 1995, section 3.5), and phi^(4)'s
+    Fourier transform w^4 exp(-w^2 / 2) is >= 0, so 0 < S <= 3 n^2 for every
+    sample: r = F(h) + h is at least (norm / 3 n^2)^(1/5).  Every e_ij lies in
+    [-E, 0], E = (range / g)^2 / 2, so S is also at least 3 n + n (n - 1) min
+    psi over that range, which bounds r above where it is positive.  Widened by
+    ``_SJ_SLACK`` 3 n^2, a bound decides only where its r clears h by a relative
+    ``_SJ_SLACK``.
     """
     if not (isinstance(g, float) and 1e-30 < g < 1e30):
         return 0.0  # a complex or extreme width goes to the exact pass, and what it raises
     n = z.size
     slack = _SJ_SLACK * 3.0 * n * n
     norm = c1 * n * (n - 1) * g**5 * _SQRT_2PI
-
-    def decide(least: float, most: float) -> float:
-        least, most = least - slack, most + slack
-        if not least > 0.0:
-            return 0.0
-        r_low, r_high = (norm / most) ** 0.2, (norm / least) ** 0.2
-        if not math.isfinite(r_high):
-            return 0.0
-        if r_low > h * (1.0 + _SJ_SLACK):
-            return 1.0
-        if r_high < h * (1.0 - _SJ_SLACK):
-            return -1.0
-        return 0.0
-
-    if not near:
-        spread = 0.5 * (float(z[-1] - z[0]) / g) ** 2
-        return decide(3.0 * n + n * (n - 1) * _psi4_term(max(-spread, _PSI4_DIP)), 3.0 * n * n)
-    if kept:
-        # the band is widened by 4 ulps of the largest |z|, more than z + c g rounds by
-        pad = 4.0 * math.ulp(max(abs(float(z[0])), abs(float(z[-1]))))
-        inner = np.searchsorted(z, z + (_PSI4_BAND[0] * g - pad), side="left")
-        outer = np.searchsorted(z, z + (_PSI4_BAND[1] * g + pad), side="right")
-        sign = decide(3.0 * n + 2.0 * int((outer - inner).sum()) * _psi4_term(_PSI4_DIP), 3.0 * n * n)
-        if sign:
-            return sign
-    ends = np.searchsorted(z, z + _SJ_NEAR * g, side="right")
-    far = n * (n - 1) // 2 - (int(ends.sum()) - n * (n + 1) // 2)
-    least = 3.0 * n + 2.0 * _pair_sums(_near_squares(z, ends, work.shape[1]), g, work)[0]
-    return decide(least, least + 2.0 * far * _psi4_term(-0.5 * _SJ_NEAR**2))
+    if (norm / (3.0 * n * n + slack)) ** 0.2 > h * (1.0 + _SJ_SLACK):
+        return 1.0
+    spread = 0.5 * (float(z[-1] - z[0]) / g) ** 2
+    least = 3.0 * n + n * (n - 1) * _psi4_term(max(-spread, _PSI4_DIP)) - slack
+    if least > 0.0 and (norm / least) ** 0.2 < h * (1.0 - _SJ_SLACK):
+        return -1.0
+    return 0.0
 
 
 def sheather_jones_bandwidth(s: SampleBatch) -> float:
@@ -577,22 +549,18 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     plug-in bandwidth (c1 / psi4(a))^(1/5) that the psi4 pilot gives (from
     n^(-1/5) where that is not inside the bracket); a step that would leave the
     bracket, or not halve the step before it, bisects instead.  Only the signs
-    of F at the bracket ends reach the solve, and bounds on psi4 decide them
-    (:func:`_sj_end_sign`): the sample's range at the upper end; at the lower,
-    a count of the pairs where the psi4 pair term can be negative while the
-    pairs are kept, then the pairs within ``_SJ_NEAR`` pilot widths.  An end
-    they leave undecided takes the exact pass, so every bandwidth and every
+    of F at the bracket ends reach the solve, and two bounds on the psi4 sum
+    decide them in O(1) (:func:`_sj_end_sign`): it is positive and at most 3 n^2
+    for every sample, and at least what the sample's range allows.  An end they
+    leave undecided takes the exact pass, so every bandwidth and every
     :class:`NoBracket` is the exact passes' own.  The solve stops at a step of
     at most ``_SJ_STEP`` and takes about 7 pair-sum passes, counting the two
     pilots.  Every pass gives the psi4, psi6 and psi4 slope sums at once, and
     each use reads the ones it needs.  While the pairs fit ``_SJ_KEEP_TERMS``
     (n <= 362), their squares are gathered once, as one chunk of whole rows, by
-    :func:`_near_squares`, which also gathers the lower end's near pairs, and kept
-    for the whole solve; every pass reads the three sums off their pair-term
-    moments (:func:`_pair_sums`).  Above that every pass takes the Hermite fast Gauss
-    transform (:func:`_hermite_sums`), where an undecided lower end costs 2-6 times a
-    windowed direct sum on light tails and less on heavy ones; no measured
-    solve left that end undecided.
+    :func:`_near_squares`, and kept for the whole solve; every pass reads the
+    three sums off their pair-term moments (:func:`_pair_sums`).  Above that
+    every pass takes the Hermite fast Gauss transform (:func:`_hermite_sums`).
     """
     if s.n < 5:
         raise DegenerateSample(f"bandwidth selection needs n >= 5, got {s.n}")
@@ -616,13 +584,15 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
 
     z = vals / sd
     pairs = n * (n - 1) // 2
-    size = min(pairs, max(_BLOCK_TERMS, n))
-    # one solve makes some 7 passes over the pairs: while they fit _SJ_KEEP_TERMS their
-    # squares (the upper half) are kept for all of them, in chunks of whole rows of at
-    # most `size` terms: one, while _SJ_KEEP_TERMS is _BLOCK_TERMS
-    kept = list(_near_squares(z, np.full(n, n), size)) if pairs <= _SJ_KEEP_TERMS else None
-    # the kept and the near-pair passes work in these: fresh arrays at each pass cost page faults
-    work = np.empty((2, size))
+    kept = work = None
+    if pairs <= _SJ_KEEP_TERMS:
+        # one solve makes some 7 passes over the pairs: while they fit _SJ_KEEP_TERMS
+        # their squares (the upper half) are kept for all of them, in chunks of whole
+        # rows of at most `size` terms: one, while _SJ_KEEP_TERMS is _BLOCK_TERMS
+        size = min(pairs, max(_BLOCK_TERMS, n))
+        kept = list(_near_squares(z, np.full(n, n), size))
+        # the passes work in these: fresh arrays at each pass cost page faults
+        work = np.empty((2, size))
 
     def sums(g: float) -> tuple[float, float, float]:
         """Sums over all (i, j), the diagonal included, of the psi4, psi6 and psi4
@@ -654,9 +624,7 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     lo, hi = 1e-3 * h0, 1e3 * h0
     # only the signs of F at the ends reach the solve: bounds decide them, or the exact pass
     f_lo, f_hi = (
-        _sj_end_sign(z, alpha2_coeff * end ** (5.0 / 7.0), end, c1, near, kept is not None, work)
-        or equation(end)[0]
-        for end, near in ((lo, True), (hi, False))
+        _sj_end_sign(z, alpha2_coeff * end ** (5.0 / 7.0), end, c1) or equation(end)[0] for end in (lo, hi)
     )
     if f_lo * f_hi > 0:
         raise NoBracket(

@@ -317,9 +317,10 @@ def test_pairwise_estimate_needs_one_bandwidth_per_sample():
 )
 def test_sj_pair_blocks_match_a_row_by_row_build(monkeypatch, n, reach):
     # an infinite reach checks the pairs a solve keeps (n <= 362, up to 65,341 pairs):
-    # one array of the whole upper half, row after row; a finite one the lower bracket
-    # end's near pairs: rows of their own lengths, in whole-row chunks of at most `size`
-    # terms, here small enough for many
+    # one array of the whole upper half, row after row; a finite one the layout of a
+    # direct self Gram sum: each row's pairs above the diagonal within the kernel
+    # window, rows of their own lengths, in whole-row chunks of at most `size` terms
+    # (_BLOCK_TERMS there), here small enough for many
     z = np.sort(np.random.default_rng(n).lognormal(size=n))
     if reach == math.inf:
         given, pair_sums = [], estimation._pair_sums
@@ -536,7 +537,7 @@ def test_sj_rebuilt_blocks_match_kept(monkeypatch, n):
 
 def test_sj_passes_above_the_keep_cap_all_take_the_transform(monkeypatch):
     # the sums' path depends on n alone: with both bracket ends left to their exact
-    # passes, a sparse lower end included, every pass at n = 800 is a transform
+    # passes, every pass at n = 800 is a transform
     x = np.random.default_rng(800).normal(size=800)
     transforms, direct = [], []
     hermite, pair_sums = estimation._hermite_sums, estimation._pair_sums
@@ -544,7 +545,8 @@ def test_sj_passes_above_the_keep_cap_all_take_the_transform(monkeypatch):
     monkeypatch.setattr(estimation, "_pair_sums", lambda *args: direct.append(1) or pair_sums(*args))
     h = sheather_jones_bandwidth(SampleBatch(x))
     bounded = len(transforms)
-    del transforms[:], direct[:]  # the lower end's bound sums its near pairs directly
+    assert not direct  # the bounds on the bracket ends make no pass
+    del transforms[:]
     monkeypatch.setattr(estimation, "_sj_end_sign", lambda *args: 0.0)
     assert sheather_jones_bandwidth(SampleBatch(x)) == h
     assert not direct and len(transforms) == bounded + 2  # the two ends' exact passes
@@ -552,20 +554,20 @@ def test_sj_passes_above_the_keep_cap_all_take_the_transform(monkeypatch):
 
 def _record_pair_sums(monkeypatch):
     """One entry per ``_pair_sums`` call of the solves that follow: True where a
-    lower bracket end's bound made it."""
-    calls, near = [], [False]
+    bracket end's bound made it."""
+    calls, inside = [], [False]
     pair_sums, bound = estimation._pair_sums, estimation._sj_end_sign
 
     def recording_sums(*args):
-        calls.append(near[0])
+        calls.append(inside[0])
         return pair_sums(*args)
 
     def recording_bound(*args):
-        near[0] = args[4]  # _sj_end_sign(z, g, h, c1, near, ...)
+        inside[0] = True
         try:
             return bound(*args)
         finally:
-            near[0] = False
+            inside[0] = False
 
     monkeypatch.setattr(estimation, "_pair_sums", recording_sums)
     monkeypatch.setattr(estimation, "_sj_end_sign", recording_bound)
@@ -573,21 +575,65 @@ def _record_pair_sums(monkeypatch):
 
 
 def test_sj_kept_solve_makes_at_most_seven_passes(monkeypatch):
-    # two pilots and Newton from the direct plug-in bandwidth; the lower bracket end is
-    # decided by counting the pairs whose pair term can be negative, with no pass.
-    # Newton from n^(-1/5) and a near-pair sum at the lower end take 9 passes here
+    # two pilots and Newton from the direct plug-in bandwidth; both bracket ends are
+    # decided by bounds, with no pass.  Newton from n^(-1/5) and an exact pass at the
+    # lower end took 9 passes here
     calls = _record_pair_sums(monkeypatch)
     sheather_jones_bandwidth(SampleBatch(np.random.default_rng(200).exponential(size=200)))
     assert 0 < len(calls) <= 7
     assert not any(calls)
 
 
-def test_sj_lower_end_above_the_keep_cap_sums_its_near_pairs(monkeypatch):
-    # the pair count is tried only while the pairs are kept: above the cap it costs
-    # more than it decides, and the near-pair sum is the lower end's one direct pass
+def test_sj_bracket_ends_above_the_keep_cap_make_no_direct_pass(monkeypatch):
+    # above the cap every pass takes the transform, and the bounds on both bracket ends
+    # are O(1) in the pairs: no bound sums pairs directly
     calls = _record_pair_sums(monkeypatch)
     sheather_jones_bandwidth(SampleBatch(np.random.default_rng(800).normal(size=800)))
-    assert calls == [True]
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [800, 3200])
+def test_sj_bounds_decide_both_ends_of_band_like_samples(monkeypatch, n):
+    # the quantile bands of the groups workload: a normal(50, 11) column rounded to
+    # 3 decimals.  Both ends are decided by bounds, so the solve makes two passes
+    # fewer than one whose ends take their exact passes, and none of them direct
+    x = np.round(np.random.default_rng(n).normal(50.0, 11.0, n), 3)
+    bound, signs, transforms, direct = estimation._sj_end_sign, [], [], []
+    hermite, pair_sums = estimation._hermite_sums, estimation._pair_sums
+    monkeypatch.setattr(estimation, "_hermite_sums", lambda u: transforms.append(u.size) or hermite(u))
+    monkeypatch.setattr(estimation, "_pair_sums", lambda *args: direct.append(1) or pair_sums(*args))
+    monkeypatch.setattr(estimation, "_sj_end_sign", lambda *args: signs.append(bound(*args)) or signs[-1])
+    h = sheather_jones_bandwidth(SampleBatch(x))
+    assert signs == [1.0, -1.0] and not direct
+    bounded = len(transforms)
+    del transforms[:]
+    monkeypatch.setattr(estimation, "_sj_end_sign", lambda *args: 0.0)
+    assert sheather_jones_bandwidth(SampleBatch(x)) == h
+    assert not direct and len(transforms) == bounded + 2
+
+
+@pytest.mark.parametrize("kind", ["normal", "rounded", "lattice", "three-valued", "cauchy"])
+def test_sj_psi4_sum_is_positive_and_at_most_3_n_squared(kind):
+    # the premise of the bracket ends' bounds: S, the sum over all (i, j), the diagonal
+    # included, of psi(e_ij) = (4 e^2 + 12 e + 3) exp(e), e_ij = -((x_j - x_i) / g)^2 / 2,
+    # is n^2 int (f'')^2 of the mean Gaussian kernel at width g / sqrt 2, so 0 < S <= 3 n^2
+    # for every sample and width.  Summed in numpy's longdouble (80-bit on x86)
+    rng = np.random.default_rng(35)
+    draw = {
+        "normal": lambda n: rng.normal(size=n),
+        "rounded": lambda n: np.round(rng.normal(size=n), 1),
+        "lattice": lambda n: rng.integers(0, 8, n) * 0.25,
+        "three-valued": lambda n: rng.choice([0.0, 1.0, 2.5], n),
+        "cauchy": lambda n: rng.standard_cauchy(n),
+    }[kind]
+    for _ in range(200):
+        n = int(rng.integers(2, 121))
+        x = draw(n).astype(np.longdouble)
+        g = np.longdouble(10.0 ** rng.uniform(-4.0, 3.0)) * (np.std(x) or 1.0)  # ties alone: sd 0
+        d = (x[:, None] - x[None, :]) / g
+        e = -0.5 * d * d
+        total = ((4 * e * e + 12 * e + 3) * np.exp(e)).sum()
+        assert 0 < total <= 3 * n * n, (n, g, total)
 
 
 @pytest.mark.parametrize("n", [200, 300, 362])
@@ -607,9 +653,9 @@ def test_sj_tie_heavy_kept_bandwidths_match_a_long_double_solve(kind, n):
 def test_sj_pair_sums_keep_the_bits_of_one_polynomial_passes(kind, n):
     # one pass forms S_0 .. S_3 and returns psi4, psi6 and the slope; each must be,
     # bit for bit, what a pass of psi4 alone (S_0 .. S_2), psi6 alone or psi4 with
-    # the slope gave, on the one chunk of all pairs a solve keeps and on near-pair
-    # chunks of whole rows (here of at most 1,000 terms, so one run or less each),
-    # from 0.01 to 10 pilot widths
+    # the slope gave, on the one chunk of all pairs a solve keeps and on chunks of
+    # whole rows of the pairs within 6 widths (of at most 1,000 terms, so one run or
+    # less each), from 0.01 to 10 pilot widths
     rng = np.random.default_rng(n)
     x = {
         "exponential": lambda: rng.exponential(size=n),
@@ -622,7 +668,7 @@ def test_sj_pair_sums_keep_the_bits_of_one_polynomial_passes(kind, n):
     kept = list(estimation._near_squares(z, np.full(n, n), n * (n - 1) // 2))
     work = np.empty((2, estimation._BLOCK_TERMS))
     for g in _sj_pilot_width(z) * np.geomspace(0.01, 10.0, 7):
-        ends = np.searchsorted(z, z + estimation._SJ_NEAR * g, side="right")
+        ends = np.searchsorted(z, z + 6.0 * g, side="right")
         near = list(estimation._near_squares(z, ends, 1000))
         for squares in (kept, near):
             psi4, psi6, slope = estimation._pair_sums(squares, g, work)
@@ -636,8 +682,9 @@ def test_sj_pair_sums_keep_the_bits_of_one_polynomial_passes(kind, n):
 
 @pytest.mark.parametrize("n", [400, 1000, 1600, 2000, 3200])
 def test_sj_working_memory_is_bounded(n):
-    # a solve keeps its pair blocks only while they fit one block of
-    # _BLOCK_TERMS, so its traced peak is about 2.5 MB at every n
+    # a solve keeps its pairs, and allocates their pass buffers, only while they fit
+    # one block of _BLOCK_TERMS, so its traced peak is at most about 1.5 MB at every n
+    # (0.2-1.2 MB measured at these n)
     batch = SampleBatch(np.random.default_rng(n).normal(size=n))
     tracemalloc.start()
     try:
@@ -770,7 +817,9 @@ def test_sj_bracket_bounds_match_the_exact_passes(sj_blocks, monkeypatch, kind):
             assert signs == [1.0, -1.0], n  # the bounds decided both ends
         if exact[0] is NoBracket:
             no_sign_change.append(n)
-            assert signs[0] == -1.0, n  # the root lies below the bracket
+            # the root lies below the bracket, where F < 0: no bound decides that at the
+            # lower end, so its exact pass does
+            assert signs[0] == 0.0, n
     assert tuple(no_sign_change) == _BRACKET_NO_SIGN_CHANGE.get(kind, ())
 
 
