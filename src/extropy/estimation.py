@@ -535,6 +535,34 @@ def _sj_end_sign(z: np.ndarray, g: float, h: float, c1: float) -> float:
     return 0.0
 
 
+def _sj_model_step(near: tuple[float, float, float], far: tuple[float, float, float]) -> float:
+    """The relative step exp(u) - 1 from ``near``'s h to the root of a cubic model
+    of the bandwidth equation through two passes, each given as (h, r, d): r =
+    (c1 / psi4(g))^(1/5) and d = g N'(g) / N at g = alpha2 h^(5/7), N the psi4
+    sum.  nan where the model gives no root.  No pass is made.
+
+    The root is where log(h / r) = 0.  log r is linear in log g and log N, and
+    log g in log h, so the cubic Hermite of log N in log g through the two passes
+    is, up to a linear term, that of log(h / r) in log h, whose slope is
+    (2 + d) / 7.  Three Newton steps on that cubic from ``near``: the first is
+    Newton's own step in log h, and the others follow the curvature the second
+    pass shows.
+    """
+    (h0, r0, d0), (h1, r1, d1) = near, far
+    try:
+        w = math.log(h1 / h0)
+        p0, s0, s1 = math.log(h0 / r0), (2.0 + d0) / 7.0, (2.0 + d1) / 7.0
+        secant = (math.log(h1 / r1) - p0) / w
+        c2 = (3.0 * secant - 2.0 * s0 - s1) / w
+        c3 = (s0 + s1 - 2.0 * secant) / (w * w)
+        u = 0.0
+        for _ in range(3):
+            u -= (p0 + u * (s0 + u * (c2 + u * c3))) / (s0 + u * (2.0 * c2 + 3.0 * u * c3))
+        return math.expm1(u)
+    except ArithmeticError:  # two passes at one h, a flat model or an overflowing step
+        return math.nan
+
+
 def sheather_jones_bandwidth(s: SampleBatch) -> float:
     """Solve-the-equation plug-in bandwidth for a Gaussian kernel.
 
@@ -545,16 +573,21 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     scale-equivariant.  The equation
     F(h) = (c1 / psi4(alpha2 h^(5/7)))^(1/5) - h must change sign over
     [1e-3, 1e3] * n^(-1/5), else :class:`NoBracket`.  It is solved by Newton's
-    method inside that bracket, which each evaluation narrows, from the direct
-    plug-in bandwidth (c1 / psi4(a))^(1/5) that the psi4 pilot gives (from
-    n^(-1/5) where that is not inside the bracket); a step that would leave the
-    bracket, or not halve the step before it, bisects instead.  Only the signs
-    of F at the bracket ends reach the solve, and two bounds on the psi4 sum
-    decide them in O(1) (:func:`_sj_end_sign`): it is positive and at most 3 n^2
-    for every sample, and at least what the sample's range allows.  An end they
+    method inside that bracket, which each evaluation narrows.  The start and
+    each step go to the root of a cubic model of the psi4 sum through the two
+    kept passes nearest the iterate (:func:`_sj_model_step`), where guards allow:
+    the start near the direct plug-in bandwidth (c1 / psi4(a))^(1/5) that the
+    psi4 pilot gives (n^(-1/5) where that is not inside the bracket), and a step
+    near Newton's own.  A step that would leave the bracket, or not halve the
+    step before it, bisects instead.  Where F has several roots in the bracket,
+    the solve returns the one it reaches from the plug-in start, not the
+    smallest or the largest.  Only the signs of F at the bracket ends reach the
+    solve, and two bounds on the psi4 sum decide them in O(1)
+    (:func:`_sj_end_sign`): it is positive and at most 3 n^2 for every sample,
+    and at least what the sample's range allows.  An end they
     leave undecided takes the exact pass, so every bandwidth and every
     :class:`NoBracket` is the exact passes' own.  The solve stops at a step of
-    at most ``_SJ_STEP`` and takes about 7 pair-sum passes, counting the two
+    at most ``_SJ_STEP`` and takes about 5 or 6 pair-sum passes, counting the two
     pilots.  Every pass gives the psi4, psi6 and psi4 slope sums at once, and
     each use reads the ones it needs.  While the pairs fit ``_SJ_KEEP_TERMS``
     (n <= 362), their squares are gathered once, as one chunk of whole rows, by
@@ -586,7 +619,7 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     pairs = n * (n - 1) // 2
     kept = work = None
     if pairs <= _SJ_KEEP_TERMS:
-        # one solve makes some 7 passes over the pairs: while they fit _SJ_KEEP_TERMS
+        # one solve makes some 5 or 6 passes over the pairs: while they fit _SJ_KEEP_TERMS
         # their squares (the upper half) are kept for all of them, in chunks of whole
         # rows of at most `size` terms: one, while _SJ_KEEP_TERMS is _BLOCK_TERMS
         size = min(pairs, max(_BLOCK_TERMS, n))
@@ -605,26 +638,34 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
         # the diagonal's terms are psi4(0) = 3 and psi6(0) = -15, the slope's 0
         return 2.0 * psi4 + 3.0 * n, 2.0 * psi6 - 15.0 * n, 2.0 * slope
 
-    td = -sums(b)[1] / (n * (n - 1) * b**7 * _SQRT_2PI)
+    at_b = sums(b)
+    td = -at_b[1] / (n * (n - 1) * b**7 * _SQRT_2PI)
     if not (td > 0 and math.isfinite(td)):
         raise DegenerateSample("sample too sparse for the pilot curvature functional")
-    psi4_a = sums(a)[0] / (n * (n - 1) * a**5 * _SQRT_2PI)
+    at_a = sums(a)
+    psi4_a = at_a[0] / (n * (n - 1) * a**5 * _SQRT_2PI)
     alpha2_coeff = 1.357 * (psi4_a / td) ** (1.0 / 7.0)
     c1 = 1.0 / (2.0 * math.sqrt(math.pi) * n)
 
+    def plug_in(g: float, at: tuple[float, float, float]) -> tuple[float, float]:
+        """The plug-in bandwidth r = (c1 / psi4(g))^(1/5), psi4(g) = N / (n (n - 1)
+        g^5 sqrt(2 pi)), and d = g N'(g) / N, from the sums ``at`` g (:func:`sums`),
+        N the psi4 sum."""
+        total, _, slope = at
+        return (c1 / (total / (n * (n - 1) * g**5 * _SQRT_2PI))) ** 0.2, slope / total
+
     def equation(h: float) -> tuple[float, float]:
-        """F(h) and F'(h) = (r / h)(5 - g N'(g) / N) / 7 - 1, r = F(h) + h, where
-        N is the psi4 sum at g = alpha2 h^(5/7), psi4(g) = N / (n (n - 1) g^5 sqrt(2 pi))."""
+        """r and d (:func:`plug_in`) at g = alpha2 h^(5/7), for F(h) = r - h and
+        F'(h) = (r / h)(5 - d) / 7 - 1."""
         g = alpha2_coeff * h ** (5.0 / 7.0)
-        total, _, slope = sums(g)
-        r = (c1 / (total / (n * (n - 1) * g**5 * _SQRT_2PI))) ** 0.2
-        return r - h, (r / h) * (5.0 - slope / total) / 7.0 - 1.0
+        return plug_in(g, sums(g))
 
     h0 = n ** (-0.2)
     lo, hi = 1e-3 * h0, 1e3 * h0
     # only the signs of F at the ends reach the solve: bounds decide them, or the exact pass
     f_lo, f_hi = (
-        _sj_end_sign(z, alpha2_coeff * end ** (5.0 / 7.0), end, c1) or equation(end)[0] for end in (lo, hi)
+        _sj_end_sign(z, alpha2_coeff * end ** (5.0 / 7.0), end, c1) or equation(end)[0] - end
+        for end in (lo, hi)
     )
     if f_lo * f_hi > 0:
         raise NoBracket(
@@ -635,19 +676,36 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     h = (c1 / psi4_a) ** 0.2 if psi4_a > 0.0 else h0
     if not lo < h < hi:
         h = h0
+    # Newton's iterate gives way to the root of the model through the two kept passes
+    # nearest it (:func:`_sj_model_step`) where these guards hold: a start, through the
+    # pilots, inside the bracket and within a factor 2 of the plug-in start; a step of
+    # Newton's sign, at most twice its length, inside the bracket.  A bracket end's
+    # exact pass is not kept, so exact and bound-decided ends give the same bits
+    passes = [((g / alpha2_coeff) ** 1.4, *plug_in(g, at)) for g, at in ((b, at_b), (a, at_a))]
+    near, far = sorted(passes, key=lambda p: abs(math.log(p[0] / h)))
+    start = near[0] * (1.0 + _sj_model_step(near, far))
+    if lo < start < hi and 0.5 * h <= start <= 2.0 * h:
+        h = start
     step, last = hi - lo, hi - lo
     while abs(step) > _SJ_STEP:
-        f, slope = equation(h)
+        r, d = equation(h)
+        f = r - h
         if f == 0.0:
             break
         if (f > 0.0) == (f_lo > 0.0):
             lo = h
         else:
             hi = h
+        slope = (r / h) * (5.0 - d) / 7.0 - 1.0
         newton = -f / slope if slope != 0.0 else math.nan
+        near = min(passes, key=lambda p: abs(math.log(p[0] / h)))
+        passes.append((h, r, d))
+        model = h * _sj_model_step(passes[-1], near)
         last, step = step, newton
+        if model * newton > 0.0 and abs(model) <= 2.0 * abs(newton) and lo < h + model < hi:
+            step = model
         # not (lo < . < hi) also holds for a NaN step
-        if not (lo < h + newton < hi) or abs(newton) > 0.5 * abs(last):
+        if not (lo < h + step < hi) or abs(step) > 0.5 * abs(last):
             step = 0.5 * (lo + hi) - h
         h += step
     return float(h * sd)

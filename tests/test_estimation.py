@@ -584,6 +584,57 @@ def test_sj_kept_solve_makes_at_most_seven_passes(monkeypatch):
     assert not any(calls)
 
 
+# mean passes per solve of the next test (both pilots included), measured when Newton
+# stepped from the plug-in start alone: seeds 0-19 at n = 50, 200 and 350, and the
+# band-like transform samples at n = 800, seeds 0-9; Cauchy counts the 58 of 60 draws
+# with a sign change.  Steps to the root of the cubic model through the two nearest
+# passes took the means 7.20, 6.32, 6.30, 6.83, 6.78 and 6.0 to 5.80, 4.62, 4.63,
+# 5.24, 5.57 and 4.3
+_SJ_PASSES_BEFORE_THE_MODEL = {
+    "exponential": 432 / 60, "normal": 379 / 60, "rounded": 378 / 60, "cauchy": 396 / 58,
+    "bimodal": 407 / 60, "band": 60 / 10,
+}
+
+
+@pytest.mark.parametrize("kind", list(_SJ_PASSES_BEFORE_THE_MODEL))
+def test_sj_model_steps_take_fewer_passes_on_every_kind(monkeypatch, kind):
+    # the bimodal mixture N(0, 1) + N(5, 1) is far from a power law in g between the
+    # pilots and the root, where a start along the pilot's slope alone lost passes
+    calls = []
+    pair_sums, hermite = estimation._pair_sums, estimation._hermite_sums
+    monkeypatch.setattr(estimation, "_pair_sums", lambda *args: calls.append(1) or pair_sums(*args))
+    monkeypatch.setattr(estimation, "_hermite_sums", lambda u: calls.append(1) or hermite(u))
+    draw = {
+        "exponential": lambda rng, n: rng.exponential(size=n),
+        "normal": lambda rng, n: rng.normal(size=n),
+        "rounded": lambda rng, n: np.round(rng.normal(size=n), 1),
+        "cauchy": lambda rng, n: rng.standard_cauchy(n),
+        "bimodal": lambda rng, n: np.concatenate([rng.normal(size=n // 2), rng.normal(5.0, 1.0, n - n // 2)]),
+        "band": lambda rng, n: np.round(rng.normal(50.0, 11.0, n), 3),
+    }[kind]
+    cases = [(800, seed) for seed in range(10)] if kind == "band" else [
+        (n, seed) for n in (50, 200, 350) for seed in range(20)
+    ]
+    passes = []
+    for n, seed in cases:
+        del calls[:]
+        try:
+            sheather_jones_bandwidth(SampleBatch(draw(np.random.default_rng(seed), n)))
+        except NoBracket:
+            continue
+        passes.append(len(calls))
+    assert np.mean(passes) < _SJ_PASSES_BEFORE_THE_MODEL[kind], passes
+
+
+def test_sj_sample_with_several_roots_gets_the_one_newton_reaches_from_the_plug_in_start():
+    # F has roots near 0.108, 0.262 and 0.546 here, and the plug-in start is 0.786:
+    # Newton descends to 0.546, where bisection over the whole bracket (the oracle of
+    # tests/oracles.py) finds 0.108.  A model start taken without its factor-2 guard
+    # jumped to 0.108
+    x = np.random.default_rng(16).integers(0, 10, size=362).astype(float)
+    assert sheather_jones_bandwidth(SampleBatch(x)) == pytest.approx(0.5460541812253596, rel=1e-13, abs=0.0)
+
+
 def test_sj_bracket_ends_above_the_keep_cap_make_no_direct_pass(monkeypatch):
     # above the cap every pass takes the transform, and the bounds on both bracket ends
     # are O(1) in the pairs: no bound sums pairs directly
