@@ -17,6 +17,7 @@ hypothesis was declared but does not hold empirically.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate one measure between named families")
     p.add_argument("name", choices=sorted(_MEASURES))
     add_common(p)
-    p.add_argument("--t", type=float, default=None, help="time point for dynamic measures")
+    p.add_argument("--t", default=None, help="time point for dynamic measures")
     p.add_argument("--atom-convention", choices=("paper", "ac"), default="ac")
     p.set_defaults(func=cmd_measure)
 
@@ -94,13 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _numbers(text: str, flag: str, kind) -> list:
-    """The comma-separated numbers of a flag's value, each parsed by ``kind``."""
+    """The comma-separated finite numbers of a flag's value, each parsed by ``kind``."""
     try:
         values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
         values = []
     if not values:
         raise InvalidParameter(f"{flag} takes comma-separated numbers, got {text!r}")
+    if not all(-math.inf < v < math.inf for v in values):  # NaN compares False
+        raise InvalidParameter(f"{flag} takes finite numbers, got {text!r}")
     return values
 
 
@@ -125,15 +128,18 @@ def cmd_measure(args) -> int:
         raise InvalidParameter(f"measure {args.name!r} needs --family-y")
     if window != "support" and args.t is None:
         raise InvalidParameter(f"measure {args.name!r} needs --t")
+    times = [None] if args.t is None else _numbers(args.t, "--t", float)
+    if len(times) != 1:
+        raise InvalidParameter(f"measure takes one --t, got {args.t!r}")
     models = (dx,) if form == "extropy" else (dy, dx) if swap else (dx, dy)
-    t = None if window == "support" else args.t
+    t = None if window == "support" else times[0]
     report = measures._windowed(form, window, models, t, args.atom_convention)
     measure_id = args.name.replace("-", "_")
     out = _outdir(args)
     write_report(
         out / "report.json",
         f"measure {args.name}",
-        _inputs(args),
+        _inputs(args, t=times[0]),
         {
             "measure_id": measure_id,
             "value": report.value,

@@ -43,13 +43,9 @@ from .models import DistributionModel
 from .quadrature import integrate  # noqa: F401
 
 
-# never called by the package: the name stays bound because the benchmark tracer
-# (perfbench/tracer.py) rebinds estimation.brentq and fails without it; scipy
-# loads only on a call, so importing the module loads numpy alone
-def brentq(f, a, b, **kwargs):
-    from scipy.optimize import brentq
-
-    return brentq(f, a, b, **kwargs)
+def brentq(*args, **kwargs):
+    """A stub, not an algorithm: the benchmark tracer (perfbench/tracer.py) is its only reader."""
+    raise NotImplementedError("no code in the package runs Brent's method")
 
 
 __all__ = [

@@ -10,21 +10,20 @@ so the package needs numpy alone.  A piece singular at its left end, where
 the integrand grows like (x - a)^p with the p its caller states, is
 integrated in s = ((x - a) / (b - a))^(p + 1), in which it is bounded.
 Callers place the break points at the models' quantiles, so every piece runs
-on the models' own scale and an upper limit may be +inf.  No code in the
-package calls :func:`truncation_point`.
+on the models' own scale and an upper limit may be +inf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import QuadratureFailure
 
-__all__ = ["QuadratureSpec", "IntegralResult", "integrate", "truncation_point"]
+__all__ = ["QuadratureSpec", "IntegralResult", "integrate"]
 
 _EPS = np.finfo(float).eps
 
@@ -34,14 +33,11 @@ class QuadratureSpec:
 
     Every integral meets ``abs_tol`` or ``rel_tol``.  ``denominator_floor``
     is the epsilon below which conditional measures refuse to divide.
-    ``truncation_max`` caps :func:`truncation_point`'s search for a finite
-    upper limit on heavy-tailed laws.
     """
 
     abs_tol = 1e-9
     rel_tol = 1e-8
     denominator_floor = 1e-12
-    truncation_max = 1e12
 
 
 @dataclass(frozen=True)
@@ -57,42 +53,9 @@ class IntegralResult:
     subdivisions: int
 
 
-# never called by the package: the benchmark tracer (perfbench/tracer.py) binds it
-def truncation_point(
-    survivals: Iterable[Callable[[float], float]],
-    pdfs: Iterable[Callable[[np.ndarray], np.ndarray]],
-    lo: float,
-) -> float:
-    """Finite upper limit for an integral of density products over [lo, inf).
-
-    Doubles a candidate T until every survival function at T is below
-    ``abs_tol / (4 * max(1, M))`` where M is the largest density value seen on
-    a probe grid.  Integrands built from products of the given densities then
-    have tail mass below ``abs_tol`` (|fg|, f^2 and (f-g)^2 are all bounded by
-    2 M times the larger survival).  Each ``pdf`` is probed on a whole array
-    of points at once; survivals are called on scalars.  No caller in the
-    package (integrals split at quantiles instead); kept for the tracer.
-    """
-    survivals = list(survivals)
-    pdfs = list(pdfs)
-    t = max(1.0, lo + 1.0)
-    m = 1.0
-    while True:
-        grid = np.linspace(lo, t, 65)
-        for pdf in pdfs:
-            vals = np.asarray(pdf(grid), dtype=float)
-            finite = vals[np.isfinite(vals)]
-            if finite.size:
-                m = max(m, float(finite.max()))
-        threshold = QuadratureSpec.abs_tol / (4.0 * m)
-        if all(float(sf(t)) <= threshold for sf in survivals):
-            return t
-        t *= 2.0
-        if t > QuadratureSpec.truncation_max:
-            raise QuadratureFailure(
-                f"no truncation point below {QuadratureSpec.truncation_max:g} brings the tail "
-                f"below {QuadratureSpec.abs_tol:g}"
-            )
+def truncation_point(*args, **kwargs):
+    """A stub, not an algorithm: the benchmark tracer (perfbench/tracer.py) is its only reader."""
+    raise NotImplementedError("no code in the package searches for a truncation point")
 
 
 def _near(x, y):
@@ -288,8 +251,9 @@ def integrate(
             k = np.flatnonzero((element == i) & ~np.isfinite(value))[0]
             x = a[k] + (b[k] - a[k] if np.isfinite(b[k]) else 1.0) * 10.0 ** -np.arange(330.0)
             x = x[(x > a[k]) & (x < b[k])]
+            # a piece a few ulps wide, as [0, 1e-323], holds no point to probe
             with np.errstate(all="ignore"):
-                big = x[np.isinf(fn(x, *(np.full(x.size, arg[k]) for arg in args)))]
+                big = x[np.isinf(fn(x, *(np.full(x.size, arg[k]) for arg in args)))] if x.size else x
             cause = f"the integrand overflows at {big[0]:g} in " if big.size else ""
             raise QuadratureFailure(
                 f"integral {total[i]:.6g} on [{lo[i]:g}, {hi[i]:g}] is not finite: "

@@ -386,7 +386,16 @@ def test_measure_matches_the_library(tmp_path, name, fx, fy, conv):
     lambda csv, d: ["groups", csv, "--value-col", "value", "--group-col", "arm",
                     "--quantiles", "0.5,abc"],
     lambda csv, d: ["groups", d, "--value-col", "value", "--group-col", "arm"],
-], ids=["simulate-n", "verify-t", "groups-quantiles", "groups-directory"])
+    # a non-finite --t once exited 3 on verify and on most measures: a NaN that
+    # no report may carry, or a survival or cdf at nan read as 0
+    lambda csv, d: ["measure", "extropy", "--family-x", "exp:1", "--t", "nan"],
+    lambda csv, d: ["measure", "residual-extropy", "--family-x", "exp:1", "--t", "nan"],
+    lambda csv, d: ["measure", "past-extropy", "--family-x", "exp:1", "--t", "inf"],
+    lambda csv, d: ["measure", "residual-extropy", "--family-x", "exp:1", "--t", "0.5,1"],
+    lambda csv, d: ["verify", "--family-x", "exp:1", "--family-y", "exp:2", "--t", "nan"],
+    lambda csv, d: ["verify", "--family-x", "exp:1", "--family-y", "exp:2", "--t", "1,inf"],
+], ids=["simulate-n", "verify-t", "groups-quantiles", "groups-directory", "measure-t-nan-unused",
+        "measure-t-nan", "measure-t-inf", "measure-two-t", "verify-t-nan", "verify-t-inf"])
 def test_malformed_flags_and_unreadable_paths_are_input_errors(two_group_csv, tmp_path, capsys, argv):
     code = run(argv(two_group_csv, str(tmp_path)) + ["--out", str(tmp_path / "out")])
     assert code == 2
@@ -509,6 +518,21 @@ def test_overflowing_integrand_names_the_overflow_and_its_piece(tmp_path, capsys
     err = capsys.readouterr().err
     assert "is not finite: the integrand overflows at 1e-176 in its piece [0, 1e-175]" in err
     assert "tolerance nan" not in err
+
+
+def test_integrand_overflow_on_a_piece_too_narrow_to_probe_is_numerical_failure(tmp_path):
+    # Exp(1e308)'s first quantile piece [0, 1e-323] holds no double to probe;
+    # the command once ended in a ValueError traceback with exit 1
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "extropy", "measure", "extropy", "--family-x", "exp:1e308",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("numerical failure: ")
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_non_finite_result_is_numerical_failure(tmp_path, capsys, monkeypatch):

@@ -21,7 +21,7 @@ from extropy import (
     residual_extropy,
     residual_inaccuracy,
 )
-from extropy.errors import InvalidParameter
+from extropy.errors import ExtropyError, InvalidParameter
 from oracles import rel_extropy_trap
 
 rates = st.floats(min_value=0.3, max_value=4.0)
@@ -269,3 +269,23 @@ def test_extropy_rejects_negative_density():
 
     with pytest.raises(InvalidModel):
         extropy(NegatedExponential(1.0))
+
+
+@pytest.mark.parametrize("measure, exact", [
+    (lambda r: extropy(ExponentialParams(r)), lambda r: -r / 4),
+    # (r - 1)^2 / (4 (r + 1)), ordered so that no step overflows
+    (lambda r: relative_extropy(ExponentialParams(r), ExponentialParams(1.0)),
+     lambda r: (r - 1) / 4 * ((r - 1) / (r + 1))),
+], ids=["extropy", "relative"])
+def test_rate_1e308_gives_a_package_error_or_the_value(measure, exact):
+    # the first quantile piece of Exp(1e308) is [0, 1e-323], with no double
+    # strictly inside it; the overflow probe of the failed integral once called
+    # the integrand on an empty array, and the negative-density check raised
+    # ValueError on it
+    r = 1e308
+    try:
+        value = measure(r).value
+    except ExtropyError:
+        return
+    assert value == pytest.approx(exact(r), rel=QuadratureSpec.rel_tol)
+

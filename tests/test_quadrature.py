@@ -4,7 +4,7 @@ from scipy.integrate import tanhsinh
 
 from extropy import QuadratureSpec, WeibullParams, extropy
 from extropy.errors import QuadratureFailure
-from extropy.quadrature import _tanhsinh, integrate, truncation_point
+from extropy.quadrature import _tanhsinh, integrate
 from oracles import weibull_extropy
 
 
@@ -86,22 +86,6 @@ def test_weibull_extropy_near_half_shape():
     value = extropy(WeibullParams(0.503, 85.5)).value
     tol = max(QuadratureSpec.abs_tol, QuadratureSpec.rel_tol * abs(exact))
     assert value == pytest.approx(exact, abs=tol)
-
-
-def test_truncation_tail_below_tolerance():
-    sf = lambda x: np.exp(-2.0 * x)
-    pdf = lambda x: 2.0 * np.exp(-2.0 * x)
-    t = truncation_point([sf], [pdf], 0.0)
-    # discarded tail of the squared density is below abs_tol
-    tail = integrate(lambda x: pdf(x) ** 2, t, t + 50.0).value
-    assert tail < QuadratureSpec.abs_tol
-
-
-def test_truncation_gives_up_on_fat_tails():
-    sf = lambda x: 1.0 / (1.0 + x) ** 0.25
-    pdf = lambda x: 0.25 / (1.0 + x) ** 1.25
-    with pytest.raises(QuadratureFailure):
-        truncation_point([sf], [pdf], 0.0)
 
 
 def test_failure_on_pathological_integrand():
