@@ -129,8 +129,9 @@ def runs(work: Path, quick: bool):
         yield f"verify/{x}/{y}", ["verify", "--family-x", x, "--family-y", y]
     from extropy.cli import _MEASURES
 
-    for name in sorted(_MEASURES):
-        yield f"measure/{name}", ["measure", name, "--family-x", "exp:1", "--family-y", "exp:2", "--t", "0.5"]
+    for name, (_, window, _) in sorted(_MEASURES.items()):
+        t = [] if window == "support" else ["--t", "0.5"]  # only the windowed measures take --t
+        yield f"measure/{name}", ["measure", name, "--family-x", "exp:1", "--family-y", "exp:2", *t]
 
 
 _NUMBER = re.compile(rb"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

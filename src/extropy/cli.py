@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="evaluate one measure between named families")
     p.add_argument("name", choices=sorted(_MEASURES))
     add_common(p)
-    p.add_argument("--t", default=None, help="time point for dynamic measures")
+    p.add_argument("--t", default=None, help="time point of the residual- and past- measures (the others refuse it)")
     p.add_argument("--atom-convention", choices=("paper", "ac"), default="ac")
     p.set_defaults(func=cmd_measure)
 
@@ -126,14 +126,14 @@ def cmd_measure(args) -> int:
     dy = parse_family(args.family_y) if args.family_y else None
     if form != "extropy" and dy is None:
         raise InvalidParameter(f"measure {args.name!r} needs --family-y")
-    if window != "support" and args.t is None:
-        raise InvalidParameter(f"measure {args.name!r} needs --t")
+    if (window == "support") != (args.t is None):
+        problem = "needs --t" if args.t is None else "takes no --t: it runs over the whole support"
+        raise InvalidParameter(f"measure {args.name!r} {problem}")
     times = [None] if args.t is None else _numbers(args.t, "--t", float)
     if len(times) != 1:
         raise InvalidParameter(f"measure takes one --t, got {args.t!r}")
     models = (dx,) if form == "extropy" else (dy, dx) if swap else (dx, dy)
-    t = None if window == "support" else times[0]
-    report = measures._windowed(form, window, models, t, args.atom_convention)
+    report = measures._windowed(form, window, models, times[0], args.atom_convention)
     measure_id = args.name.replace("-", "_")
     out = _outdir(args)
     write_report(

@@ -63,17 +63,18 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # a Gaussian term farther than 8 of its widths from its centre is below
 # exp(-32) (about 1.3e-14) of its peak; kernel sums drop such terms (a self Gram
-# sum each one, row by row; a blocked sum those beyond its block's window).  That
-# bounds the loss per term, not per sum: a sum made mostly of such pairs loses
-# more.  A sparse reflected-image Gram sum lost up to 1.3e-13 of itself (normal,
-# rounded and 1e6-offset samples reflected at their smallest observation, n =
-# 100-3,200, against an all-pairs sum in long double), nine times the
-# _SUM_ROUNDING of a sum
+# sum above _SJ_KEEP_TERMS pairs each one, row by row; a blocked sum those beyond
+# its block's window), while a smaller self sum keeps every pair.  That bounds the
+# loss per term, not per sum: a sum made mostly of such pairs loses more.  A
+# sparse reflected-image Gram sum lost up to 1.3e-13 of itself (normal, rounded
+# and 1e6-offset samples reflected at their smallest observation, n = 100-3,200,
+# against an all-pairs sum in long double), nine times the _SUM_ROUNDING of a sum
 _KERNEL_WINDOW = 8.0
 # kernel terms evaluated at once, which bounds the working memory at every n
 _BLOCK_TERMS = 1 << 16
-# pair terms the Sheather-Jones sums keep across one solve: all, in one chunk, while
-# they fit one block (n <= 362); else none, and every pass takes the Hermite transform
+# a sample's pairs are gathered once, all in one array (:func:`_pair_squares`), while
+# they fit one block (n <= 362): its Sheather-Jones passes and its self Gram sum read
+# them.  Above that every pass takes the Hermite transform, and the self sum its windows
 _SJ_KEEP_TERMS = _BLOCK_TERMS
 # u^6 exp(-u^2 / 2) is below 1e-18 of its peak for |u| > 10.5: pairs farther
 # apart than that many pilot widths lie beyond the transform's reach
@@ -111,6 +112,7 @@ _BOUNDARY_NODES = 20
 # relative rounding error allowed in each kernel sum: measured under 2 ulps
 # (samples x against x (1 + 1e-12), n = 30 to 3000), with a 32-fold margin
 _SUM_ROUNDING = 64.0 * np.finfo(float).eps
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _near_squares(z: np.ndarray, ends: np.ndarray, size: int):
@@ -131,6 +133,40 @@ def _near_squares(z: np.ndarray, ends: np.ndarray, size: int):
             diffs *= diffs
             yield diffs
         start = stop
+
+
+def _sd(vals: np.ndarray) -> float:
+    """The sample's sd (ddof 1): inf or NaN where its variance overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(vals.std(ddof=1))
+
+
+# the rows i and columns j of the pairs i < j of the last two sample sizes: a study's
+# samples share one n.  The package is single-threaded, so no lock guards the cache.
+# No caller writes them, and they stay writeable: np.take copies read-only indices
+@functools.lru_cache(maxsize=2)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(n, 1)
+
+
+def _pair_squares(vals: np.ndarray, sd: float) -> tuple[float, np.ndarray]:
+    """(scale, block) of sorted ``vals`` whose sd is ``sd``: block[0] holds the
+    squared differences (z_j - z_i)^2 of z = vals / scale for all i < j, row by row
+    (the upper triangle in row-major order, as :func:`_near_squares` gives them),
+    built by two gathers.  scale is sd, or 1 where sd is 0 or not finite, so that no
+    division meets it.  Rows 1 and 2 are scratch: the second gather's, then the
+    Sheather-Jones passes' (:func:`_pair_sums`).  They share one allocation with
+    the squares, so they are freed with them: freed before them, a separate work
+    array cost about 250 page faults per ``simulate`` replication at n = 200."""
+    scale = sd if 0.0 < sd < math.inf else 1.0
+    z = vals / scale
+    rows, cols = _upper_pairs(vals.size)
+    block = np.empty((3, cols.size))
+    # every index is valid; the default mode, "raise", would buffer the output
+    squares = z.take(cols, out=block[0], mode="clip")
+    squares -= z.take(rows, out=block[1], mode="clip")
+    squares *= squares
+    return scale, block
 
 
 @functools.cache
@@ -176,7 +212,7 @@ def _boundary_sums(u: np.ndarray, e: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float | None) -> float:
+def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float | None, pairs=None) -> float:
     """S = int_c^inf of the product of the mean kernels on sorted ``x`` and ``y``.
 
     Term by term, int_c^inf phi_bx(t - x_i) phi_by(t - y_j) dt equals
@@ -184,19 +220,11 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
     r = u_i + v_j, u_i = (x_i - c) by / (bx tau), v_j = (y_j - c) bx / (by tau);
     without a lower bound c the Phi factor is 1.  S is the mean over all (i, j).
 
-    The whole-line sum comes first.  One whose pairs within ``_KERNEL_WINDOW``
-    * tau exceed ``_GRAM_PAIRS_PER_BOX`` per occupied box takes the Hermite
-    transform (:func:`_hermite_transform`) of exp(-d^2 / 2) in boxes one tau
-    wide, offset from x's middle sample, unless an offset overflows or its
-    pairs lie more than ``_GRAM_OFFSET`` boxes from that sample on average; the
-    rule runs only for n m > ``_GRAM_PAIRS_PER_BOX``, as no box of a smaller sum
-    can hold more pairs.  Any other sum is direct, and drops terms farther apart
-    than ``_KERNEL_WINDOW`` * tau.  One window per row of x, found by one
-    ``searchsorted`` per end, serves the rule's pair counts and the direct sum.
-    When x and y are the same points at the same bandwidth, each row's pairs
-    above the diagonal within that window are gathered by :func:`_near_squares`,
-    summed once and counted twice, plus the diagonal; cross and reflected-image
-    sums run over blocks of x's rows, each against the y within their windows.
+    The whole-line sum comes first.  A self sum, x and y the same points at the
+    same bandwidth, whose pairs fit ``_SJ_KEEP_TERMS`` keeps every pair: it is
+    2 sum_k exp(-(scale / tau)^2 s_k / 2) + n over the squares s at their scale
+    from :func:`_pair_squares`, ``pairs`` where given (the sum overwrites them),
+    with no window and no path rule.  Any other takes :func:`_windowed_sum`.
 
     A bound subtracts the pairs' shares below c, phi_tau(d) (1 - Phi(r)).  Since
     d^2 + r^2 = a^2 + b^2 with a = (x_i - c) / bx and b = (y_j - c) / by, each
@@ -209,6 +237,43 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
     """
     tau = math.hypot(bx, by)
     symmetric = bx == by and (x is y or np.array_equal(x, y))
+    if symmetric and x.size * (x.size - 1) // 2 <= _SJ_KEEP_TERMS:
+        scale, block = _pair_squares(x, _sd(x)) if pairs is None else pairs
+        terms, ratio = block[0], scale / tau
+        # an overflowing ratio still gives ties the term 1, and no 0 * inf
+        terms *= max(-0.5 * ratio * ratio, -_FLOAT_MAX)
+        np.exp(terms, out=terms)
+        total = 2.0 * float(terms.sum()) + x.size
+    else:
+        total = _windowed_sum(x, y, tau, symmetric)
+    if lower is not None:
+        a, b = (x - lower) / bx, (y - lower) / by
+        along_x = _boundary_sums(a * (by / tau), -0.5 * a * a)
+        along_y = along_x if symmetric else _boundary_sums(b * (bx / tau), -0.5 * b * b)
+        below = float(np.einsum("k,k,k->", _boundary_nodes()[1], along_x, along_y)) / _SQRT_2PI
+        # the boundary term also counts the pairs the window drops, so a sum made of
+        # those alone would come out below 0 by less than they weigh
+        total = max(total - below, 0.0)
+    return total / (x.size * y.size * _SQRT_2PI * tau)
+
+
+def _windowed_sum(x: np.ndarray, y: np.ndarray, tau: float, symmetric: bool) -> float:
+    """The sum over all (i, j) of exp(-d^2 / 2), d = (x_i - y_j) / tau, for sorted
+    ``x`` and ``y``, ``symmetric`` where they are the same points.
+
+    One whose pairs within ``_KERNEL_WINDOW`` * tau exceed ``_GRAM_PAIRS_PER_BOX``
+    per occupied box takes the Hermite transform (:func:`_hermite_transform`) in
+    boxes one tau wide, offset from x's middle sample, unless an offset overflows
+    or its pairs lie more than ``_GRAM_OFFSET`` boxes from that sample on average;
+    the rule runs only for n m > ``_GRAM_PAIRS_PER_BOX``, as no box of a smaller
+    sum can hold more pairs.  Any other sum is direct, and drops terms farther
+    apart than ``_KERNEL_WINDOW`` * tau.  One window per row of x, found by one
+    ``searchsorted`` per end, serves the rule's pair counts and the direct sum.  A
+    self sum's pairs above the diagonal within that window are gathered by
+    :func:`_near_squares`, summed once and counted twice, plus the diagonal; cross
+    and reflected-image sums run over blocks of x's rows, each against the y
+    within their windows.
+    """
     # y[starts[i] : ends[i]] holds every y within the window of x_i; a self sum's row i
     # holds only its pairs above the diagonal
     ends = np.searchsorted(y, x + _KERNEL_WINDOW * tau, side="right")
@@ -245,15 +310,7 @@ def _gram_sum(x: np.ndarray, y: np.ndarray, bx: float, by: float, lower: float |
             terms *= -0.5 / (tau * tau)
             np.exp(terms, out=terms)
             total += float(terms.sum())
-    if lower is not None:
-        a, b = (x - lower) / bx, (y - lower) / by
-        along_x = _boundary_sums(a * (by / tau), -0.5 * a * a)
-        along_y = along_x if symmetric else _boundary_sums(b * (bx / tau), -0.5 * b * b)
-        below = float(np.einsum("k,k,k->", _boundary_nodes()[1], along_x, along_y)) / _SQRT_2PI
-        # the boundary term also counts the pairs the window drops, so a sum made of
-        # those alone would come out below 0 by less than they weigh
-        total = max(total - below, 0.0)
-    return total / (x.size * y.size * _SQRT_2PI * tau)
+    return total
 
 
 @dataclass(frozen=True)
@@ -319,23 +376,29 @@ class KdeModel:
         sums over (x, y) and over (x, 2c - y) with no boundary term.  Other
         combinations (different reflection points, a bound above c) are refused.
         """
-        x, y = self.sample.values, other.sample.values
-        bx, by = self.bandwidth, other.bandwidth
-        c = self.reflect_at
-        if c != other.reflect_at or (c is not None and lower is not None and lower > c):
-            raise InvalidParameter(
-                f"inner product needs one reflection point at or above the bound; "
-                f"got reflect_at {c} and {other.reflect_at}, lower {lower}"
-            )
-        anchor, low = (lower if c is None else c), min(x[0], y[0])
-        if anchor is not None and not low >= anchor:
-            raise InvalidParameter(
-                f"{'lower bound' if c is None else 'boundary reflection'} at {anchor:g} needs "
-                f"data at or above it; smallest observation is {low:g}"
-            )
-        if c is None:
-            return _gram_sum(x, y, bx, by, lower)
-        return _gram_sum(x, y, bx, by, None) + _gram_sum(x, (2.0 * c - y)[::-1], bx, by, None)
+        return _inner(self, other, lower)
+
+
+def _inner(f: KdeModel, g: KdeModel, lower: float | None, pairs=None) -> float:
+    """``f.inner(g, lower)``, whose plain sum takes ``pairs``, the (scale, block) of
+    :func:`_pair_squares` of a self sum's sample (:func:`_gram_sum`), where given."""
+    x, y = f.sample.values, g.sample.values
+    bx, by = f.bandwidth, g.bandwidth
+    c = f.reflect_at
+    if c != g.reflect_at or (c is not None and lower is not None and lower > c):
+        raise InvalidParameter(
+            f"inner product needs one reflection point at or above the bound; "
+            f"got reflect_at {c} and {g.reflect_at}, lower {lower}"
+        )
+    anchor, low = (lower if c is None else c), min(x[0], y[0])
+    if anchor is not None and not low >= anchor:
+        raise InvalidParameter(
+            f"{'lower bound' if c is None else 'boundary reflection'} at {anchor:g} needs "
+            f"data at or above it; smallest observation is {low:g}"
+        )
+    if c is None:
+        return _gram_sum(x, y, bx, by, lower, pairs)
+    return _gram_sum(x, y, bx, by, None, pairs) + _gram_sum(x, (2.0 * c - y)[::-1], bx, by, None)
 
 
 def sample_batch(
@@ -586,17 +649,23 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
     at most ``_SJ_STEP`` and takes about 5 or 6 pair-sum passes, counting the two
     pilots.  Every pass gives the psi4, psi6 and psi4 slope sums at once, and
     each use reads the ones it needs.  While the pairs fit ``_SJ_KEEP_TERMS``
-    (n <= 362), their squares are gathered once, as one chunk of whole rows, by
-    :func:`_near_squares`, and kept for the whole solve; every pass reads the
+    (n <= 362), their squares are gathered once, all in one array, by
+    :func:`_pair_squares`, and kept for the whole solve; every pass reads the
     three sums off their pair-term moments (:func:`_pair_sums`).  Above that
     every pass takes the Hermite fast Gauss transform (:func:`_hermite_sums`).
     """
+    return _sheather_jones(s)[0]
+
+
+def _sheather_jones(s: SampleBatch) -> tuple[float, tuple[float, np.ndarray] | None]:
+    """:func:`sheather_jones_bandwidth`'s bandwidth, and the (sd, block) of
+    :func:`_pair_squares` whose squares its passes read, or None above
+    ``_SJ_KEEP_TERMS``: the estimator hands them on to the sample's self Gram sum."""
     if s.n < 5:
         raise DegenerateSample(f"bandwidth selection needs n >= 5, got {s.n}")
     vals = s.values
     n = s.n
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(vals.std(ddof=1))
+    sd = _sd(vals)
     if sd == 0.0:
         raise DegenerateSample("sample has zero variance")
     if not math.isfinite(sd):
@@ -612,16 +681,13 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
         raise DegenerateSample(f"robust scale {scale_z * sd:.3e} underflows against the sd {sd:.3e}")
 
     z = vals / sd
-    pairs = n * (n - 1) // 2
-    kept = work = None
-    if pairs <= _SJ_KEEP_TERMS:
+    kept = chunks = work = None
+    if n * (n - 1) // 2 <= _SJ_KEEP_TERMS:
         # one solve makes some 5 or 6 passes over the pairs: while they fit _SJ_KEEP_TERMS
-        # their squares (the upper half) are kept for all of them, in chunks of whole
-        # rows of at most `size` terms: one, while _SJ_KEEP_TERMS is _BLOCK_TERMS
-        size = min(pairs, max(_BLOCK_TERMS, n))
-        kept = list(_near_squares(z, np.full(n, n), size))
-        # the passes work in these: fresh arrays at each pass cost page faults
-        work = np.empty((2, size))
+        # their squares (the upper half) are kept for all of them, in one chunk, and
+        # the passes work in the two rows below them: fresh arrays cost page faults
+        kept = _pair_squares(vals, sd)
+        chunks, work = [kept[1][0]], kept[1][1:]
 
     def sums(g: float) -> tuple[float, float, float]:
         """Sums over all (i, j), the diagonal included, of the psi4, psi6 and psi4
@@ -630,7 +696,7 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
         if kept is None:
             # offsets from the median: rounding follows the spread
             return _hermite_sums((z - z[n // 2]) / g)
-        psi4, psi6, slope = _pair_sums(kept, g, work)
+        psi4, psi6, slope = _pair_sums(chunks, g, work)
         # the diagonal's terms are psi4(0) = 3 and psi6(0) = -15, the slope's 0
         return 2.0 * psi4 + 3.0 * n, 2.0 * psi6 - 15.0 * n, 2.0 * slope
 
@@ -704,7 +770,25 @@ def sheather_jones_bandwidth(s: SampleBatch) -> float:
         if not (lo < h + step < hi) or abs(step) > 0.5 * abs(last):
             step = 0.5 * (lo + hi) - h
         h += step
-    return float(h * sd)
+    return float(h * sd), kept
+
+
+def _relative_value(norms: tuple[float, float], cross: float, pair: tuple[int, int]) -> float:
+    """(1/2)(int f^2 + int g^2 - 2 int f g) from the three sums: 0.0 within their
+    rounding bound, ``_SUM_ROUNDING`` relative to each, and :class:`InvalidModel`
+    below minus that bound."""
+    value = 0.5 * (norms[0] + norms[1] - 2.0 * cross)
+    bound = 0.5 * _SUM_ROUNDING * (norms[0] + norms[1] + 2.0 * cross)
+    if value < -bound:
+        raise InvalidModel(f"pair {pair}: estimate {value:.3e} is below its rounding bound -{bound:.3e}")
+    return value if value > bound else 0.0
+
+
+def _reflect_at(support_lower: float | None, boundary_reflect: bool) -> float | None:
+    """The reflection point: ``support_lower``, or 0 when that is ``None``."""
+    if not boundary_reflect:
+        return None
+    return 0.0 if support_lower is None else support_lower
 
 
 def estimate_pairwise_relative_extropy(
@@ -731,9 +815,7 @@ def estimate_pairwise_relative_extropy(
     """
     if len(batches) != len(bandwidths):
         raise InvalidParameter(f"got {len(batches)} samples but {len(bandwidths)} bandwidths")
-    reflect_at = None
-    if boundary_reflect:
-        reflect_at = 0.0 if support_lower is None else support_lower
+    reflect_at = _reflect_at(support_lower, boundary_reflect)
     kdes = [KdeModel(batch, b, reflect_at) for batch, b in zip(batches, bandwidths)]
     norms = [m.inner(m, support_lower) for m in kdes]
     k = len(kdes)
@@ -741,13 +823,7 @@ def estimate_pairwise_relative_extropy(
     for i in range(k):
         for j in range(i + 1, k):
             cross = kdes[i].inner(kdes[j], support_lower)
-            value = 0.5 * (norms[i] + norms[j] - 2.0 * cross)
-            bound = 0.5 * _SUM_ROUNDING * (norms[i] + norms[j] + 2.0 * cross)
-            if value < -bound:
-                raise InvalidModel(
-                    f"pair ({i}, {j}): estimate {value:.3e} is below its rounding bound -{bound:.3e}"
-                )
-            values[i, j] = values[j, i] = value if value > bound else 0.0
+            values[i, j] = values[j, i] = _relative_value((norms[i], norms[j]), cross, (i, j))
     return values
 
 
@@ -764,13 +840,18 @@ def estimate_relative_extropy(
     translation invariant up to rounding.  ``support_lower`` clips the
     integral (and anchors reflection) at a known support boundary such as 0.
     Bandwidths are Sheather-Jones; :func:`estimate_pairwise_relative_extropy`
-    takes given ones.
+    takes given ones, and gives the same bits at these.  A sample's solve hands
+    the pair squares it kept to the sample's own int fhat^2, which drops them
+    before the next solve gathers its own.
     """
-    bandwidths = (sheather_jones_bandwidth(sx), sheather_jones_bandwidth(sy))
-    values = estimate_pairwise_relative_extropy(
-        (sx, sy), bandwidths, support_lower=support_lower, boundary_reflect=boundary_reflect
-    )
-    return float(values[0, 1])
+    reflect_at = _reflect_at(support_lower, boundary_reflect)
+    kdes, norms = [], []
+    for s in (sx, sy):
+        h, pairs = _sheather_jones(s)
+        kdes.append(KdeModel(s, h, reflect_at))
+        norms.append(_inner(kdes[-1], kdes[-1], support_lower, pairs))
+        del pairs  # held past the next solve, the squares cost page faults
+    return _relative_value(norms, kdes[0].inner(kdes[1], support_lower), (0, 1))
 
 
 # McStudyConfig's default support_lower: the left end of the families' support hull

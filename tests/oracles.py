@@ -245,6 +245,25 @@ def gram_oracle(x, y, bx, by, lower):
     return math.fsum(f * 0.5 * math.erfc(t) for f, t in zip(density, z)) / (x.size * y.size)
 
 
+def self_gram_longdouble(x, b):
+    """int fhat^2 over the line of the mean Gaussian kernel on x at bandwidth b: every
+    pair (i, j), the diagonal included, of exp(-((x_i - x_j) / tau)^2 / 2) / (n^2
+    sqrt(2 pi) tau), tau = b sqrt 2, in long double from an ``np.subtract.outer``."""
+    x = np.asarray(x, dtype=np.longdouble)
+    tau = np.longdouble(b) * np.sqrt(np.longdouble(2))
+    d = np.subtract.outer(x, x) / tau
+    total = np.exp(-d * d / 2).sum()
+    return float(total / (x.size * x.size * np.sqrt(2 * np.longdouble(np.pi)) * tau))
+
+
+def upper_squares(z):
+    """(z_j - z_i)^2 for all i < j, row by row, from an ``np.subtract.outer`` and an
+    upper-triangle mask."""
+    upper = np.triu(np.ones((z.size, z.size), dtype=bool), 1)
+    d = np.subtract.outer(z, z).T[upper]  # entry (i, j) of the transpose is z_j - z_i
+    return d * d
+
+
 def hermite_transform_cumprod(us, table, terms):
     """``estimation._hermite_transform`` with each point's moments b^k / k! built along
     k: an (n, terms) ``np.divide.outer`` of b by k, a ``np.cumprod`` along axis 1 and

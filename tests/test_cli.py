@@ -48,6 +48,16 @@ def test_measure_dynamic_requires_t(tmp_path):
                 "--family-y", "exp:2", "--t", "nan", "--out", str(tmp_path)]) == 2
 
 
+def test_measure_over_the_support_refuses_t(tmp_path, capsys):
+    # --t was once parsed, ignored and written into the report's inputs
+    for name in ("extropy", "inaccuracy", "relative", "divergence-fg", "divergence-gf"):
+        out = tmp_path / name
+        y = [] if name == "extropy" else ["--family-y", "exp:2"]
+        assert run(["measure", name, "--family-x", "exp:1", *y, "--t", "5", "--out", str(out)]) == 2
+        assert "takes no --t" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
 def test_measure_atom_convention(tmp_path):
     code = run([
         "measure", "past-extropy", "--family-x", "crh:a=1,b=2,atom=true", "--t", "0.75",
@@ -188,7 +198,7 @@ def test_report_inputs_are_each_subcommands_flags_without_out(two_group_csv, tmp
     csv = ["--value-col", "value", "--group-col", "arm"]
     pair = ["--family-x", "exp:rate=1", "--family-y", "exp:rate=2"]
     cases = {
-        "measure": (["relative", *pair, "--t", "0.5"], {"family_x", "family_y", "t", "atom_convention"}),
+        "measure": (["residual-relative", *pair, "--t", "0.5"], {"family_x", "family_y", "t", "atom_convention"}),
         "estimate": ([two_group_csv, *csv], {"csv", "value_col", "group_col", "boundary_reflect"}),
         "simulate": ([*pair, "--n", "20,30", "--reps", "2"],
                      {"family_x", "family_y", "n", "reps", "seed", "boundary_reflect"}),
@@ -371,7 +381,8 @@ LIBRARY = {
 @pytest.mark.parametrize("name", sorted(LIBRARY))
 def test_measure_matches_the_library(tmp_path, name, fx, fy, conv):
     assert set(cli._MEASURES) == set(LIBRARY)
-    code = run(["measure", name, "--family-x", fx, "--family-y", fy, "--t", "0.5",
+    t = [] if cli._MEASURES[name][1] == "support" else ["--t", "0.5"]  # only windowed measures take --t
+    code = run(["measure", name, "--family-x", fx, "--family-y", fy, *t,
                 "--atom-convention", conv, "--out", str(tmp_path)])
     assert code == 0
     results = json.loads((tmp_path / "report.json").read_text())["results"]

@@ -1,7 +1,11 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,9 +41,11 @@ from oracles import (
     hermite_transform_cumprod,
     horner,
     pair_sums_by_polynomial,
+    self_gram_longdouble,
     sheather_jones_longdouble,
     sheather_jones_oracle,
     trapezoid,
+    upper_squares,
 )
 
 
@@ -1024,8 +1030,9 @@ def _gram_sample(kind, n, rng):
 def test_gram_transform_matches_the_direct_sums(monkeypatch, kind, n):
     # self, cross and reflected-image sums at Silverman's robust widths, each by the
     # Hermite transform and by the direct sum; the bar, 1e-14 of each sum, is under
-    # the 64 ulps (1.42e-14) the zero rule allows it.  By default the self sums take
-    # the direct sum at n = 100 and the transform at n >= 1600
+    # the 64 ulps (1.42e-14) the zero rule allows it.  The self sum at n = 100 keeps
+    # every pair by default (below the keep cap); with the cap at 0 the path rule
+    # takes the direct sum there, and by default the transform at n >= 1600
     rng = np.random.default_rng(n)
     x, y = _gram_sample(kind, n, rng), _gram_sample(kind, n + n // 3, rng)
     bx, by = (
@@ -1040,6 +1047,7 @@ def test_gram_transform_matches_the_direct_sums(monkeypatch, kind, n):
     def gram(per_box, window=estimation._KERNEL_WINDOW):
         monkeypatch.setattr(estimation, "_GRAM_PAIRS_PER_BOX", per_box)
         monkeypatch.setattr(estimation, "_KERNEL_WINDOW", window)
+        monkeypatch.setattr(estimation, "_SJ_KEEP_TERMS", 0)
         return {name: estimation._gram_sum(*args, None) for name, args in sums.items()}
 
     calls = _count_gram_transforms(monkeypatch)
@@ -1158,6 +1166,111 @@ def test_efficient_variance_oracle_against_trapezoid():
         var_x, var_y = efficient_variances_relative_exponential(lam, mu)
         assert abs(var_x - trap_var(f, g, hi)) <= 1e-8
         assert abs(var_y - trap_var(g, f, hi)) <= 1e-8
+
+
+# --- one gather of each small sample's pairs -------------------------------------------
+
+
+@pytest.mark.parametrize("n", [5, 50, 200, 362, 363])
+@pytest.mark.parametrize(
+    "options", [{}, {"support_lower": 0.0}, {"boundary_reflect": True}], ids=["line", "bounded", "reflected"]
+)
+def test_estimate_hands_its_pair_squares_on_with_the_bits_of_given_bandwidths(monkeypatch, n, options):
+    # each solve hands the squares it kept to its sample's own int fhat^2, where the
+    # route with given bandwidths gathers them anew: the two give the same bits, and
+    # the estimator gathers each sample's pairs once (none above the keep cap)
+    sx, sy = exp_batch(1.0, n, 3800 + n), exp_batch(2.0, n, 3900 + n)
+    gathers, gather = [], estimation._pair_squares
+    monkeypatch.setattr(estimation, "_pair_squares", lambda *args: gathers.append(args) or gather(*args))
+    got = estimate_relative_extropy(sx, sy, **options)
+    assert [args[0] for args in gathers] == ([sx.values, sy.values] if n <= 362 else [])
+    bandwidths = (sheather_jones_bandwidth(sx), sheather_jones_bandwidth(sy))
+    want = estimate_pairwise_relative_extropy((sx, sy), bandwidths, **options)[0, 1]
+    assert got.hex() == float(want).hex()
+
+
+@pytest.mark.parametrize("n", [5, 50, 200, 362])
+@pytest.mark.parametrize("kind", ["normal", "exponential", "rounded", "lognormal"])
+def test_small_self_sums_add_up_every_pair(kind, n):
+    # below the keep cap a self sum takes every pair of the sample's squares, with no
+    # window: within the zero rule's _SUM_ROUNDING of an all-pairs long-double sum, from
+    # a tenth of Silverman's width to ten times it
+    rng = np.random.default_rng(n)
+    x = np.sort({
+        "normal": lambda: rng.normal(size=n),
+        "exponential": lambda: rng.exponential(size=n),
+        "rounded": lambda: np.round(rng.normal(50.0, 11.0, n)),  # ties
+        "lognormal": lambda: rng.lognormal(0.0, 3.0, n),
+    }[kind]())
+    for b in 0.9 * x.std(ddof=1) * n**-0.2 * np.array([0.1, 1.0, 10.0]):
+        got = estimation._gram_sum(x, x, b, b, None)
+        assert got == pytest.approx(self_gram_longdouble(x, b), rel=estimation._SUM_ROUNDING, abs=0.0), b
+
+
+@pytest.mark.parametrize("n", [2, 5, 200])
+def test_constant_sample_self_sum_is_exactly_n_squared_pairs(n):
+    # sd = 0: the squares stay on the data's own scale, all exactly 0, so the pairs sum
+    # to n^2 exactly; numpy raises here on any division by 0, and Python always does
+    x, b = np.full(n, 3.7), 0.4
+    tau = math.hypot(b, b)
+    with np.errstate(all="raise"):
+        assert estimation._gram_sum(x, x, b, b, None) == n * n / (n * n * estimation._SQRT_2PI * tau)
+        if n >= 5:  # a constant sample has no bandwidth of its own, but takes a given one
+            values = estimate_pairwise_relative_extropy((SampleBatch(x), SampleBatch(x + 1.0)), (b, b))
+            assert values[0, 1] == values[1, 0] > 0.0
+
+
+def test_small_self_sum_at_a_tiny_width_keeps_its_ties():
+    # at a width 1e-170 of the sd, (sd / tau)^2 overflows: each of the 2 n^2 pairs of
+    # ties still weighs 1, and every other pair 0 (-0.5 / tau^2 once divided by 0)
+    n, b = 5, 1e-170
+    ties = np.repeat([0.0, 1.0], n)
+    want = (2 * n * n) / (4 * n * n * estimation._SQRT_2PI * math.hypot(b, b))
+    with np.errstate(over="ignore"):  # the other pairs' exponents overflow to -inf
+        got = estimation._gram_sum(ties, ties, b, b, None)
+    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_pair_squares_match_an_outer_difference_oracle():
+    # the one gather of a sample's pairs: the upper triangle of its standardized
+    # differences, row by row, bit for bit, at every size up to the keep cap
+    rng = np.random.default_rng(362)
+    for n in range(5, 363):
+        x = np.sort(rng.lognormal(size=n))
+        sd = float(x.std(ddof=1))
+        scale, block = estimation._pair_squares(x, sd)
+        assert scale == sd and block.shape == (3, n * (n - 1) // 2)
+        assert np.array_equal(block[0], upper_squares(x / sd)), n
+    assert estimation._upper_pairs.cache_info().currsize <= 2
+
+
+_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from extropy import SampleBatch, estimate_relative_extropy
+rng = np.random.default_rng(200)
+draws = [(rng.exponential(size=200), rng.exponential(0.5, size=200)) for _ in range(60)]
+
+def faults(pairs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for x, y in pairs:
+        estimate_relative_extropy(SampleBatch(x), SampleBatch(y), support_lower=0.0)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(draws[:10])
+print(faults(draws[10:]))
+"""
+
+
+def test_warm_estimates_take_few_page_faults():
+    # each sample's pair squares and its solve's work rows are one array, freed after
+    # the sample's own int fhat^2.  After a warm-up, 50 estimates at n = 200 took 0 to 2
+    # minor page faults; with the squares held on each batch for its lifetime they took
+    # 13,950-18,150.  The count runs in a fresh interpreter, as the CLI does: in the
+    # heap of a test process that has imported scipy the held squares took 1
+    env = dict(os.environ, PYTHONPATH=str(Path(estimation.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) <= 100, run.stdout
 
 
 # --- Monte-Carlo study -------------------------------------------------------------
